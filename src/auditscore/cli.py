@@ -15,33 +15,14 @@ import argparse
 import json
 import socket
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
-
-import yaml
 
 from . import __version__
 from .analysis import decompose_delta, rank_contributions, trend_series
-from .config import CONFIG_ENV_VAR, AppConfig, load_config, load_weight_profile
+from .config import CONFIG_ENV_VAR, AppConfig, load_config, load_manifest, load_weight_profile
 from .errors import AuditError, ParseError, ValidationError
-from .model import (
-    CompositeAssessment,
-    NormalizedScore,
-    RawToolReport,
-    ScapProfile,
-    ToolKind,
-    WeightProfile,
-    raw_report_to_dict,
-)
-from .parsers import (
-    ParseDiagnostics,
-    parse_aide,
-    parse_lynis,
-    parse_nmap,
-    parse_tripwire,
-    parse_xccdf,
-)
+from .model import CompositeAssessment, NormalizedScore, ToolKind, WeightProfile, raw_report_to_dict
+from .parsers import ParseDiagnostics
 from .render import (
     format_assessment_text,
     format_compare_text,
@@ -52,30 +33,14 @@ from .render import (
     render_report_text,
 )
 from .runner import ToolInvocation, init_integrity_database, orchestrate_scan
-from .scoring import aggregate, normalize_report
-from .store import HistoryRecord, append_record, load_history, record_to_json
+from .scoring import TOOLS, aggregate, normalize_report
+from .store import HistoryLoad, HistoryRecord, append_record, load_history, record_to_json
 
 _CLI_TOOL_NAMES = {tool.value.replace("_", "-"): tool for tool in ToolKind}
 
 
 def _read_text(path: Path) -> str:
     return path.read_text(encoding="utf-8", errors="replace")
-
-
-def _parse_report(
-    tool: ToolKind, text: str, source: str, firewall_override: bool | None = None
-) -> tuple[RawToolReport, ParseDiagnostics]:
-    if tool is ToolKind.LYNIS:
-        return parse_lynis(text, source)
-    if tool is ToolKind.OPENSCAP_STANDARD:
-        return parse_xccdf(text, ScapProfile.STANDARD, source)
-    if tool is ToolKind.OPENSCAP_CIS:
-        return parse_xccdf(text, ScapProfile.CIS, source)
-    if tool is ToolKind.AIDE:
-        return parse_aide(text, source)
-    if tool is ToolKind.TRIPWIRE:
-        return parse_tripwire(text, source)
-    return parse_nmap(text, source, firewall_override)
 
 
 def _emit_diagnostics(diagnostics: ParseDiagnostics, verbose: bool) -> None:
@@ -93,86 +58,6 @@ def _profile_for(args: argparse.Namespace, config: AppConfig) -> WeightProfile:
 
 
 # ---------------------------------------------------------------------------
-# Manifest: maps each tool to a report file or a literal score
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ManifestEntry:
-    path: Path | None = None
-    score: float | None = None
-    firewall: bool | None = None
-
-
-@dataclass(frozen=True)
-class Manifest:
-    label: str | None
-    host: str | None
-    entries: Mapping[ToolKind, ManifestEntry]
-
-
-def load_manifest(path: Path) -> Manifest:
-    """Load a score manifest; report paths are relative to the manifest."""
-    try:
-        data = yaml.safe_load(_read_text(path)) or {}
-    except yaml.YAMLError as exc:
-        raise ValidationError("MANIFEST_INVALID", f"{path}: {exc}") from exc
-    except OSError as exc:
-        raise ValidationError("MANIFEST_INVALID", f"cannot read {path}: {exc}") from exc
-    if not isinstance(data, Mapping):
-        raise ValidationError("MANIFEST_INVALID", f"{path}: manifest must be a mapping")
-    unknown = sorted(set(data) - {"label", "host", "reports"})
-    if unknown:
-        raise ValidationError(
-            "MANIFEST_INVALID", f"{path}: unknown key(s) {', '.join(unknown)}"
-        )
-    reports = data.get("reports", {})
-    if not isinstance(reports, Mapping):
-        raise ValidationError("MANIFEST_INVALID", f"{path}: 'reports' must be a mapping")
-    base = path.parent
-    entries: dict[ToolKind, ManifestEntry] = {}
-    for name, value in reports.items():
-        try:
-            tool = ToolKind(str(name).replace("-", "_"))
-        except ValueError:
-            raise ValidationError(
-                "MANIFEST_INVALID", f"{path}: unknown tool {name!r}"
-            ) from None
-        if isinstance(value, str):
-            entries[tool] = ManifestEntry(path=base / value)
-        elif isinstance(value, Mapping):
-            extra = sorted(set(value) - {"path", "score", "firewall"})
-            if extra:
-                raise ValidationError(
-                    "MANIFEST_INVALID", f"{path}: {name}: unknown key(s) {', '.join(extra)}"
-                )
-            has_path = "path" in value
-            has_score = "score" in value
-            if has_path == has_score:
-                raise ValidationError(
-                    "MANIFEST_INVALID",
-                    f"{path}: {name}: exactly one of 'path' or 'score' is required",
-                )
-            entries[tool] = ManifestEntry(
-                path=base / str(value["path"]) if has_path else None,
-                score=float(value["score"]) if has_score else None,
-                firewall=value.get("firewall"),
-            )
-        else:
-            raise ValidationError(
-                "MANIFEST_INVALID",
-                f"{path}: {name}: entry must be a path string or a mapping",
-            )
-    label = data.get("label")
-    host = data.get("host")
-    return Manifest(
-        label=str(label) if label is not None else None,
-        host=str(host) if host is not None else None,
-        entries=entries,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
@@ -183,7 +68,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
     tool = _CLI_TOOL_NAMES[args.tool]
     override = {"auto": None, "active": True, "inactive": False}[args.firewall]
     text = _read_text(args.file)
-    report, diagnostics = _parse_report(tool, text, str(args.file), override)
+    report, diagnostics = TOOLS[tool].parse(text, str(args.file), override)
     score = normalize_report(report, profile)
     _emit_diagnostics(diagnostics, args.verbose)
     if args.json:
@@ -217,7 +102,7 @@ def cmd_score(args: argparse.Namespace) -> int:
             continue
         assert entry.path is not None
         text = _read_text(entry.path)
-        report, diagnostics = _parse_report(tool, text, str(entry.path), entry.firewall)
+        report, diagnostics = TOOLS[tool].parse(text, str(entry.path), entry.firewall)
         _emit_diagnostics(diagnostics, args.verbose)
         scores[tool] = normalize_report(report, profile)
     assessment = aggregate(scores, profile, label)
@@ -241,18 +126,26 @@ def cmd_score(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_assessment(reference: str, history_path: Path) -> CompositeAssessment:
-    """Resolve a stored label or a record-file path to an assessment."""
+def _load_history(path: Path, host_filter: str | None = None) -> HistoryLoad:
+    loaded = load_history(path, host_filter=host_filter)
+    if loaded.skipped:
+        print(f"warning: skipped {loaded.skipped} corrupt line(s)", file=sys.stderr)
+    return loaded
+
+
+def _resolve_assessment(
+    reference: str, history: HistoryLoad | None, history_path: Path
+) -> CompositeAssessment:
+    """Resolve a record-file path, or else a label stored in ``history``."""
     as_path = Path(reference)
     if as_path.is_file():
-        loaded = load_history(as_path)
+        loaded = _load_history(as_path)
         if not loaded.records:
             raise ValidationError(
                 "UNKNOWN_LABEL", f"{reference}: file contains no parseable records"
             )
         return loaded.records[-1].assessment
-    loaded = load_history(history_path)
-    for record in reversed(loaded.records):
+    for record in reversed(history.records):
         if record.assessment.label == reference:
             return record.assessment
     raise ValidationError(
@@ -263,8 +156,14 @@ def _resolve_assessment(reference: str, history_path: Path) -> CompositeAssessme
 def cmd_compare(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     history_path = args.history or config.history_path
-    from_assessment = _resolve_assessment(args.from_ref, history_path)
-    to_assessment = _resolve_assessment(args.to_ref, history_path)
+    references = (args.from_ref, args.to_ref)
+    # Read the history once, and only when a reference is not a file.
+    history = None
+    if not all(Path(reference).is_file() for reference in references):
+        history = _load_history(history_path)
+    from_assessment, to_assessment = (
+        _resolve_assessment(reference, history, history_path) for reference in references
+    )
     decomposition = decompose_delta(from_assessment, to_assessment)
     ranked = rank_contributions(decomposition)
     if args.json:
@@ -277,9 +176,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_history(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     history_path = args.history or config.history_path
-    loaded = load_history(history_path, host_filter=args.host)
-    if loaded.skipped:
-        print(f"warning: skipped {loaded.skipped} corrupt line(s)", file=sys.stderr)
+    loaded = _load_history(history_path, host_filter=args.host)
     if args.json:
         for record in loaded.records:
             print(record_to_json(record))
@@ -296,7 +193,7 @@ def cmd_history(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     history_path = args.history or config.history_path
-    loaded = load_history(history_path)
+    loaded = _load_history(history_path)
     by_label: dict[str, HistoryRecord] = {}
     for record in loaded.records:
         by_label[record.assessment.label] = record
@@ -342,11 +239,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_init_integrity_db(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     settings = config.runner
-    tool = _CLI_TOOL_NAMES[args.tool]
-    if tool not in settings.init_commands:
-        raise ValidationError(
-            "CONFIG_INVALID", f"no init command configured for {tool.value}"
-        )
+    tool = _CLI_TOOL_NAMES[args.tool]  # a choice, so it has an init command
     invocation = ToolInvocation(
         tool=tool,
         command_template=settings.init_commands[tool],
@@ -469,7 +362,11 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="initialize a file integrity baseline database (refuses to clobber one)",
     )
-    p.add_argument("--tool", required=True, choices=["aide", "tripwire"])
+    p.add_argument(
+        "--tool",
+        required=True,
+        choices=sorted(name for name, tool in _CLI_TOOL_NAMES.items() if TOOLS[tool].init_command),
+    )
     p.add_argument("--force", action="store_true", help="reinitialize even if a database exists")
     p.set_defaults(func=cmd_init_integrity_db)
     return parser

@@ -1,4 +1,5 @@
-"""Configuration loading: weight profiles, history path, scan commands.
+"""Configuration and score manifest loading: weight profiles, history
+path, scan commands, and the tool-to-report map of ``score --manifest``.
 
 Everything runs with zero configuration: the default weight profile is
 embedded and the default scan commands cover stock installations of the
@@ -9,6 +10,7 @@ schema.
 
 from __future__ import annotations
 
+import math
 import os
 import socket
 from dataclasses import dataclass
@@ -18,8 +20,9 @@ from typing import Any, Mapping
 import yaml
 
 from .errors import ValidationError
-from .model import Severity, ToolKind, WeightProfile, validate_weights
+from .model import PENALTY_FIELDS, Severity, ToolKind, WeightProfile, validate_weights
 from .runner import ToolInvocation
+from .scoring import TOOLS
 
 CONFIG_ENV_VAR = "AUDITSCORE_CONFIG"
 
@@ -28,55 +31,7 @@ DEFAULT_OUTPUT_DIR = Path("scan-reports")
 DEFAULT_TARGET = "127.0.0.1"
 DEFAULT_DATASTREAM = "/usr/share/xml/scap/ssg/content/ssg-ubuntu2204-ds.xml"
 
-DEFAULT_COMMANDS: Mapping[ToolKind, str] = {
-    ToolKind.LYNIS: "lynis audit system --quiet --report-file {output}",
-    ToolKind.OPENSCAP_STANDARD: (
-        "oscap xccdf eval --profile xccdf_org.ssgproject.content_profile_standard "
-        "--results {output} {datastream}"
-    ),
-    ToolKind.AIDE: "aide --check",
-    ToolKind.TRIPWIRE: "tripwire --check",
-    ToolKind.OPENSCAP_CIS: (
-        "oscap xccdf eval --profile xccdf_org.ssgproject.content_profile_cis_level1_server "
-        "--results {output} {datastream}"
-    ),
-    ToolKind.VULN_SCAN: "nmap -sV --script vuln -oX {output} {target}",
-}
-
-# File integrity checkers return a bitmask of change classes (1 added,
-# 2 removed, 4 changed); the SCAP evaluator returns 2 when any rule
-# fails; the system auditor may return 78 when it has warnings to show.
-DEFAULT_EXIT_CODES: Mapping[ToolKind, frozenset[int]] = {
-    ToolKind.LYNIS: frozenset({0, 78}),
-    ToolKind.OPENSCAP_STANDARD: frozenset({0, 2}),
-    ToolKind.AIDE: frozenset(range(8)),
-    ToolKind.TRIPWIRE: frozenset(range(8)),
-    ToolKind.OPENSCAP_CIS: frozenset({0, 2}),
-    ToolKind.VULN_SCAN: frozenset({0}),
-}
-
-DEFAULT_OUTPUT_NAMES: Mapping[ToolKind, str] = {
-    ToolKind.LYNIS: "lynis-report.dat",
-    ToolKind.OPENSCAP_STANDARD: "openscap-standard.xml",
-    ToolKind.AIDE: "aide-check.txt",
-    ToolKind.TRIPWIRE: "tripwire-check.txt",
-    ToolKind.OPENSCAP_CIS: "openscap-cis.xml",
-    ToolKind.VULN_SCAN: "nmap-scan.xml",
-}
-
 DEFAULT_TIMEOUT = 3600.0
-
-DEFAULT_INIT_COMMANDS: Mapping[ToolKind, str] = {
-    ToolKind.AIDE: "aide --init",
-    ToolKind.TRIPWIRE: "tripwire --init",
-}
-
-
-def _default_databases() -> dict[ToolKind, Path]:
-    return {
-        ToolKind.AIDE: Path("/var/lib/aide/aide.db"),
-        ToolKind.TRIPWIRE: Path(f"/var/lib/tripwire/{socket.gethostname()}.twd"),
-    }
 
 
 @dataclass(frozen=True)
@@ -117,65 +72,54 @@ class AppConfig:
     runner: RunnerSettings
 
 
-def _default_commands() -> dict[ToolKind, ToolCommand]:
-    return {
-        tool: ToolCommand(
-            command=DEFAULT_COMMANDS[tool],
-            timeout=DEFAULT_TIMEOUT,
-            exit_codes=DEFAULT_EXIT_CODES[tool],
-            output_name=DEFAULT_OUTPUT_NAMES[tool],
-        )
-        for tool in ToolKind
-    }
-
-
 def default_config() -> AppConfig:
-    return AppConfig(
-        weights=WeightProfile(),
-        history_path=DEFAULT_HISTORY_PATH,
-        runner=RunnerSettings(
-            output_dir=DEFAULT_OUTPUT_DIR,
-            target=DEFAULT_TARGET,
-            datastream=DEFAULT_DATASTREAM,
-            commands=_default_commands(),
-            init_commands=dict(DEFAULT_INIT_COMMANDS),
-            databases=_default_databases(),
-        ),
-    )
+    return AppConfig(WeightProfile(), DEFAULT_HISTORY_PATH, _runner_from_mapping({}))
 
 
-def _require_mapping(value: Any, context: str) -> Mapping:
+def _require_mapping(value: Any, context: str, code: str = "CONFIG_INVALID") -> Mapping:
     if not isinstance(value, Mapping):
-        raise ValidationError("CONFIG_INVALID", f"{context} must be a mapping")
+        raise ValidationError(code, f"{context} must be a mapping")
     return value
 
 
-def _reject_unknown(data: Mapping, allowed: set[str], context: str) -> None:
-    unknown = sorted(set(data) - allowed)
+def _reject_unknown(
+    data: Mapping, allowed: set[str], context: str, code: str = "CONFIG_INVALID"
+) -> None:
+    unknown = sorted(str(key) for key in set(data) - allowed)
     if unknown:
-        raise ValidationError(
-            "CONFIG_INVALID", f"{context}: unknown key(s) {', '.join(unknown)}"
-        )
+        raise ValidationError(code, f"{context}: unknown key(s) {', '.join(unknown)}")
 
 
-def _tool_by_name(name: str, context: str) -> ToolKind:
+def _tool_by_name(name: Any, context: str, code: str = "CONFIG_INVALID") -> ToolKind:
+    """The tool a config or manifest key names; ``-`` may stand for ``_``."""
     try:
         return ToolKind(str(name).replace("-", "_"))
     except ValueError:
-        raise ValidationError("CONFIG_INVALID", f"{context}: unknown tool {name!r}") from None
+        raise ValidationError(code, f"{context}: unknown tool {name!r}") from None
+
+
+def _number(value: Any, kind: type, context: str, code: str = "CONFIG_INVALID") -> Any:
+    """``kind(value)`` for a user-supplied number that is finite, is not a
+    bool and, for ``int``, loses no fraction; anything else raises ``code``."""
+    try:
+        number = kind(value)
+        if not isinstance(value, bool) and math.isfinite(number) and number == float(value):
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(code, f"{context} must be a finite {kind.__name__}, got {value!r}")
 
 
 def weights_from_mapping(data: Mapping, context: str = "weights") -> WeightProfile:
     """Build a validated profile from a config mapping; defaults fill gaps."""
-    _reject_unknown(
-        data,
-        {"tool_weights", "severity_weights", "port_penalty", "confirmed_penalty", "firewall_discount"},
-        context,
-    )
-    tool_weights = dict(WeightProfile().tool_weights)
+    _reject_unknown(data, {"tool_weights", "severity_weights", *PENALTY_FIELDS}, context)
+    defaults = WeightProfile()
+    tool_weights = dict(defaults.tool_weights)
     for name, value in _require_mapping(data.get("tool_weights", {}), f"{context}.tool_weights").items():
-        tool_weights[_tool_by_name(name, context)] = float(value)
-    severity_weights = dict(WeightProfile().severity_weights)
+        tool_weights[_tool_by_name(name, context)] = _number(
+            value, float, f"{context}.tool_weights.{name}"
+        )
+    severity_weights = dict(defaults.severity_weights)
     for name, value in _require_mapping(
         data.get("severity_weights", {}), f"{context}.severity_weights"
     ).items():
@@ -185,15 +129,12 @@ def weights_from_mapping(data: Mapping, context: str = "weights") -> WeightProfi
             raise ValidationError(
                 "CONFIG_INVALID", f"{context}: unknown severity {name!r}"
             ) from None
-        severity_weights[severity] = float(value)
-    profile = WeightProfile(
-        tool_weights=tool_weights,
-        severity_weights=severity_weights,
-        port_penalty=float(data.get("port_penalty", 3.0)),
-        confirmed_penalty=float(data.get("confirmed_penalty", 10.0)),
-        firewall_discount=float(data.get("firewall_discount", 10.0)),
-    )
-    return validate_weights(profile)
+        severity_weights[severity] = _number(value, float, f"{context}.severity_weights.{name}")
+    penalties = {
+        name: _number(data.get(name, getattr(defaults, name)), float, f"{context}.{name}")
+        for name in PENALTY_FIELDS
+    }
+    return validate_weights(WeightProfile(tool_weights, severity_weights, **penalties))
 
 
 def load_weight_profile(path: Path | str) -> WeightProfile:
@@ -202,33 +143,45 @@ def load_weight_profile(path: Path | str) -> WeightProfile:
     return weights_from_mapping(_require_mapping(data, str(path)), context=str(path))
 
 
-def _load_yaml(path: Path) -> Any:
+def _load_yaml(path: Path, code: str = "CONFIG_INVALID") -> Any:
     try:
         text = path.read_text(encoding="utf-8", errors="replace")
     except OSError as exc:
-        raise ValidationError("CONFIG_INVALID", f"cannot read {path}: {exc}") from exc
+        raise ValidationError(code, f"cannot read {path}: {exc}") from exc
     try:
         return yaml.safe_load(text) or {}
     except yaml.YAMLError as exc:
-        raise ValidationError("CONFIG_INVALID", f"{path}: {exc}") from exc
+        raise ValidationError(code, f"{path}: {exc}") from exc
 
 
 def _runner_from_mapping(data: Mapping) -> RunnerSettings:
     _reject_unknown(data, {"output_dir", "target", "datastream", "tools", "init"}, "runner")
-    commands = _default_commands()
+    commands = {
+        tool: ToolCommand(spec.command, DEFAULT_TIMEOUT, spec.exit_codes, spec.output_name)
+        for tool, spec in TOOLS.items()
+    }
     for name, entry in _require_mapping(data.get("tools", {}), "runner.tools").items():
         tool = _tool_by_name(name, "runner.tools")
-        entry = _require_mapping(entry, f"runner.tools.{name}")
-        _reject_unknown(entry, {"command", "timeout", "exit_codes", "output"}, f"runner.tools.{name}")
+        context = f"runner.tools.{name}"
+        entry = _require_mapping(entry, context)
+        _reject_unknown(entry, {"command", "timeout", "exit_codes", "output"}, context)
         base = commands[tool]
+        exit_codes = entry.get("exit_codes", base.exit_codes)
+        if not isinstance(exit_codes, (list, frozenset)):
+            raise ValidationError("CONFIG_INVALID", f"{context}.exit_codes must be a list")
         commands[tool] = ToolCommand(
             command=str(entry.get("command", base.command)),
-            timeout=float(entry.get("timeout", base.timeout)),
-            exit_codes=frozenset(int(code) for code in entry.get("exit_codes", base.exit_codes)),
+            timeout=_number(entry.get("timeout", base.timeout), float, f"{context}.timeout"),
+            exit_codes=frozenset(
+                _number(code, int, f"{context}.exit_codes") for code in exit_codes
+            ),
             output_name=str(entry.get("output", base.output_name)),
         )
-    init_commands = dict(DEFAULT_INIT_COMMANDS)
-    databases = _default_databases()
+    init_commands = {tool: spec.init_command for tool, spec in TOOLS.items() if spec.init_command}
+    hostname = socket.gethostname()
+    databases = {
+        tool: Path(TOOLS[tool].database.format(hostname=hostname)) for tool in init_commands
+    }
     for name, entry in _require_mapping(data.get("init", {}), "runner.init").items():
         tool = _tool_by_name(name, "runner.init")
         entry = _require_mapping(entry, f"runner.init.{name}")
@@ -267,3 +220,67 @@ def load_config(path: Path | str | None = None) -> AppConfig:
     runner = _runner_from_mapping(_require_mapping(data.get("runner", {}), "runner"))
     history = Path(str(data.get("history", DEFAULT_HISTORY_PATH)))
     return AppConfig(weights=weights, history_path=history, runner=runner)
+
+
+# ---------------------------------------------------------------------------
+# Score manifest: maps each tool to a report file or a literal score
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ManifestEntry:
+    path: Path | None = None
+    score: float | None = None
+    firewall: bool | None = None
+
+
+@dataclass(frozen=True)
+class Manifest:
+    label: str | None
+    host: str | None
+    entries: Mapping[ToolKind, ManifestEntry]
+
+
+def load_manifest(path: Path) -> Manifest:
+    """Load a score manifest; report paths are relative to the manifest.
+
+    Anything malformed, such as a literal score that is not a finite number
+    or a firewall override that is not a bool, raises ``MANIFEST_INVALID``.
+    """
+    invalid = "MANIFEST_INVALID"
+    data = _require_mapping(_load_yaml(path, invalid), f"{path}: manifest", invalid)
+    _reject_unknown(data, {"label", "host", "reports"}, str(path), invalid)
+    reports = _require_mapping(data.get("reports", {}), f"{path}: 'reports'", invalid)
+    base = path.parent
+    entries: dict[ToolKind, ManifestEntry] = {}
+    for name, value in reports.items():
+        tool = _tool_by_name(name, str(path), invalid)
+        context = f"{path}: {name}"
+        if isinstance(value, str):
+            entries[tool] = ManifestEntry(path=base / value)
+            continue
+        if not isinstance(value, Mapping):
+            raise ValidationError(invalid, f"{context}: entry must be a path string or a mapping")
+        _reject_unknown(value, {"path", "score", "firewall"}, context, invalid)
+        has_path = "path" in value
+        if has_path == ("score" in value):
+            raise ValidationError(
+                invalid, f"{context}: exactly one of 'path' or 'score' is required"
+            )
+        firewall = value.get("firewall")
+        if firewall is not None and not isinstance(firewall, bool):
+            raise ValidationError(
+                invalid, f"{context}: firewall must be true or false, got {firewall!r}"
+            )
+        if has_path:
+            entries[tool] = ManifestEntry(path=base / str(value["path"]), firewall=firewall)
+        else:
+            score = _number(value["score"], float, f"{context}: score", invalid)
+            entries[tool] = ManifestEntry(score=score, firewall=firewall)
+    label = data.get("label")
+    host = data.get("host")
+    return Manifest(
+        label=str(label) if label is not None else None,
+        host=str(host) if host is not None else None,
+        entries=entries,
+    )

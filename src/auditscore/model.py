@@ -13,12 +13,13 @@ every type through plain JSON-compatible dicts at full float precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
-from .errors import ValidationError
+from .errors import ScoringError, ValidationError
 
 # Absolute tolerance for weight-sum and composite/contribution equality.
 # Weights come from decimal config files, so exact float equality is too
@@ -44,9 +45,7 @@ class ScapProfile(Enum):
 
     @property
     def tool(self) -> ToolKind:
-        if self is ScapProfile.STANDARD:
-            return ToolKind.OPENSCAP_STANDARD
-        return ToolKind.OPENSCAP_CIS
+        return ToolKind(f"openscap_{self.value}")
 
 
 class Severity(Enum):
@@ -54,6 +53,19 @@ class Severity(Enum):
     HIGH = "high"
     MEDIUM = "medium"
     LOW = "low"
+
+
+def classify_severity(cvss: float) -> Severity:
+    """Map a CVSS 0-10 value onto the standard v3 rating bands."""
+    if not 0.0 <= cvss <= 10.0:
+        raise ScoringError("CVSS_OUT_OF_RANGE", f"cvss must be in [0.0, 10.0], got {cvss}")
+    if cvss >= 9.0:
+        return Severity.CRITICAL
+    if cvss >= 7.0:
+        return Severity.HIGH
+    if cvss >= 4.0:
+        return Severity.MEDIUM
+    return Severity.LOW
 
 
 def _require_non_negative(name: str, value: int) -> None:
@@ -128,7 +140,7 @@ class VulnFinding:
     """One vulnerability finding from the network scan.
 
     When a CVSS value is present the severity must be the band that
-    :func:`auditscore.scoring.classify_severity` assigns to it; findings
+    :func:`classify_severity` assigns to it; findings
     are stored self-describing so scoring never re-derives severities.
     """
 
@@ -141,8 +153,6 @@ class VulnFinding:
 
     def __post_init__(self):
         if self.cvss is not None:
-            from .scoring import classify_severity
-
             expected = classify_severity(self.cvss)
             if expected is not self.severity:
                 raise ValidationError(
@@ -200,6 +210,9 @@ DEFAULT_SEVERITY_WEIGHTS: Mapping[Severity, float] = {
 }
 
 
+PENALTY_FIELDS = ("port_penalty", "confirmed_penalty", "firewall_discount")
+
+
 @dataclass(frozen=True)
 class WeightProfile:
     """Per-tool weights plus the penalty constants of the vulnerability model.
@@ -221,37 +234,38 @@ class WeightProfile:
     firewall_discount: float = 10.0
 
 
+def _require_weight(value: float, name: str, key: Enum | None = None) -> None:
+    if value >= 0 and math.isfinite(value):
+        return
+    if key is not None:
+        name = f"{name}[{key.value}]"
+    if not math.isfinite(value):
+        raise ValidationError("WEIGHT_NOT_FINITE", f"{name} is not finite ({value})")
+    raise ValidationError("WEIGHT_NEGATIVE", f"{name} is negative ({value})")
+
+
 def validate_weights(profile: WeightProfile) -> WeightProfile:
     """Check a weight profile and return it unchanged when acceptable.
 
     Raises :class:`ValidationError` naming the offending entry with code
-    ``TOOL_MISSING``, ``SEVERITY_MISSING``, ``WEIGHT_NEGATIVE`` or
-    ``WEIGHT_SUM_INVALID``. Validation iterates tools in canonical order,
-    so the outcome is independent of map insertion order.
+    ``TOOL_MISSING``, ``SEVERITY_MISSING``, ``WEIGHT_NOT_FINITE`` (NaN or
+    infinite), ``WEIGHT_NEGATIVE`` or ``WEIGHT_SUM_INVALID``. Validation
+    iterates tools in canonical order, so the outcome is independent of
+    map insertion order.
     """
     for tool in ToolKind:
         if tool not in profile.tool_weights:
             raise ValidationError("TOOL_MISSING", f"tool_weights has no entry for {tool.value}")
     for tool in ToolKind:
-        weight = profile.tool_weights[tool]
-        if weight < 0:
-            raise ValidationError(
-                "WEIGHT_NEGATIVE", f"tool_weights[{tool.value}] is negative ({weight})"
-            )
+        _require_weight(profile.tool_weights[tool], "tool_weights", tool)
     for severity in Severity:
         if severity not in profile.severity_weights:
             raise ValidationError(
                 "SEVERITY_MISSING", f"severity_weights has no entry for {severity.value}"
             )
-        weight = profile.severity_weights[severity]
-        if weight < 0:
-            raise ValidationError(
-                "WEIGHT_NEGATIVE", f"severity_weights[{severity.value}] is negative ({weight})"
-            )
-    for name in ("port_penalty", "confirmed_penalty", "firewall_discount"):
-        value = getattr(profile, name)
-        if value < 0:
-            raise ValidationError("WEIGHT_NEGATIVE", f"{name} is negative ({value})")
+        _require_weight(profile.severity_weights[severity], "severity_weights", severity)
+    for name in PENALTY_FIELDS:
+        _require_weight(getattr(profile, name), name)
     total = sum(profile.tool_weights[tool] for tool in ToolKind)
     if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
         raise ValidationError(
@@ -358,14 +372,6 @@ class DeltaDecomposition:
 # Serialization (plain dicts, JSON-compatible, full float precision)
 # ---------------------------------------------------------------------------
 
-_RAW_KINDS = {
-    LynisReport: "lynis",
-    ScapReport: "scap",
-    AideReport: "aide",
-    TripwireReport: "tripwire",
-    VulnReport: "vuln",
-}
-
 
 def finding_to_dict(finding: VulnFinding) -> dict:
     return {
@@ -389,65 +395,50 @@ def finding_from_dict(data: Mapping) -> VulnFinding:
     )
 
 
+# How each raw report type is stored: its ``kind`` tag and its keys in
+# stored order, which for a vuln record is not the field order. Keyed by
+# type, since one type can serve several tools (``ScapReport``).
+_RAW_KINDS = {
+    LynisReport: ("lynis", ("hardening_index",)),
+    ScapReport: ("scap", ("profile", "pass_count", "fail_count")),
+    AideReport: ("aide", ("added", "removed", "changed")),
+    TripwireReport: ("tripwire", ("objects_scanned", "violations")),
+    VulnReport: (
+        "vuln",
+        ("open_ports", "filtered_ports", "firewall_active", "confirmed_count", "findings"),
+    ),
+}
+_RAW_TYPES = {kind: (cls, keys) for cls, (kind, keys) in _RAW_KINDS.items()}
+# (encode, decode) for the fields that are not plain JSON values.
+_FIELD_CODECS: Mapping[str, tuple[Callable, Callable]] = {
+    "profile": (lambda profile: profile.value, ScapProfile),
+    "findings": (
+        lambda findings: [finding_to_dict(f) for f in findings],
+        lambda findings: tuple(finding_from_dict(f) for f in findings),
+    ),
+}
+
+
 def raw_report_to_dict(report: RawToolReport) -> dict:
-    kind = _RAW_KINDS[type(report)]
-    if isinstance(report, LynisReport):
-        return {"kind": kind, "hardening_index": report.hardening_index}
-    if isinstance(report, ScapReport):
-        return {
-            "kind": kind,
-            "profile": report.profile.value,
-            "pass_count": report.pass_count,
-            "fail_count": report.fail_count,
-        }
-    if isinstance(report, AideReport):
-        return {
-            "kind": kind,
-            "added": report.added,
-            "removed": report.removed,
-            "changed": report.changed,
-        }
-    if isinstance(report, TripwireReport):
-        return {
-            "kind": kind,
-            "objects_scanned": report.objects_scanned,
-            "violations": report.violations,
-        }
-    return {
-        "kind": kind,
-        "open_ports": report.open_ports,
-        "filtered_ports": report.filtered_ports,
-        "firewall_active": report.firewall_active,
-        "confirmed_count": report.confirmed_count,
-        "findings": [finding_to_dict(f) for f in report.findings],
-    }
+    kind, keys = _RAW_KINDS[type(report)]
+    data = {"kind": kind}
+    for key in keys:
+        value = getattr(report, key)
+        data[key] = _FIELD_CODECS[key][0](value) if key in _FIELD_CODECS else value
+    return data
 
 
 def raw_report_from_dict(data: Mapping) -> RawToolReport:
     kind = data["kind"]
-    if kind == "lynis":
-        return LynisReport(hardening_index=data["hardening_index"])
-    if kind == "scap":
-        return ScapReport(
-            profile=ScapProfile(data["profile"]),
-            pass_count=data["pass_count"],
-            fail_count=data["fail_count"],
-        )
-    if kind == "aide":
-        return AideReport(added=data["added"], removed=data["removed"], changed=data["changed"])
-    if kind == "tripwire":
-        return TripwireReport(
-            objects_scanned=data["objects_scanned"], violations=data["violations"]
-        )
-    if kind == "vuln":
-        return VulnReport(
-            open_ports=data["open_ports"],
-            filtered_ports=data["filtered_ports"],
-            firewall_active=data["firewall_active"],
-            findings=tuple(finding_from_dict(f) for f in data["findings"]),
-            confirmed_count=data["confirmed_count"],
-        )
-    raise ValidationError("UNKNOWN_REPORT_KIND", f"unknown raw report kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _RAW_TYPES:
+        raise ValidationError("UNKNOWN_REPORT_KIND", f"unknown raw report kind {kind!r}")
+    cls, keys = _RAW_TYPES[kind]
+    return cls(
+        **{
+            key: _FIELD_CODECS[key][1](data[key]) if key in _FIELD_CODECS else data[key]
+            for key in keys
+        }
+    )
 
 
 def score_to_dict(score: NormalizedScore) -> dict:
@@ -480,7 +471,8 @@ def profile_to_dict(profile: WeightProfile) -> dict:
 
 
 def profile_from_dict(data: Mapping) -> WeightProfile:
-    return WeightProfile(
+    """Decode a stored profile; one that fails :func:`validate_weights` raises."""
+    profile = WeightProfile(
         tool_weights={ToolKind(name): value for name, value in data["tool_weights"].items()},
         severity_weights={
             Severity(name): value for name, value in data["severity_weights"].items()
@@ -489,6 +481,7 @@ def profile_from_dict(data: Mapping) -> WeightProfile:
         confirmed_penalty=data["confirmed_penalty"],
         firewall_discount=data["firewall_discount"],
     )
+    return validate_weights(profile)
 
 
 def assessment_to_dict(assessment: CompositeAssessment) -> dict:
@@ -507,8 +500,11 @@ def assessment_to_dict(assessment: CompositeAssessment) -> dict:
 
 
 def assessment_from_dict(data: Mapping) -> CompositeAssessment:
+    label = data["label"]
+    if not isinstance(label, str):
+        raise ValidationError("LABEL_INVALID", f"label must be a string, got {label!r}")
     return CompositeAssessment(
-        label=data["label"],
+        label=label,
         timestamp=datetime.fromisoformat(data["timestamp"]),
         scores={
             ToolKind(name): score_from_dict(entry) for name, entry in data["scores"].items()

@@ -31,8 +31,8 @@ from .model import (
     TripwireReport,
     VulnFinding,
     VulnReport,
+    classify_severity,
 )
-from .scoring import classify_severity
 
 # Any host filtering at least this many ports is treated as firewalled;
 # observed scans show either ~0 or tens of thousands of filtered ports,
@@ -372,7 +372,8 @@ def parse_nmap(
     CVE token (with CVSS when present on its line), or one per script
     whose output carries a ``VULNERABLE`` state marker. A finding with no
     CVSS and no severity keyword defaults to low severity. Raises
-    ``MALFORMED_XML`` or ``NO_HOST``.
+    ``MALFORMED_XML``, ``NO_HOST`` or ``VALUE_NOT_INTEGER`` (an
+    ``extraports`` count that is not an integer).
     """
     diagnostics = ParseDiagnostics(source, ToolKind.VULN_SCAN)
     try:
@@ -391,7 +392,7 @@ def parse_nmap(
     for host in hosts:
         for port_el in (el for el in host.iter() if _localname(el.tag) == "port"):
             portid_raw = port_el.get("portid", "")
-            portid = int(portid_raw) if portid_raw.isdigit() else None
+            portid = int(portid_raw) if portid_raw.isdecimal() else None
             state_el = next((c for c in port_el if _localname(c.tag) == "state"), None)
             state = state_el.get("state", "") if state_el is not None else ""
             if state == "open":
@@ -406,7 +407,13 @@ def parse_nmap(
                 findings.extend(_script_findings(script_el, portid, diagnostics))
         for extra_el in (el for el in host.iter() if _localname(el.tag) == "extraports"):
             if extra_el.get("state") == "filtered":
-                count = int(extra_el.get("count", "0"))
+                raw_count = extra_el.get("count", "0")
+                try:
+                    count = int(raw_count)
+                except ValueError:
+                    raise ParseError(
+                        "VALUE_NOT_INTEGER", f"extraports count is {raw_count!r}", source
+                    ) from None
                 filtered_ports += count
                 diagnostics.note(f"extraports: {count} filtered")
         for hostscript in (el for el in host.iter() if _localname(el.tag) == "hostscript"):

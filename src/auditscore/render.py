@@ -9,52 +9,18 @@ precision.
 from __future__ import annotations
 
 import json
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .analysis import TrendTable
-from .model import (
-    AideReport,
-    CompositeAssessment,
-    DeltaDecomposition,
-    LynisReport,
-    RawToolReport,
-    ScapReport,
-    ToolKind,
-    TripwireReport,
-    VulnReport,
-)
+from .model import CompositeAssessment, DeltaDecomposition, RawToolReport, ToolKind
+from .scoring import RAW_SPECS, TOOLS
 from .store import HistoryRecord, record_to_json
-
-DISPLAY_NAMES: Mapping[ToolKind, str] = {
-    ToolKind.LYNIS: "Lynis",
-    ToolKind.OPENSCAP_STANDARD: "OpenSCAP Standard",
-    ToolKind.AIDE: "AIDE",
-    ToolKind.TRIPWIRE: "Tripwire",
-    ToolKind.OPENSCAP_CIS: "OpenSCAP CIS",
-    ToolKind.VULN_SCAN: "Vulnerability",
-}
 
 
 def raw_summary(raw: RawToolReport | None) -> str:
     if raw is None:
         return "(score supplied directly)"
-    if isinstance(raw, LynisReport):
-        return f"hardening_index={raw.hardening_index}"
-    if isinstance(raw, ScapReport):
-        return f"pass={raw.pass_count} fail={raw.fail_count}"
-    if isinstance(raw, AideReport):
-        return (
-            f"added={raw.added} removed={raw.removed} changed={raw.changed} "
-            f"total={raw.total_changes}"
-        )
-    if isinstance(raw, TripwireReport):
-        return f"objects={raw.objects_scanned} violations={raw.violations}"
-    assert isinstance(raw, VulnReport)
-    return (
-        f"open={raw.open_ports} filtered={raw.filtered_ports} "
-        f"confirmed={raw.confirmed_count} findings={len(raw.findings)} "
-        f"firewall={'yes' if raw.firewall_active else 'no'}"
-    )
+    return RAW_SPECS[type(raw)].summary(raw)
 
 
 def change_cell(first: float, last: float) -> str:
@@ -84,27 +50,7 @@ def format_assessment_text(assessment: CompositeAssessment, host_label: str | No
 
 
 def format_parse_text(score_tool: ToolKind, source: str, raw: RawToolReport, value: float) -> str:
-    lines = [f"tool: {score_tool.value}", f"source: {source}"]
-    if isinstance(raw, LynisReport):
-        lines.append(f"hardening_index: {raw.hardening_index}")
-    elif isinstance(raw, ScapReport):
-        lines.append(f"profile: {raw.profile.value}")
-        lines.append(f"pass: {raw.pass_count}")
-        lines.append(f"fail: {raw.fail_count}")
-    elif isinstance(raw, AideReport):
-        lines.append(f"added: {raw.added}")
-        lines.append(f"removed: {raw.removed}")
-        lines.append(f"changed: {raw.changed}")
-        lines.append(f"total_changes: {raw.total_changes}")
-    elif isinstance(raw, TripwireReport):
-        lines.append(f"objects_scanned: {raw.objects_scanned}")
-        lines.append(f"violations: {raw.violations}")
-    elif isinstance(raw, VulnReport):
-        lines.append(f"open_ports: {raw.open_ports}")
-        lines.append(f"filtered_ports: {raw.filtered_ports}")
-        lines.append(f"firewall_active: {'yes' if raw.firewall_active else 'no'}")
-        lines.append(f"findings: {len(raw.findings)}")
-        lines.append(f"confirmed: {raw.confirmed_count}")
+    lines = [f"tool: {score_tool.value}", f"source: {source}", *RAW_SPECS[type(raw)].details(raw)]
     lines.append(f"score: {value:.2f}")
     return "\n".join(lines)
 
@@ -157,7 +103,7 @@ def _score_matrix(records: Sequence[HistoryRecord]) -> list[list[str]]:
     rows = [header]
     for tool in ToolKind:
         values = [a.scores[tool].value for a in assessments]
-        row = [DISPLAY_NAMES[tool]] + [f"{v:.2f}" for v in values]
+        row = [TOOLS[tool].display_name] + [f"{v:.2f}" for v in values]
         if multi:
             row.append(change_cell(values[0], values[-1]))
         rows.append(row)
@@ -213,7 +159,7 @@ def render_report_markdown(
         sections.append("")
         trend_rows = [["Tool", "Direction"]]
         for tool in ToolKind:
-            trend_rows.append([DISPLAY_NAMES[tool], trends.directions[tool].value])
+            trend_rows.append([TOOLS[tool].display_name, trends.directions[tool].value])
         trend_rows.append(["**Composite**", trends.composite_direction.value])
         sections.append(_markdown_table(trend_rows))
         sections.append("")
@@ -225,7 +171,8 @@ def render_report_markdown(
         driver_rows = [["Rank", "Tool", "Weighted delta", "Share"]]
         for position, (tool, delta, share) in enumerate(ranked, start=1):
             share_text = "-" if share is None else f"{share * 100.0:.1f}%"
-            driver_rows.append([str(position), DISPLAY_NAMES[tool], f"{delta:+.2f}", share_text])
+            name = TOOLS[tool].display_name
+            driver_rows.append([str(position), name, f"{delta:+.2f}", share_text])
         sections.append(_markdown_table(driver_rows))
         sections.append("")
         if decomposition.dominant_share is None:
@@ -233,7 +180,7 @@ def render_report_markdown(
         else:
             sections.append(
                 f"Total delta {decomposition.total_delta:+.2f}; dominant driver "
-                f"{DISPLAY_NAMES[decomposition.dominant_tool]} "
+                f"{TOOLS[decomposition.dominant_tool].display_name} "
                 f"({decomposition.per_tool_delta[decomposition.dominant_tool]:+.2f}, "
                 f"{decomposition.dominant_share * 100.0:.1f}% of total)."
             )

@@ -15,6 +15,10 @@ Each scanner's raw metrics map onto a common 0-100 scale:
 The composite is the convex combination of the six scores under a
 validated weight profile. Intermediate arithmetic stays in full double
 precision; rounding for display happens only in the reporting layer.
+
+:data:`TOOLS` (per tool) and :data:`RAW_SPECS` (per raw report type) hold
+every per-tool fact: a seventh scanner is one new ``TOOLS`` entry plus its
+parser and normalizer.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from datetime import datetime, timezone
-from typing import Mapping
+from dataclasses import dataclass
+from typing import Any, Callable, Mapping
 
 from .errors import ScoringError
 from .model import (
@@ -31,13 +36,23 @@ from .model import (
     LynisReport,
     NormalizedScore,
     RawToolReport,
+    ScapProfile,
     ScapReport,
     Severity,
     ToolKind,
     TripwireReport,
     VulnReport,
     WeightProfile,
+    classify_severity,  # re-exported: severity bands are part of the scoring API
     validate_weights,
+)
+from .parsers import (
+    ParseDiagnostics,
+    parse_aide,
+    parse_lynis,
+    parse_nmap,
+    parse_tripwire,
+    parse_xccdf,
 )
 
 
@@ -80,19 +95,6 @@ def normalize_tripwire(report: TripwireReport) -> NormalizedScore:
     return NormalizedScore(ToolKind.TRIPWIRE, value, report)
 
 
-def classify_severity(cvss: float) -> Severity:
-    """Map a CVSS 0-10 value onto the standard v3 rating bands."""
-    if not 0.0 <= cvss <= 10.0:
-        raise ScoringError("CVSS_OUT_OF_RANGE", f"cvss must be in [0.0, 10.0], got {cvss}")
-    if cvss >= 9.0:
-        return Severity.CRITICAL
-    if cvss >= 7.0:
-        return Severity.HIGH
-    if cvss >= 4.0:
-        return Severity.MEDIUM
-    return Severity.LOW
-
-
 def vuln_penalty(report: VulnReport, profile: WeightProfile) -> float:
     """Total penalty before the firewall discount.
 
@@ -127,19 +129,147 @@ def normalize_vuln(report: VulnReport, profile: WeightProfile) -> NormalizedScor
     return NormalizedScore(ToolKind.VULN_SCAN, value, report)
 
 
+@dataclass(frozen=True)
+class ToolSpec:
+    """One scanner: how it is shown, parsed and run by default.
+
+    Table entries call parsers and normalizers through their module-global
+    names at call time, so rebinding a name (a tracer's wrapper, a test's
+    stub) reaches every caller.
+    """
+
+    display_name: str
+    # (report text, source path, firewall override) -> raw report
+    parse: Callable[[str, str, bool | None], tuple[RawToolReport, ParseDiagnostics]]
+    command: str
+    exit_codes: frozenset[int]
+    output_name: str
+    init_command: str | None = None
+    # Integrity database path; ``{hostname}`` is substituted.
+    database: str | None = None
+
+
+# File integrity checkers return a bitmask of change classes (1 added,
+# 2 removed, 4 changed); the SCAP evaluator returns 2 when any rule
+# fails; the system auditor may return 78 when it has warnings to show.
+TOOLS: Mapping[ToolKind, ToolSpec] = {
+    ToolKind.LYNIS: ToolSpec(
+        "Lynis",
+        lambda text, source, firewall: parse_lynis(text, source),
+        "lynis audit system --quiet --report-file {output}",
+        frozenset({0, 78}),
+        "lynis-report.dat",
+    ),
+    ToolKind.OPENSCAP_STANDARD: ToolSpec(
+        "OpenSCAP Standard",
+        lambda text, source, firewall: parse_xccdf(text, ScapProfile.STANDARD, source),
+        "oscap xccdf eval --profile xccdf_org.ssgproject.content_profile_standard "
+        "--results {output} {datastream}",
+        frozenset({0, 2}),
+        "openscap-standard.xml",
+    ),
+    ToolKind.AIDE: ToolSpec(
+        "AIDE",
+        lambda text, source, firewall: parse_aide(text, source),
+        "aide --check",
+        frozenset(range(8)),
+        "aide-check.txt",
+        init_command="aide --init",
+        database="/var/lib/aide/aide.db",
+    ),
+    ToolKind.TRIPWIRE: ToolSpec(
+        "Tripwire",
+        lambda text, source, firewall: parse_tripwire(text, source),
+        "tripwire --check",
+        frozenset(range(8)),
+        "tripwire-check.txt",
+        init_command="tripwire --init",
+        database="/var/lib/tripwire/{hostname}.twd",
+    ),
+    ToolKind.OPENSCAP_CIS: ToolSpec(
+        "OpenSCAP CIS",
+        lambda text, source, firewall: parse_xccdf(text, ScapProfile.CIS, source),
+        "oscap xccdf eval --profile xccdf_org.ssgproject.content_profile_cis_level1_server "
+        "--results {output} {datastream}",
+        frozenset({0, 2}),
+        "openscap-cis.xml",
+    ),
+    ToolKind.VULN_SCAN: ToolSpec(
+        "Vulnerability",
+        lambda text, source, firewall: parse_nmap(text, source, firewall),
+        "nmap -sV --script vuln -oX {output} {target}",
+        frozenset({0}),
+        "nmap-scan.xml",
+    ),
+}
+
+
+@dataclass(frozen=True)
+class RawSpec:
+    """One raw report type: its normalizer and its two text forms."""
+
+    normalize: Callable[[Any, WeightProfile], NormalizedScore]
+    summary: Callable[[Any], str]  # one line of a score table
+    details: Callable[[Any], list[str]]  # the body of ``parse`` text output
+
+
+RAW_SPECS: Mapping[type, RawSpec] = {
+    LynisReport: RawSpec(
+        lambda raw, profile: normalize_lynis(raw),
+        lambda raw: f"hardening_index={raw.hardening_index}",
+        lambda raw: [f"hardening_index: {raw.hardening_index}"],
+    ),
+    ScapReport: RawSpec(
+        lambda raw, profile: normalize_scap(raw),
+        lambda raw: f"pass={raw.pass_count} fail={raw.fail_count}",
+        lambda raw: [
+            f"profile: {raw.profile.value}",
+            f"pass: {raw.pass_count}",
+            f"fail: {raw.fail_count}",
+        ],
+    ),
+    AideReport: RawSpec(
+        lambda raw, profile: normalize_aide(raw),
+        lambda raw: (
+            f"added={raw.added} removed={raw.removed} changed={raw.changed} "
+            f"total={raw.total_changes}"
+        ),
+        lambda raw: [
+            f"added: {raw.added}",
+            f"removed: {raw.removed}",
+            f"changed: {raw.changed}",
+            f"total_changes: {raw.total_changes}",
+        ],
+    ),
+    TripwireReport: RawSpec(
+        lambda raw, profile: normalize_tripwire(raw),
+        lambda raw: f"objects={raw.objects_scanned} violations={raw.violations}",
+        lambda raw: [f"objects_scanned: {raw.objects_scanned}", f"violations: {raw.violations}"],
+    ),
+    VulnReport: RawSpec(
+        lambda raw, profile: normalize_vuln(raw, profile),
+        lambda raw: (
+            f"open={raw.open_ports} filtered={raw.filtered_ports} "
+            f"confirmed={raw.confirmed_count} findings={len(raw.findings)} "
+            f"firewall={'yes' if raw.firewall_active else 'no'}"
+        ),
+        lambda raw: [
+            f"open_ports: {raw.open_ports}",
+            f"filtered_ports: {raw.filtered_ports}",
+            f"firewall_active: {'yes' if raw.firewall_active else 'no'}",
+            f"findings: {len(raw.findings)}",
+            f"confirmed: {raw.confirmed_count}",
+        ],
+    ),
+}
+
+
 def normalize_report(
     report: RawToolReport, profile: WeightProfile | None = None
 ) -> NormalizedScore:
-    """Dispatch a raw report to its normalizer (profile only matters for vuln)."""
-    if isinstance(report, LynisReport):
-        return normalize_lynis(report)
-    if isinstance(report, ScapReport):
-        return normalize_scap(report)
-    if isinstance(report, AideReport):
-        return normalize_aide(report)
-    if isinstance(report, TripwireReport):
-        return normalize_tripwire(report)
-    return normalize_vuln(report, profile if profile is not None else WeightProfile())
+    """Normalize a raw report of any type (profile only matters for vuln)."""
+    spec = RAW_SPECS[type(report)]
+    return spec.normalize(report, profile if profile is not None else WeightProfile())
 
 
 def aggregate(

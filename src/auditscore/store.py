@@ -79,8 +79,8 @@ def append_record(path: Path | str, record: HistoryRecord) -> None:
 def load_history(path: Path | str, host_filter: str | None = None) -> HistoryLoad:
     """Read records in file order, optionally filtered by host label.
 
-    Corrupt lines are skipped and counted in ``skipped``; an empty file
-    yields an empty result.
+    Corrupt lines, including valid JSON of the wrong shape, are skipped and
+    counted in ``skipped``; an empty file yields an empty result.
     """
     path = Path(path)
     try:
@@ -93,7 +93,7 @@ def load_history(path: Path | str, host_filter: str | None = None) -> HistoryLoa
             continue
         try:
             record = record_from_json(line)
-        except (ValueError, KeyError, TypeError, AuditError):
+        except (ValueError, KeyError, TypeError, AttributeError, AuditError):
             result.skipped += 1
             continue
         if host_filter is None or record.host_label == host_filter:

@@ -1,13 +1,17 @@
 import json
 import stat
 
+import hypothesis.strategies as st
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
 
 from auditscore.cli import load_manifest, main
 from auditscore.errors import ValidationError
 from auditscore.model import ToolKind
 from auditscore.store import load_history
+
+from .conftest import DATA_DIR
 
 
 def run_cli(capsys, *argv):
@@ -26,6 +30,21 @@ def test_parse_aide_full_prints_total_and_score(capsys, data_dir):
     assert code == 0
     assert "total_changes: 317" in out
     assert "score: 74.99" in out
+
+
+_PARSE_GOLDEN = json.loads((DATA_DIR / "expected-parse.json").read_text())
+
+
+@pytest.mark.parametrize("fixture", sorted(_PARSE_GOLDEN))
+def test_parse_output_matches_golden(capsys, monkeypatch, data_dir, fixture):
+    """Byte-exact ``parse`` text and ``--json`` output, captured from an
+    earlier release, for one fixture per tool."""
+    expected = _PARSE_GOLDEN[fixture]
+    monkeypatch.chdir(data_dir)
+    for key, extra in (("text", []), ("json", ["--json"])):
+        code, out, _ = run_cli(capsys, "parse", "--tool", expected["tool"], fixture, *extra)
+        assert code == 0
+        assert out == expected[key]
 
 
 def test_parse_lynis_key_missing_exits_2(capsys, tmp_path):
@@ -54,6 +73,15 @@ def test_parse_tripwire_json_output(capsys, data_dir):
         "violations": 13459,
     }
     assert document["score"] == pytest.approx(82.40, abs=0.005)
+
+
+def test_parse_nmap_bad_extraports_count_exits_2(capsys, tmp_path):
+    scan = tmp_path / "scan.xml"
+    scan.write_text("<nmaprun><host><extraports state='filtered' count='lots'/></host></nmaprun>")
+    code, out, err = run_cli(capsys, "parse", "--tool", "vuln-scan", str(scan))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error[VALUE_NOT_INTEGER] {scan}:")
 
 
 def test_parse_vuln_scan_firewall_override(capsys, data_dir):
@@ -196,6 +224,82 @@ def test_manifest_paths_resolve_relative_to_manifest(tmp_path, data_dir):
     assert manifest.entries[ToolKind.LYNIS].path == nested / "lynis.dat"
 
 
+def _literal_manifest(tmp_path, vuln_entry):
+    """Five literal scores plus ``vuln_entry`` for the scan, as YAML."""
+    names = ("lynis", "openscap_standard", "aide", "tripwire", "openscap_cis")
+    reports = {name: {"score": 50} for name in names}
+    reports["vuln_scan"] = vuln_entry
+    path = tmp_path / "manifest.yaml"
+    path.write_text(yaml.safe_dump({"reports": reports}))
+    return path
+
+
+@pytest.mark.parametrize(
+    "vuln_entry",
+    [
+        {"score": "abc"},
+        {"score": float("nan")},
+        {"score": float("inf")},
+        {"score": None},
+        {"score": [47]},
+        {"score": True},
+        {"path": str(DATA_DIR / "nmap-baseline.xml"), "firewall": "maybe"},
+        {"path": str(DATA_DIR / "nmap-baseline.xml"), "firewall": 1},
+    ],
+    ids=[
+        "score-text",
+        "score-nan",
+        "score-inf",
+        "score-null",
+        "score-list",
+        "score-bool",
+        "firewall-text",
+        "firewall-int",
+    ],
+)
+def test_manifest_bad_score_or_firewall_exits_2(capsys, tmp_path, vuln_entry):
+    path = _literal_manifest(tmp_path, vuln_entry)
+    code, out, err = run_cli(capsys, "score", "--manifest", str(path), "--json")
+    assert code == 2
+    assert out == ""
+    assert "error[MANIFEST_INVALID]" in err
+    assert "vuln_scan" in err
+
+
+_yaml_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=8),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+@given(score=_yaml_values, firewall=_yaml_values, literal=st.booleans())
+@settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_manifest_values_never_crash(capsys, tmp_path, score, firewall, literal):
+    entry = {"score": score} if literal else {"path": str(DATA_DIR / "nmap-baseline.xml")}
+    entry["firewall"] = firewall
+    path = _literal_manifest(tmp_path, entry)
+    code, _, err = run_cli(capsys, "score", "--manifest", str(path))
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    if firewall is not None and not isinstance(firewall, bool):
+        assert code == 2
+    elif not literal:
+        assert code == 0
+    elif isinstance(score, (int, float)) and not isinstance(score, bool):
+        assert (code == 0) == (0 <= score <= 100)  # NaN compares false: rejected
+    elif not isinstance(score, str):  # numeric strings are read as numbers
+        assert code == 2
+
+
 # ---------------------------------------------------------------------------
 # history / compare / report against a populated store
 # ---------------------------------------------------------------------------
@@ -240,6 +344,26 @@ def test_history_host_filter(capsys, populated_history):
     assert code == 0
     assert out.strip().splitlines()[0].startswith("full")
     assert len(out.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["history"],
+        ["compare", "baseline", "full"],
+        ["report", "baseline", "full"],
+        ["report", "baseline", "full", "--format", "json"],
+    ],
+)
+def test_history_readers_skip_and_report_corrupt_lines(capsys, populated_history, argv):
+    record = json.loads(populated_history.read_text().splitlines()[0])
+    record["assessment"]["scores"] = []
+    with open(populated_history, "a") as handle:
+        handle.write(json.dumps(record) + "\n{torn\n")
+    code, out, err = run_cli(capsys, *argv, "--history", str(populated_history))
+    assert code == 0
+    assert out
+    assert err == "warning: skipped 2 corrupt line(s)\n"
 
 
 def test_compare_baseline_to_full(capsys, populated_history):
@@ -481,6 +605,47 @@ def test_invalid_config_exits_2(capsys, data_dir, tmp_path):
     )
     assert code == 2
     assert "WEIGHT_SUM_INVALID" in err
+
+
+@pytest.mark.parametrize(
+    "config_text",
+    [
+        "runner:\n  tools:\n    lynis:\n      timeout: soon\n",
+        "runner:\n  tools:\n    lynis:\n      timeout: .inf\n",
+        "runner:\n  tools:\n    lynis:\n      exit_codes: [0, abc]\n",
+        "runner:\n  tools:\n    lynis:\n      exit_codes: [0, 1.5]\n",
+        "runner:\n  tools:\n    lynis:\n      exit_codes: 78\n",
+        "weights:\n  port_penalty: abc\n",
+        "weights:\n  tool_weights:\n    lynis: .nan\n",
+        "weights:\n  severity_weights:\n    high: -.inf\n",
+        "weights:\n  tool_weights: {lynis: 0.2}\n  7: x\n  z: y\n",
+    ],
+    ids=[
+        "timeout-text",
+        "timeout-inf",
+        "exit-code-text",
+        "exit-code-fraction",
+        "exit-codes-not-a-list",
+        "penalty-text",
+        "weight-nan",
+        "severity-weight-inf",
+        "unknown-keys-of-mixed-type",
+    ],
+)
+def test_config_bad_values_exit_2(capsys, data_dir, tmp_path, config_text):
+    config = tmp_path / "config.yaml"
+    config.write_text(config_text)
+    code, out, err = run_cli(
+        capsys,
+        "score",
+        "--config",
+        str(config),
+        "--manifest",
+        str(data_dir / "manifest-baseline-literal.yaml"),
+    )
+    assert code == 2
+    assert out == ""
+    assert "error[CONFIG_INVALID]" in err
 
 
 def test_weights_flag_overrides_default(capsys, data_dir, tmp_path):

@@ -78,6 +78,29 @@ def test_negative_penalty_rejected():
     assert excinfo.value.code == "WEIGHT_NEGATIVE"
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("where", ["tool", "severity", "penalty"])
+def test_non_finite_weight_rejected_naming_entry(bad, where):
+    tool_weights = dict(WeightProfile().tool_weights)
+    severity_weights = dict(WeightProfile().severity_weights)
+    penalty = 10.0
+    if where == "tool":
+        tool_weights[ToolKind.LYNIS] = bad
+    elif where == "severity":
+        severity_weights[Severity.HIGH] = bad
+    else:
+        penalty = bad
+    profile = WeightProfile(
+        tool_weights=tool_weights, severity_weights=severity_weights, confirmed_penalty=penalty
+    )
+    with pytest.raises(ValidationError) as excinfo:
+        validate_weights(profile)
+    assert excinfo.value.code == "WEIGHT_NOT_FINITE"
+    assert {"tool": "lynis", "severity": "high", "penalty": "confirmed_penalty"}[where] in str(
+        excinfo.value
+    )
+
+
 def test_validation_is_order_independent():
     forward = {tool: WeightProfile().tool_weights[tool] for tool in ToolKind}
     backward = {tool: forward[tool] for tool in reversed(list(ToolKind))}

@@ -247,6 +247,29 @@ def test_nmap_malformed_xml():
     assert excinfo.value.code == "MALFORMED_XML"
 
 
+def test_nmap_non_integer_extraports_count_is_a_parse_error():
+    xml = (
+        "<nmaprun><host><ports><extraports state='filtered' count='lots'/>"
+        "</ports></host></nmaprun>"
+    )
+    with pytest.raises(ParseError) as excinfo:
+        parse_nmap(xml, "scan.xml")
+    assert excinfo.value.code == "VALUE_NOT_INTEGER"
+    assert excinfo.value.source == "scan.xml"
+    assert "lots" in str(excinfo.value)
+
+
+def test_nmap_non_decimal_digit_portid_is_not_a_port_number():
+    xml = (
+        "<nmaprun><host><ports><port protocol='tcp' portid='\u00b2'>"
+        "<state state='open'/><script id='x' output='CVE-2024-0001 7.5'/>"
+        "</port></ports></host></nmaprun>"
+    )
+    report, _ = parse_nmap(xml)
+    assert report.open_ports == 1
+    assert report.findings[0].port is None
+
+
 def test_nmap_not_vulnerable_marker_is_not_confirmed():
     xml = (
         "<nmaprun><host><status state='up'/><ports>"

@@ -107,6 +107,40 @@ def test_valid_json_with_broken_invariants_is_corrupt(tmp_path):
     assert loaded.skipped == 1
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("assessment", "scores"), []),
+        (("assessment", "contributions"), []),
+        (("assessment", "weights", "tool_weights"), [1]),
+        (("assessment", "weights", "tool_weights"), {}),
+        (("assessment", "weights", "tool_weights", "lynis"), None),
+        (("assessment", "weights", "severity_weights", "high"), float("nan")),
+        (("assessment", "weights", "port_penalty"), float("inf")),
+        (("assessment", "scores", "lynis"), []),
+        (("assessment", "label"), None),
+    ],
+)
+def test_wrong_shape_records_are_skipped(tmp_path, data_dir, path, value):
+    payload = json.loads((data_dir / "history-v1.jsonl").read_text().splitlines()[0])
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    history = tmp_path / "history.jsonl"
+    history.write_text(json.dumps(payload) + "\n")
+    loaded = load_history(history)
+    assert loaded.records == []
+    assert loaded.skipped == 1
+
+
+def test_history_written_by_earlier_release_reencodes_byte_identically(data_dir):
+    lines = (data_dir / "history-v1.jsonl").read_text().splitlines()
+    assert load_history(data_dir / "history-v1.jsonl").skipped == 0
+    for line in lines:
+        assert record_to_json(record_from_json(line)) == line
+
+
 def test_host_filter(tmp_path):
     path = tmp_path / "history.jsonl"
     append_record(path, _record("baseline", host="alpha"))
