@@ -126,8 +126,10 @@ def cmd_score(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_history(path: Path, host_filter: str | None = None) -> HistoryLoad:
-    loaded = load_history(path, host_filter=host_filter)
+def _load_history(
+    path: Path, host_filter: str | None = None, labels: set[str] | None = None
+) -> HistoryLoad:
+    loaded = load_history(path, host_filter=host_filter, labels=labels)
     if loaded.skipped:
         print(f"warning: skipped {loaded.skipped} corrupt line(s)", file=sys.stderr)
     return loaded
@@ -157,10 +159,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     history_path = args.history or config.history_path
     references = (args.from_ref, args.to_ref)
-    # Read the history once, and only when a reference is not a file.
-    history = None
-    if not all(Path(reference).is_file() for reference in references):
-        history = _load_history(history_path)
+    # Read the history once, only when a reference is not a file, and
+    # decode only the records of the labels asked for.
+    labels = {reference for reference in references if not Path(reference).is_file()}
+    history = _load_history(history_path, labels=labels) if labels else None
     from_assessment, to_assessment = (
         _resolve_assessment(reference, history, history_path) for reference in references
     )
@@ -193,7 +195,7 @@ def cmd_history(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     history_path = args.history or config.history_path
-    loaded = _load_history(history_path)
+    loaded = _load_history(history_path, labels=set(args.labels))
     by_label: dict[str, HistoryRecord] = {}
     for record in loaded.records:
         by_label[record.assessment.label] = record

@@ -244,8 +244,9 @@ class Manifest:
 def load_manifest(path: Path) -> Manifest:
     """Load a score manifest; report paths are relative to the manifest.
 
-    Anything malformed, such as a literal score that is not a finite number
-    or a firewall override that is not a bool, raises ``MANIFEST_INVALID``.
+    Anything malformed, such as a literal score that is not a finite number,
+    a firewall override that is not a bool, or a label or host that is a
+    list or mapping, raises ``MANIFEST_INVALID``.
     """
     invalid = "MANIFEST_INVALID"
     data = _require_mapping(_load_yaml(path, invalid), f"{path}: manifest", invalid)
@@ -277,10 +278,15 @@ def load_manifest(path: Path) -> Manifest:
         else:
             score = _number(value["score"], float, f"{context}: score", invalid)
             entries[tool] = ManifestEntry(score=score, firewall=firewall)
-    label = data.get("label")
-    host = data.get("host")
     return Manifest(
-        label=str(label) if label is not None else None,
-        host=str(host) if host is not None else None,
+        label=_manifest_name(data.get("label"), f"{path}: label"),
+        host=_manifest_name(data.get("host"), f"{path}: host"),
         entries=entries,
     )
+
+
+def _manifest_name(value: Any, context: str) -> str | None:
+    """A manifest ``label``/``host``: a scalar, kept as its string form."""
+    if isinstance(value, (Mapping, list, set)):
+        raise ValidationError("MANIFEST_INVALID", f"{context} must be a scalar, got {value!r}")
+    return None if value is None else str(value)

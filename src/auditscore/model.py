@@ -55,6 +55,12 @@ class Severity(Enum):
     LOW = "low"
 
 
+# Canonical orders as tuples: iterating an Enum class costs about 15x more
+# than a tuple, and validation and encoding loop over them per record.
+_TOOL_KINDS = tuple(ToolKind)
+_SEVERITIES = tuple(Severity)
+
+
 def classify_severity(cvss: float) -> Severity:
     """Map a CVSS 0-10 value onto the standard v3 rating bands."""
     if not 0.0 <= cvss <= 10.0:
@@ -253,12 +259,12 @@ def validate_weights(profile: WeightProfile) -> WeightProfile:
     iterates tools in canonical order, so the outcome is independent of
     map insertion order.
     """
-    for tool in ToolKind:
+    for tool in _TOOL_KINDS:
         if tool not in profile.tool_weights:
             raise ValidationError("TOOL_MISSING", f"tool_weights has no entry for {tool.value}")
-    for tool in ToolKind:
+    for tool in _TOOL_KINDS:
         _require_weight(profile.tool_weights[tool], "tool_weights", tool)
-    for severity in Severity:
+    for severity in _SEVERITIES:
         if severity not in profile.severity_weights:
             raise ValidationError(
                 "SEVERITY_MISSING", f"severity_weights has no entry for {severity.value}"
@@ -266,7 +272,7 @@ def validate_weights(profile: WeightProfile) -> WeightProfile:
         _require_weight(profile.severity_weights[severity], "severity_weights", severity)
     for name in PENALTY_FIELDS:
         _require_weight(getattr(profile, name), name)
-    total = sum(profile.tool_weights[tool] for tool in ToolKind)
+    total = sum(profile.tool_weights[tool] for tool in _TOOL_KINDS)
     if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
         raise ValidationError(
             "WEIGHT_SUM_INVALID", f"tool weights sum to {total:.9f}, expected 1.0"
@@ -276,7 +282,7 @@ def validate_weights(profile: WeightProfile) -> WeightProfile:
 
 def tool_weights_match(a: WeightProfile, b: WeightProfile, tolerance: float = WEIGHT_SUM_TOLERANCE) -> bool:
     """True when both profiles carry the same six tool weights within tolerance."""
-    for tool in ToolKind:
+    for tool in _TOOL_KINDS:
         if tool not in a.tool_weights or tool not in b.tool_weights:
             return False
         if abs(a.tool_weights[tool] - b.tool_weights[tool]) > tolerance:
@@ -320,7 +326,7 @@ class CompositeAssessment:
     contributions: Mapping[ToolKind, float]
 
     def __post_init__(self):
-        missing = [tool.value for tool in ToolKind if tool not in self.scores]
+        missing = [tool.value for tool in _TOOL_KINDS if tool not in self.scores]
         if missing:
             raise ValidationError("TOOL_MISSING", "no score for: " + ", ".join(missing))
         for tool, score in self.scores.items():
@@ -329,10 +335,10 @@ class CompositeAssessment:
                     "TOOL_MISMATCH",
                     f"scores[{tool.value}] carries a {score.tool.value} score",
                 )
-        absent = [tool.value for tool in ToolKind if tool not in self.contributions]
+        absent = [tool.value for tool in _TOOL_KINDS if tool not in self.contributions]
         if absent:
             raise ValidationError("TOOL_MISSING", "no contribution for: " + ", ".join(absent))
-        total = sum(self.contributions[tool] for tool in ToolKind)
+        total = sum(self.contributions[tool] for tool in _TOOL_KINDS)
         if abs(self.composite - total) > COMPOSITE_TOLERANCE:
             raise ValidationError(
                 "COMPOSITE_MISMATCH",
@@ -360,7 +366,7 @@ class DeltaDecomposition:
     dominant_share: float | None
 
     def __post_init__(self):
-        total = sum(self.per_tool_delta[tool] for tool in ToolKind)
+        total = sum(self.per_tool_delta[tool] for tool in _TOOL_KINDS)
         if abs(self.total_delta - total) > COMPOSITE_TOLERANCE:
             raise ValidationError(
                 "COMPOSITE_MISMATCH",
@@ -460,9 +466,9 @@ def score_from_dict(data: Mapping) -> NormalizedScore:
 
 def profile_to_dict(profile: WeightProfile) -> dict:
     return {
-        "tool_weights": {tool.value: profile.tool_weights[tool] for tool in ToolKind},
+        "tool_weights": {tool.value: profile.tool_weights[tool] for tool in _TOOL_KINDS},
         "severity_weights": {
-            sev.value: profile.severity_weights[sev] for sev in Severity
+            sev.value: profile.severity_weights[sev] for sev in _SEVERITIES
         },
         "port_penalty": profile.port_penalty,
         "confirmed_penalty": profile.confirmed_penalty,
@@ -490,21 +496,26 @@ def assessment_to_dict(assessment: CompositeAssessment) -> dict:
         "timestamp": assessment.timestamp.isoformat(),
         "composite": assessment.composite,
         "scores": {
-            tool.value: score_to_dict(assessment.scores[tool]) for tool in ToolKind
+            tool.value: score_to_dict(assessment.scores[tool]) for tool in _TOOL_KINDS
         },
         "contributions": {
-            tool.value: assessment.contributions[tool] for tool in ToolKind
+            tool.value: assessment.contributions[tool] for tool in _TOOL_KINDS
         },
         "weights": profile_to_dict(assessment.weights),
     }
 
 
-def assessment_from_dict(data: Mapping) -> CompositeAssessment:
+def assessment_label(data: Mapping) -> str:
+    """The label of a stored assessment, checked without decoding the rest."""
     label = data["label"]
     if not isinstance(label, str):
         raise ValidationError("LABEL_INVALID", f"label must be a string, got {label!r}")
+    return label
+
+
+def assessment_from_dict(data: Mapping) -> CompositeAssessment:
     return CompositeAssessment(
-        label=label,
+        label=assessment_label(data),
         timestamp=datetime.fromisoformat(data["timestamp"]),
         scores={
             ToolKind(name): score_from_dict(entry) for name, entry in data["scores"].items()

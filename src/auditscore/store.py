@@ -3,8 +3,9 @@
 A flat line-delimited file keeps the history diffable and dependency-free
 at desk scale. Reads are lenient: corrupt or torn lines (including a
 partial final line from an interrupted write) are skipped and counted,
-never mis-parsed. Single-writer contract; concurrent readers are fine,
-cross-process locking is out of scope.
+never mis-parsed. A filtered read fully decodes only the lines it keeps.
+Single-writer contract; concurrent readers are fine, cross-process locking
+is out of scope.
 """
 
 from __future__ import annotations
@@ -13,9 +14,15 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Collection
 
 from .errors import AuditError, StoreError
-from .model import CompositeAssessment, assessment_from_dict, assessment_to_dict
+from .model import (
+    CompositeAssessment,
+    assessment_from_dict,
+    assessment_label,
+    assessment_to_dict,
+)
 
 SCHEMA_VERSION = 1
 
@@ -46,15 +53,32 @@ def record_to_json(record: HistoryRecord) -> str:
 
 
 def record_from_json(line: str) -> HistoryRecord:
-    payload = json.loads(line)
+    return _record_from_payload(json.loads(line))
+
+
+def _record_from_payload(
+    payload, host_filter: str | None = None, labels: Collection[str] | None = None
+) -> HistoryRecord | None:
+    """Decode one parsed line, or return None when the filters drop it.
+
+    The schema version, host label and assessment label are checked on
+    every line; the assessment is decoded only when the line is kept.
+    """
     version = payload["schema_version"]
     if not isinstance(version, int) or version > SCHEMA_VERSION:
         raise StoreError(
             "SCHEMA_TOO_NEW", f"record schema_version {version!r} > {SCHEMA_VERSION}"
         )
+    host_label = payload["host_label"]
+    data = payload["assessment"]
+    label = assessment_label(data)
+    if (host_filter is not None and host_label != host_filter) or (
+        labels is not None and label not in labels
+    ):
+        return None
     return HistoryRecord(
-        assessment=assessment_from_dict(payload["assessment"]),
-        host_label=payload["host_label"],
+        assessment=assessment_from_dict(data),
+        host_label=host_label,
         schema_version=version,
     )
 
@@ -76,11 +100,19 @@ def append_record(path: Path | str, record: HistoryRecord) -> None:
         raise StoreError("IO_FAILURE", f"cannot append to {path}: {exc}") from exc
 
 
-def load_history(path: Path | str, host_filter: str | None = None) -> HistoryLoad:
-    """Read records in file order, optionally filtered by host label.
+def load_history(
+    path: Path | str,
+    host_filter: str | None = None,
+    labels: Collection[str] | None = None,
+) -> HistoryLoad:
+    """Read records in file order, optionally filtered by host and label.
 
-    Corrupt lines, including valid JSON of the wrong shape, are skipped and
-    counted in ``skipped``; an empty file yields an empty result.
+    Every non-blank line must be JSON of a known schema version with a host
+    label and a string assessment label; a line that is not is skipped and
+    counted in ``skipped``. Only lines that pass ``host_filter`` and
+    ``labels`` are fully decoded, and one of them that fails (the wrong
+    shape, broken invariants) is also skipped and counted, so an unfiltered
+    read counts every corrupt line. An empty file yields an empty result.
     """
     path = Path(path)
     try:
@@ -92,10 +124,10 @@ def load_history(path: Path | str, host_filter: str | None = None) -> HistoryLoa
         if not line.strip():
             continue
         try:
-            record = record_from_json(line)
+            record = _record_from_payload(json.loads(line), host_filter, labels)
         except (ValueError, KeyError, TypeError, AttributeError, AuditError):
             result.skipped += 1
             continue
-        if host_filter is None or record.host_label == host_filter:
+        if record is not None:
             result.records.append(record)
     return result

@@ -300,6 +300,38 @@ def test_manifest_values_never_crash(capsys, tmp_path, score, firewall, literal)
         assert code == 2
 
 
+def _manifest_with(tmp_path, key, value):
+    path = _literal_manifest(tmp_path, {"score": 50})
+    data = yaml.safe_load(path.read_text())
+    data[key] = value
+    path.write_text(yaml.safe_dump(data))
+    return path
+
+
+@pytest.mark.parametrize("key", ["label", "host"])
+@pytest.mark.parametrize(
+    "value", [[1, 2], [], {"a": 1}, {"a"}], ids=["list", "empty-list", "mapping", "set"]
+)
+def test_manifest_non_scalar_label_or_host_exits_2(capsys, tmp_path, key, value):
+    path = _manifest_with(tmp_path, key, value)
+    code, out, err = run_cli(capsys, "score", "--manifest", str(path), "--json")
+    assert code == 2
+    assert out == ""
+    assert f"error[MANIFEST_INVALID]: {path}: {key} must be a scalar" in err
+
+
+@pytest.mark.parametrize("key", ["label", "host"])
+@pytest.mark.parametrize(
+    "value, stored", [(2026, "2026"), (1.5, "1.5"), (True, "True"), ("w01", "w01")]
+)
+def test_manifest_scalar_label_or_host_is_stringified(capsys, tmp_path, key, value, stored):
+    path = _manifest_with(tmp_path, key, value)
+    code, out, _ = run_cli(capsys, "score", "--manifest", str(path), "--json")
+    assert code == 0
+    record = json.loads(out)
+    assert (record["host_label"] if key == "host" else record["assessment"]["label"]) == stored
+
+
 # ---------------------------------------------------------------------------
 # history / compare / report against a populated store
 # ---------------------------------------------------------------------------
@@ -364,6 +396,77 @@ def test_history_readers_skip_and_report_corrupt_lines(capsys, populated_history
     assert code == 0
     assert out
     assert err == "warning: skipped 2 corrupt line(s)\n"
+
+
+def _append_deep_invalid(history, label):
+    """Append a copy of ``label``'s record that parses but breaks an invariant."""
+    line = next(
+        line
+        for line in history.read_text().splitlines()
+        if json.loads(line)["assessment"]["label"] == label
+    )
+    record = json.loads(line)
+    record["assessment"]["composite"] = 12.0  # no longer the sum of contributions
+    with open(history, "a") as handle:
+        handle.write(json.dumps(record) + "\n")
+
+
+_LABEL_READERS = [
+    ["compare", "baseline", "full"],
+    ["compare", "baseline", "full", "--json"],
+    ["report", "baseline", "full"],
+    ["report", "baseline", "full", "--format", "text"],
+    ["report", "baseline", "full", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("argv", _LABEL_READERS)
+def test_label_readers_ignore_deep_invalid_line_of_other_label(capsys, populated_history, argv):
+    history = ["--history", str(populated_history)]
+    _, expected, _ = run_cli(capsys, *argv, *history)
+    _append_deep_invalid(populated_history, "partial")
+    code, out, err = run_cli(capsys, *argv, *history)
+    assert code == 0
+    assert out == expected
+    assert err == ""
+
+
+@pytest.mark.parametrize("argv", _LABEL_READERS)
+def test_label_readers_fall_back_past_deep_invalid_latest_record(capsys, populated_history, argv):
+    history = ["--history", str(populated_history)]
+    _, expected, _ = run_cli(capsys, *argv, *history)
+    _append_deep_invalid(populated_history, "full")
+    code, out, err = run_cli(capsys, *argv, *history)
+    assert code == 0
+    assert out == expected
+    assert err == "warning: skipped 1 corrupt line(s)\n"
+
+
+@pytest.mark.parametrize(
+    "host, deep_skipped",
+    [(None, 2), ("fabric-node-partial", 1), ("fabric-node-full", 0)],
+)
+def test_history_counts_corrupt_lines_it_decodes(capsys, populated_history, host, deep_skipped):
+    for label in ("baseline", "partial"):
+        _append_deep_invalid(populated_history, label)
+    newer = json.loads(populated_history.read_text().splitlines()[2])
+    newer["schema_version"] += 1
+    with open(populated_history, "a") as handle:
+        handle.write(json.dumps(newer) + "\n[1, 2]\n{torn\n")
+    argv = ["history", "--history", str(populated_history)]
+    if host is not None:
+        argv += ["--host", host]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    labels = [line.split()[0] for line in out.splitlines()]
+    assert labels == {
+        None: ["baseline", "partial", "full"],
+        "fabric-node-partial": ["partial"],
+        "fabric-node-full": ["full"],
+    }[host]
+    # Lines that fail the cheap checks are counted by every reader;
+    # deep-invalid ones only by a reader that decodes them.
+    assert err == f"warning: skipped {deep_skipped + 3} corrupt line(s)\n"
 
 
 def test_compare_baseline_to_full(capsys, populated_history):

@@ -1,5 +1,6 @@
 import json
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -165,3 +166,88 @@ def test_round_trip_property_with_raw_reports(tmp_path_factory, assessment):
     append_record(path, record)
     loaded = load_history(path)
     assert loaded.records[-1] == record
+
+
+# Differential test of the filtered read: lines of every kind, for a few
+# labels and hosts, read with and without each filter.
+_HOSTS = ("alpha", "beta")
+_LABELS = ("baseline", "partial", "full")
+
+
+def _mutated(line, mutate):
+    payload = json.loads(line)
+    mutate(payload)
+    return json.dumps(payload)
+
+
+def _line(kind, label, host):
+    valid = record_to_json(_record(label, host=host))
+    if kind == "valid":
+        return valid
+    if kind == "blank":
+        return "   "
+    if kind == "torn":
+        return valid[: len(valid) // 2]
+    if kind == "garbage":
+        return "~" + label + host
+    if kind == "newer":
+        return _mutated(valid, lambda p: p.update(schema_version=SCHEMA_VERSION + 1))
+    if kind == "no-label":
+        return _mutated(valid, lambda p: p["assessment"].update(label=None))
+    if kind == "no-host":
+        return _mutated(valid, lambda p: p.pop("host_label"))
+    if kind == "deep-composite":
+        return _mutated(valid, lambda p: p["assessment"].update(composite=12.0))
+    assert kind == "deep-shape"
+    return _mutated(valid, lambda p: p["assessment"].update(scores=[]))
+
+
+_KINDS = (
+    "valid",
+    "blank",
+    "torn",
+    "garbage",
+    "newer",
+    "no-label",
+    "no-host",
+    "deep-composite",
+    "deep-shape",
+)
+_LINES = {
+    (kind, label, host): _line(kind, label, host)
+    for kind in _KINDS
+    for label in _LABELS
+    for host in _HOSTS
+}
+
+
+@given(
+    lines=st.lists(st.sampled_from(sorted(_LINES)), max_size=15),
+    host_filter=st.none() | st.sampled_from(_HOSTS + ("gamma",)),
+    labels=st.none() | st.frozensets(st.sampled_from(_LABELS + ("absent",))),
+)
+@settings(max_examples=150, deadline=None)
+def test_filtered_load_equals_unfiltered_load_then_filtered(
+    tmp_path_factory, lines, host_filter, labels
+):
+    path = tmp_path_factory.mktemp("store") / "history.jsonl"
+    path.write_text("".join(_LINES[key] + "\n" for key in lines))
+
+    def kept(label, host):
+        return (host_filter is None or host == host_filter) and (
+            labels is None or label in labels
+        )
+
+    full = load_history(path)
+    filtered = load_history(path, host_filter=host_filter, labels=labels)
+    assert filtered.records == [
+        r for r in full.records if kept(r.assessment.label, r.host_label)
+    ]
+    assert filtered.skipped <= full.skipped
+    if host_filter is None and labels is None:
+        assert filtered.skipped == full.skipped
+    # Every corrupt line counts, except a deep-invalid one the filters drop.
+    assert filtered.skipped == sum(
+        kind not in ("valid", "blank") and (not kind.startswith("deep") or kept(label, host))
+        for kind, label, host in lines
+    )
