@@ -32,7 +32,7 @@ from .render import (
     render_report_markdown,
     render_report_text,
 )
-from .runner import ToolInvocation, init_integrity_database, orchestrate_scan
+from .runner import init_integrity_database, orchestrate_scan
 from .scoring import TOOLS, aggregate, normalize_report
 from .store import HistoryLoad, HistoryRecord, append_record, load_history, record_to_json
 
@@ -52,7 +52,7 @@ def _emit_diagnostics(diagnostics: ParseDiagnostics, verbose: bool) -> None:
 
 
 def _profile_for(args: argparse.Namespace, config: AppConfig) -> WeightProfile:
-    if getattr(args, "weights", None):
+    if args.weights:
         return load_weight_profile(args.weights)
     return config.weights
 
@@ -222,12 +222,12 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    settings = config.runner
+    settings = load_config(args.config).runner
     tools = [_CLI_TOOL_NAMES[name] for name in args.tools] if args.tools else list(ToolKind)
-    invocations = [settings.invocation(tool) for tool in tools]
     outcome = orchestrate_scan(
-        invocations, parallel=args.parallel, substitutions=settings.substitutions()
+        [settings.checks[tool] for tool in tools],
+        parallel=args.parallel,
+        substitutions=settings.substitutions,
     )
     for tool in ToolKind:
         if tool in outcome.reports:
@@ -239,21 +239,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_init_integrity_db(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    settings = config.runner
-    tool = _CLI_TOOL_NAMES[args.tool]  # a choice, so it has an init command
-    invocation = ToolInvocation(
-        tool=tool,
-        command_template=settings.init_commands[tool],
-        output_path=settings.output_dir / f"{tool.value}-init.log",
-        timeout=settings.commands[tool].timeout,
-        exit_code_policy=frozenset({0}),
-    )
+    settings = load_config(args.config).runner
+    tool = _CLI_TOOL_NAMES[args.tool]  # a choice, so it has an init invocation
+    invocation, database = settings.inits[tool]
     result = init_integrity_database(
-        invocation,
-        settings.databases[tool],
-        force=args.force,
-        substitutions=settings.substitutions(),
+        invocation, database, force=args.force, substitutions=settings.substitutions
     )
     print(f"{tool.value}: initialized (log: {result.report_path})")
     return 0
@@ -262,6 +252,20 @@ def cmd_init_integrity_db(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing and entry point
 # ---------------------------------------------------------------------------
+
+
+# Options that several subcommands take; each declares only those it reads.
+_SHARED_OPTIONS = {
+    "--config": dict(type=Path, help=f"configuration file (default: ${CONFIG_ENV_VAR} if set)"),
+    "--weights": dict(type=Path, help="weight profile file overriding the config"),
+    "--json": dict(action="store_true", help="machine-readable output"),
+    "--verbose": dict(action="store_true", help="print parser trace diagnostics to stderr"),
+}
+
+
+def _add_shared_options(parser: argparse.ArgumentParser, *options: str) -> None:
+    for option in options:
+        parser.add_argument(option, **_SHARED_OPTIONS[option])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,25 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--config",
-        type=Path,
-        default=None,
-        help=f"configuration file (default: ${CONFIG_ENV_VAR} if set)",
-    )
-    common.add_argument(
-        "--weights", type=Path, default=None, help="weight profile file overriding the config"
-    )
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument(
-        "--verbose", action="store_true", help="print parser trace diagnostics to stderr"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "parse", parents=[common], help="parse one report file and print its normalized score"
-    )
+    p = sub.add_parser("parse", help="parse one report file and print its normalized score")
+    _add_shared_options(p, "--config", "--weights", "--json", "--verbose")
     p.add_argument("--tool", required=True, choices=sorted(_CLI_TOOL_NAMES))
     p.add_argument(
         "--firewall",
@@ -303,10 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser(
-        "score",
-        parents=[common],
-        help="parse a manifest of six reports, aggregate, and print the composite",
+        "score", help="parse a manifest of six reports, aggregate, and print the composite"
     )
+    _add_shared_options(p, "--config", "--weights", "--json", "--verbose")
     p.add_argument("--manifest", required=True, type=Path)
     p.add_argument("--label", default=None, help="assessment label (overrides manifest)")
     p.add_argument("--host", default=None, help="host label for history records")
@@ -322,22 +310,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser(
-        "compare", parents=[common], help="decompose the composite delta between two assessments"
-    )
+    p = sub.add_parser("compare", help="decompose the composite delta between two assessments")
+    _add_shared_options(p, "--config", "--json")
     p.add_argument("from_ref", metavar="FROM", help="stored label or record file")
     p.add_argument("to_ref", metavar="TO", help="stored label or record file")
     p.add_argument("--history", type=Path, default=None)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("history", parents=[common], help="list stored assessments")
+    p = sub.add_parser("history", help="list stored assessments")
+    _add_shared_options(p, "--config", "--json")
     p.add_argument("--history", type=Path, default=None)
     p.add_argument("--host", default=None, help="only records for this host label")
     p.set_defaults(func=cmd_history)
 
-    p = sub.add_parser(
-        "report", parents=[common], help="render a score table with trends and change drivers"
-    )
+    p = sub.add_parser("report", help="render a score table with trends and change drivers")
+    _add_shared_options(p, "--config")
     p.add_argument("labels", nargs="+", metavar="LABEL")
     p.add_argument("--history", type=Path, default=None)
     p.add_argument("--format", choices=["markdown", "json", "text"], default="markdown")
@@ -346,9 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser(
-        "run", parents=[common], help="invoke the configured scan tools and capture reports"
-    )
+    p = sub.add_parser("run", help="invoke the configured scan tools and capture reports")
+    _add_shared_options(p, "--config")
     p.add_argument(
         "--tools",
         nargs="+",
@@ -361,9 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "init-integrity-db",
-        parents=[common],
         help="initialize a file integrity baseline database (refuses to clobber one)",
     )
+    _add_shared_options(p, "--config")
     p.add_argument(
         "--tool",
         required=True,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 import socket
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -35,34 +35,15 @@ DEFAULT_TIMEOUT = 3600.0
 
 
 @dataclass(frozen=True)
-class ToolCommand:
-    command: str
-    timeout: float
-    exit_codes: frozenset[int]
-    output_name: str
-
-
-@dataclass(frozen=True)
 class RunnerSettings:
-    output_dir: Path
-    target: str
-    datastream: str
-    commands: Mapping[ToolKind, ToolCommand]
-    init_commands: Mapping[ToolKind, str]
-    databases: Mapping[ToolKind, Path]
+    """Finished scan invocations: the defaults in ``TOOLS`` with the
+    ``runner`` config section applied."""
 
-    def invocation(self, tool: ToolKind) -> ToolInvocation:
-        entry = self.commands[tool]
-        return ToolInvocation(
-            tool=tool,
-            command_template=entry.command,
-            output_path=self.output_dir / entry.output_name,
-            timeout=entry.timeout,
-            exit_code_policy=entry.exit_codes,
-        )
-
-    def substitutions(self) -> dict[str, str]:
-        return {"target": self.target, "datastream": self.datastream}
+    checks: Mapping[ToolKind, ToolInvocation]
+    # Integrity checkers only: the init invocation and the database whose
+    # presence blocks a re-init.
+    inits: Mapping[ToolKind, tuple[ToolInvocation, Path]]
+    substitutions: Mapping[str, str]
 
 
 @dataclass(frozen=True)
@@ -156,8 +137,11 @@ def _load_yaml(path: Path, code: str = "CONFIG_INVALID") -> Any:
 
 def _runner_from_mapping(data: Mapping) -> RunnerSettings:
     _reject_unknown(data, {"output_dir", "target", "datastream", "tools", "init"}, "runner")
-    commands = {
-        tool: ToolCommand(spec.command, DEFAULT_TIMEOUT, spec.exit_codes, spec.output_name)
+    output_dir = Path(str(data.get("output_dir", DEFAULT_OUTPUT_DIR)))
+    checks = {
+        tool: ToolInvocation(
+            tool, spec.command, output_dir / spec.output_name, DEFAULT_TIMEOUT, spec.exit_codes
+        )
         for tool, spec in TOOLS.items()
     }
     for name, entry in _require_mapping(data.get("tools", {}), "runner.tools").items():
@@ -165,39 +149,59 @@ def _runner_from_mapping(data: Mapping) -> RunnerSettings:
         context = f"runner.tools.{name}"
         entry = _require_mapping(entry, context)
         _reject_unknown(entry, {"command", "timeout", "exit_codes", "output"}, context)
-        base = commands[tool]
-        exit_codes = entry.get("exit_codes", base.exit_codes)
+        base = checks[tool]
+        exit_codes = entry.get("exit_codes", base.exit_code_policy)
         if not isinstance(exit_codes, (list, frozenset)):
             raise ValidationError("CONFIG_INVALID", f"{context}.exit_codes must be a list")
-        commands[tool] = ToolCommand(
-            command=str(entry.get("command", base.command)),
-            timeout=_number(entry.get("timeout", base.timeout), float, f"{context}.timeout"),
-            exit_codes=frozenset(
-                _number(code, int, f"{context}.exit_codes") for code in exit_codes
-            ),
-            output_name=str(entry.get("output", base.output_name)),
+        timeout = _number(entry.get("timeout", base.timeout), float, f"{context}.timeout")
+        if timeout <= 0:
+            raise ValidationError(
+                "CONFIG_INVALID", f"{context}.timeout must be greater than 0, got {timeout:g}"
+            )
+        checks[tool] = ToolInvocation(
+            tool,
+            str(entry.get("command", base.command_template)),
+            output_dir / str(entry["output"]) if "output" in entry else base.output_path,
+            timeout,
+            frozenset(_number(code, int, f"{context}.exit_codes") for code in exit_codes),
         )
-    init_commands = {tool: spec.init_command for tool, spec in TOOLS.items() if spec.init_command}
+    # An init logs next to the reports, accepts only exit 0 and gets the
+    # time its check command gets.
     hostname = socket.gethostname()
-    databases = {
-        tool: Path(TOOLS[tool].database.format(hostname=hostname)) for tool in init_commands
+    inits = {
+        tool: (
+            ToolInvocation(
+                tool,
+                spec.init_command,
+                output_dir / f"{tool.value}-init.log",
+                checks[tool].timeout,
+                frozenset({0}),
+            ),
+            Path(spec.database.format(hostname=hostname)),
+        )
+        for tool, spec in TOOLS.items()
+        if spec.init_command
     }
     for name, entry in _require_mapping(data.get("init", {}), "runner.init").items():
         tool = _tool_by_name(name, "runner.init")
-        entry = _require_mapping(entry, f"runner.init.{name}")
-        _reject_unknown(entry, {"command", "database"}, f"runner.init.{name}")
-        if "command" in entry:
-            init_commands[tool] = str(entry["command"])
-        if "database" in entry:
-            databases[tool] = Path(str(entry["database"]))
-    return RunnerSettings(
-        output_dir=Path(str(data.get("output_dir", DEFAULT_OUTPUT_DIR))),
-        target=str(data.get("target", DEFAULT_TARGET)),
-        datastream=str(data.get("datastream", DEFAULT_DATASTREAM)),
-        commands=commands,
-        init_commands=init_commands,
-        databases=databases,
-    )
+        context = f"runner.init.{name}"
+        if tool not in inits:
+            raise ValidationError(
+                "CONFIG_INVALID", f"{context}: {tool.value} has no integrity database"
+            )
+        entry = _require_mapping(entry, context)
+        _reject_unknown(entry, {"command", "database"}, context)
+        invocation, database = inits[tool]
+        command = str(entry.get("command", invocation.command_template))
+        inits[tool] = (
+            replace(invocation, command_template=command),
+            Path(str(entry.get("database", database))),
+        )
+    substitutions = {
+        "target": str(data.get("target", DEFAULT_TARGET)),
+        "datastream": str(data.get("datastream", DEFAULT_DATASTREAM)),
+    }
+    return RunnerSettings(checks=checks, inits=inits, substitutions=substitutions)
 
 
 def load_config(path: Path | str | None = None) -> AppConfig:

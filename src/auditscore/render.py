@@ -97,6 +97,7 @@ def compare_to_dict(
 
 
 def _score_matrix(records: Sequence[HistoryRecord]) -> list[list[str]]:
+    """Header, one row per tool, and the composite row last; plain cells."""
     assessments = [record.assessment for record in records]
     multi = len(assessments) > 1
     header = ["Tool"] + [a.label for a in assessments] + (["Change"] if multi else [])
@@ -108,9 +109,9 @@ def _score_matrix(records: Sequence[HistoryRecord]) -> list[list[str]]:
             row.append(change_cell(values[0], values[-1]))
         rows.append(row)
     composites = [a.composite for a in assessments]
-    total_row = ["**Composite**"] + [f"**{c:.2f}**" for c in composites]
+    total_row = ["Composite"] + [f"{c:.2f}" for c in composites]
     if multi:
-        total_row.append(f"**{change_cell(composites[0], composites[-1])}**")
+        total_row.append(change_cell(composites[0], composites[-1]))
     rows.append(total_row)
     return rows
 
@@ -152,7 +153,8 @@ def render_report_markdown(
         sections.append("")
     sections.append("## Scores")
     sections.append("")
-    sections.append(_markdown_table(_score_matrix(records)))
+    *rows, composite_row = _score_matrix(records)
+    sections.append(_markdown_table([*rows, [f"**{cell}**" for cell in composite_row]]))
     sections.append("")
     if trends is not None:
         sections.append("## Trends")
@@ -203,10 +205,7 @@ def render_report_text(
                 f"(host {record.host_label})"
             )
         sections.append("")
-    rows = [
-        [cell.replace("**", "") for cell in row] for row in _score_matrix(records)
-    ]
-    sections.append(_text_table(rows))
+    sections.append(_text_table(_score_matrix(records)))
     if trends is not None:
         sections.append("")
         sections.append("trends:")

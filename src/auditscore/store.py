@@ -65,11 +65,15 @@ def _record_from_payload(
     every line; the assessment is decoded only when the line is kept.
     """
     version = payload["schema_version"]
-    if not isinstance(version, int) or version > SCHEMA_VERSION:
+    if type(version) is not int or version < 1:  # a bool is not a version
+        raise StoreError("SCHEMA_INVALID", f"record schema_version {version!r} is not 1 or more")
+    if version > SCHEMA_VERSION:
         raise StoreError(
             "SCHEMA_TOO_NEW", f"record schema_version {version!r} > {SCHEMA_VERSION}"
         )
     host_label = payload["host_label"]
+    if not isinstance(host_label, str):
+        raise StoreError("HOST_LABEL_INVALID", f"host_label must be a string, got {host_label!r}")
     data = payload["assessment"]
     label = assessment_label(data)
     if (host_filter is not None and host_label != host_filter) or (
@@ -107,12 +111,13 @@ def load_history(
 ) -> HistoryLoad:
     """Read records in file order, optionally filtered by host and label.
 
-    Every non-blank line must be JSON of a known schema version with a host
-    label and a string assessment label; a line that is not is skipped and
-    counted in ``skipped``. Only lines that pass ``host_filter`` and
-    ``labels`` are fully decoded, and one of them that fails (the wrong
-    shape, broken invariants) is also skipped and counted, so an unfiltered
-    read counts every corrupt line. An empty file yields an empty result.
+    Every non-blank line must be JSON of a known schema version (an integer
+    from 1 up) with a string host label and a string assessment label; a
+    line that is not is skipped and counted in ``skipped``. Only lines that
+    pass ``host_filter`` and ``labels`` are fully decoded, and one of them
+    that fails (the wrong shape, broken invariants) is also skipped and
+    counted, so an unfiltered read counts every corrupt line. An empty file
+    yields an empty result.
     """
     path = Path(path)
     try:

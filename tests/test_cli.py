@@ -6,7 +6,7 @@ import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
 
-from auditscore.cli import load_manifest, main
+from auditscore.cli import build_parser, load_manifest, main
 from auditscore.errors import ValidationError
 from auditscore.model import ToolKind
 from auditscore.store import load_history
@@ -674,6 +674,39 @@ def test_report_text_format(capsys, populated_history):
     assert "dominant: vuln_scan" in out
 
 
+@pytest.mark.parametrize(
+    "report_format, header, composite_row",
+    [
+        (
+            "text",
+            "Tool                v**2   full     Change",
+            "Composite          58.34  68.17     +16.8%",
+        ),
+        (
+            "markdown",
+            "| Tool | v**2 | full | Change |",
+            "| **Composite** | **58.34** | **68.17** | **+16.8%** |",
+        ),
+    ],
+    ids=["text", "markdown"],
+)
+def test_report_keeps_emphasis_marks_in_labels(
+    capsys, data_dir, tmp_path, report_format, header, composite_row
+):
+    history = tmp_path / "history.jsonl"
+    for name, label in (("manifest-baseline-literal.yaml", "v**2"), ("manifest-full.yaml", "full")):
+        argv = ["score", "--manifest", str(data_dir / name), "--label", label]
+        assert main([*argv, "--history", str(history)]) == 0
+    capsys.readouterr()
+    code, out, _ = run_cli(
+        capsys, "report", "v**2", "full", "--history", str(history), "--format", report_format
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert header in lines
+    assert composite_row in lines
+
+
 # ---------------------------------------------------------------------------
 # config plumbing
 # ---------------------------------------------------------------------------
@@ -722,6 +755,9 @@ def test_invalid_config_exits_2(capsys, data_dir, tmp_path):
         "weights:\n  tool_weights:\n    lynis: .nan\n",
         "weights:\n  severity_weights:\n    high: -.inf\n",
         "weights:\n  tool_weights: {lynis: 0.2}\n  7: x\n  z: y\n",
+        "runner:\n  tools:\n    lynis:\n      timeout: -5\n",
+        "runner:\n  tools:\n    aide:\n      timeout: 0\n",
+        "runner:\n  init:\n    lynis:\n      command: lynis --init\n",
     ],
     ids=[
         "timeout-text",
@@ -733,6 +769,9 @@ def test_invalid_config_exits_2(capsys, data_dir, tmp_path):
         "weight-nan",
         "severity-weight-inf",
         "unknown-keys-of-mixed-type",
+        "timeout-negative",
+        "timeout-zero",
+        "init-without-database",
     ],
 )
 def test_config_bad_values_exit_2(capsys, data_dir, tmp_path, config_text):
@@ -843,3 +882,96 @@ def test_init_integrity_db_refuses_then_forces(capsys, tmp_path):
     )
     assert code == 0
     assert "initialized" in out
+
+
+def _init_config(tmp_path, init, timeout=None):
+    config = tmp_path / "config.yaml"
+    tools = f"  tools:\n    aide:\n      timeout: {timeout}\n" if timeout is not None else ""
+    config.write_text(
+        f"runner:\n"
+        f"  output_dir: {tmp_path / 'reports'}\n"
+        f"{tools}"
+        f"  init:\n"
+        f"    aide:\n"
+        f"      command: '{init}'\n"
+        f"      database: {tmp_path / 'aide.db'}\n"
+    )
+    return config
+
+
+def test_init_integrity_db_logs_next_to_reports(capsys, tmp_path):
+    init = _fake_tool(tmp_path, "fake-aide-init", 'echo "new baseline written"\n')
+    config = _init_config(tmp_path, init)
+    code, out, _ = run_cli(capsys, "init-integrity-db", "--config", str(config), "--tool", "aide")
+    log = tmp_path / "reports" / "aide-init.log"
+    assert code == 0
+    assert out == f"aide: initialized (log: {log})\n"
+    assert log.read_text() == "new baseline written\n"
+
+
+def test_init_integrity_db_uses_check_command_timeout(capsys, tmp_path):
+    init = _fake_tool(tmp_path, "slow-aide-init", "exec sleep 10\n")
+    config = _init_config(tmp_path, init, timeout=0.2)
+    code, out, err = run_cli(
+        capsys, "init-integrity-db", "--config", str(config), "--tool", "aide"
+    )
+    assert code == 2
+    assert out == ""
+    assert "error[TIMEOUT_EXCEEDED]" in err
+    assert not (tmp_path / "reports" / "aide-init.log").exists()
+
+
+# ---------------------------------------------------------------------------
+# option surface: each subcommand takes only the options it reads
+# ---------------------------------------------------------------------------
+
+_SUBCOMMAND_ARGV = {
+    "parse": ["parse", "--tool", "aide", "report.txt"],
+    "score": ["score", "--manifest", "manifest.yaml"],
+    "compare": ["compare", "baseline", "full"],
+    "history": ["history"],
+    "report": ["report", "baseline"],
+    "run": ["run"],
+    "init-integrity-db": ["init-integrity-db", "--tool", "aide"],
+}
+_SHARED_OPTION_ARGS = {
+    "--config": ["--config", "config.yaml"],
+    "--weights": ["--weights", "weights.yaml"],
+    "--json": ["--json"],
+    "--verbose": ["--verbose"],
+}
+_KEPT_OPTIONS = {
+    "parse": {"--config", "--weights", "--json", "--verbose"},
+    "score": {"--config", "--weights", "--json", "--verbose"},
+    "compare": {"--config", "--json"},
+    "history": {"--config", "--json"},
+    "report": {"--config"},
+    "run": {"--config"},
+    "init-integrity-db": {"--config"},
+}
+_OPTION_CASES = [
+    (command, option, option in _KEPT_OPTIONS[command])
+    for command in _SUBCOMMAND_ARGV
+    for option in _SHARED_OPTION_ARGS
+]
+
+
+@pytest.mark.parametrize(
+    "command, option, kept",
+    _OPTION_CASES,
+    ids=[f"{command}-{option[2:]}" for command, option, _ in _OPTION_CASES],
+)
+def test_subcommand_takes_only_the_options_it_reads(capsys, command, option, kept):
+    # Parse only: a wrongly accepted option must not run the command.
+    argv = _SUBCOMMAND_ARGV[command] + _SHARED_OPTION_ARGS[option]
+    if kept:
+        args = build_parser().parse_args(argv)
+        value = getattr(args, option[2:])
+        assert value is True or str(value) == argv[-1]
+        return
+    with pytest.raises(SystemExit) as exited:
+        build_parser().parse_args(argv)
+    err = capsys.readouterr().err
+    assert exited.value.code == 2
+    assert "unrecognized arguments: " + " ".join(_SHARED_OPTION_ARGS[option]) in err
+    assert "Traceback" not in err

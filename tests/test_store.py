@@ -120,6 +120,10 @@ def test_valid_json_with_broken_invariants_is_corrupt(tmp_path):
         (("assessment", "weights", "port_penalty"), float("inf")),
         (("assessment", "scores", "lynis"), []),
         (("assessment", "label"), None),
+        (("host_label",), [1, 2]),
+        (("host_label",), None),
+        (("schema_version",), True),
+        (("schema_version",), 0),
     ],
 )
 def test_wrong_shape_records_are_skipped(tmp_path, data_dir, path, value):
@@ -196,6 +200,10 @@ def _line(kind, label, host):
         return _mutated(valid, lambda p: p["assessment"].update(label=None))
     if kind == "no-host":
         return _mutated(valid, lambda p: p.pop("host_label"))
+    if kind == "list-host":
+        return _mutated(valid, lambda p: p.update(host_label=[host]))
+    if kind == "bool-version":
+        return _mutated(valid, lambda p: p.update(schema_version=True))
     if kind == "deep-composite":
         return _mutated(valid, lambda p: p["assessment"].update(composite=12.0))
     assert kind == "deep-shape"
@@ -210,6 +218,8 @@ _KINDS = (
     "newer",
     "no-label",
     "no-host",
+    "list-host",
+    "bool-version",
     "deep-composite",
     "deep-shape",
 )
