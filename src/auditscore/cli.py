@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import socket
 import sys
 from pathlib import Path
@@ -37,6 +38,33 @@ from .scoring import TOOLS, aggregate, normalize_report
 from .store import HistoryLoad, HistoryRecord, append_record, load_history, record_to_json
 
 _CLI_TOOL_NAMES = {tool.value.replace("_", "-"): tool for tool in ToolKind}
+
+
+def _out(text: str) -> None:
+    """Print one line to stdout; output to a reader that has gone is dropped."""
+    try:
+        print(text)
+    except BrokenPipeError:
+        _drop_stdout()
+
+
+def _drop_stdout() -> None:
+    """Send the rest of stdout to the null device.
+
+    The command carries on, and the interpreter's flush at exit cannot fail
+    on the closed pipe (the "Note on SIGPIPE" in the ``signal`` docs).
+    """
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
+def _flush_stdout() -> None:
+    """Flush stdout; a reader that has gone is not an error."""
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _drop_stdout()
 
 
 def _read_text(path: Path) -> str:
@@ -72,7 +100,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
     score = normalize_report(report, profile)
     _emit_diagnostics(diagnostics, args.verbose)
     if args.json:
-        print(
+        _out(
             json.dumps(
                 {
                     "tool": score.tool.value,
@@ -85,7 +113,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
             )
         )
     else:
-        print(format_parse_text(score.tool, str(args.file), report, score.value))
+        _out(format_parse_text(score.tool, str(args.file), report, score.value))
     return 0
 
 
@@ -108,14 +136,14 @@ def cmd_score(args: argparse.Namespace) -> int:
     assessment = aggregate(scores, profile, label)
     record = HistoryRecord(assessment=assessment, host_label=host)
     if args.json:
-        print(record_to_json(record))
+        _out(record_to_json(record))
     else:
-        print(format_assessment_text(assessment, host))
+        _out(format_assessment_text(assessment, host))
     if args.save or args.history:
         history_path = args.history or config.history_path
         append_record(history_path, record)
         if not args.json:
-            print(f"appended to {history_path}")
+            _out(f"appended to {history_path}")
     if args.min_score is not None and assessment.composite < args.min_score:
         print(
             f"composite {assessment.composite:.2f} below required minimum "
@@ -169,9 +197,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     decomposition = decompose_delta(from_assessment, to_assessment)
     ranked = rank_contributions(decomposition)
     if args.json:
-        print(json.dumps(compare_to_dict(decomposition, ranked), indent=2))
+        _out(json.dumps(compare_to_dict(decomposition, ranked), indent=2))
     else:
-        print(format_compare_text(decomposition, ranked))
+        _out(format_compare_text(decomposition, ranked))
     return 0
 
 
@@ -181,11 +209,11 @@ def cmd_history(args: argparse.Namespace) -> int:
     loaded = _load_history(history_path, host_filter=args.host)
     if args.json:
         for record in loaded.records:
-            print(record_to_json(record))
+            _out(record_to_json(record))
     else:
         for record in loaded.records:
             assessment = record.assessment
-            print(
+            _out(
                 f"{assessment.label:<16} {assessment.timestamp.isoformat()} "
                 f"composite={assessment.composite:.2f} host={record.host_label}"
             )
@@ -213,11 +241,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     )
     ranked = rank_contributions(decomposition) if decomposition is not None else None
     if args.format == "json":
-        print(render_report_json(records, trends, decomposition, ranked))
+        _out(render_report_json(records, trends, decomposition, ranked))
     elif args.format == "text":
-        print(render_report_text(records, trends, decomposition, ranked, args.timestamps))
+        _out(render_report_text(records, trends, decomposition, ranked, args.timestamps))
     else:
-        print(render_report_markdown(records, trends, decomposition, ranked, args.timestamps))
+        _out(render_report_markdown(records, trends, decomposition, ranked, args.timestamps))
     return 0
 
 
@@ -231,7 +259,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     for tool in ToolKind:
         if tool in outcome.reports:
-            print(f"{tool.value}: {outcome.reports[tool]}")
+            _out(f"{tool.value}: {outcome.reports[tool]}")
         elif tool in outcome.failures:
             error = outcome.failures[tool]
             print(f"{tool.value}: FAILED [{error.code}] {error}", file=sys.stderr)
@@ -245,7 +273,7 @@ def cmd_init_integrity_db(args: argparse.Namespace) -> int:
     result = init_integrity_database(
         invocation, database, force=args.force, substitutions=settings.substitutions
     )
-    print(f"{tool.value}: initialized (log: {result.report_path})")
+    _out(f"{tool.value}: initialized (log: {result.report_path})")
     return 0
 
 
@@ -363,7 +391,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flush here, not at interpreter exit, so that a stdout that cannot
+        # be written is reported like any other I/O failure.
+        _flush_stdout()
+        return code
     except ParseError as exc:
         print(f"error[{exc.code}] {exc.location()}: {exc}", file=sys.stderr)
         return 2
@@ -373,6 +405,13 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error[IO_FAILURE]: {exc}", file=sys.stderr)
         return 2
+    finally:
+        # After an error, drop what stdout cannot take, so that the
+        # interpreter's flush at exit has nothing left to fail on.
+        try:
+            sys.stdout.flush()
+        except OSError:
+            _drop_stdout()
 
 
 def run() -> None:

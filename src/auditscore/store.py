@@ -1,17 +1,27 @@
 """Append-only history of composite assessments, one JSON record per line.
 
 A flat line-delimited file keeps the history diffable and dependency-free
-at desk scale. Reads are lenient: corrupt or torn lines (including a
-partial final line from an interrupted write) are skipped and counted,
-never mis-parsed. A filtered read fully decodes only the lines it keeps.
-Single-writer contract; concurrent readers are fine, cross-process locking
-is out of scope.
+at desk scale. A line ends at ``\\n`` (JSON Lines); a trailing ``\\r`` is
+JSON whitespace. Reads are lenient: corrupt or torn lines (including a
+partial final line from an interrupted write, and a line that is not
+UTF-8) are skipped and counted, never mis-parsed. A filtered read fully
+decodes only the lines it keeps.
+
+Because the file only grows, a filtered read keeps a sidecar line index,
+``<history>.idx``: the host and assessment labels of every checked line
+of the prefix up to the last ``\\n``, valid only while that prefix still
+has the sha256 recorded with it. The next filtered read resumes the scan
+where the index ends. The index never changes a result, and deleting it is
+always safe. Single-writer contract; concurrent readers are fine,
+cross-process locking is out of scope.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Collection
@@ -25,6 +35,12 @@ from .model import (
 )
 
 SCHEMA_VERSION = 1
+
+# Version of the ``<history>.idx`` layout; an index of another version is ignored.
+_INDEX_FORMAT = 1
+
+# What a corrupt line raises while it is decoded and checked.
+_CORRUPT = (ValueError, KeyError, TypeError, AttributeError, AuditError)
 
 
 @dataclass(frozen=True)
@@ -56,13 +72,11 @@ def record_from_json(line: str) -> HistoryRecord:
     return _record_from_payload(json.loads(line))
 
 
-def _record_from_payload(
-    payload, host_filter: str | None = None, labels: Collection[str] | None = None
-) -> HistoryRecord | None:
-    """Decode one parsed line, or return None when the filters drop it.
+def _line_keys(payload) -> tuple[int, str, str]:
+    """Check one parsed line's schema version, host label and assessment label.
 
-    The schema version, host label and assessment label are checked on
-    every line; the assessment is decoded only when the line is kept.
+    These are the checks every reader runs on every line; the rest of the
+    assessment is left undecoded.
     """
     version = payload["schema_version"]
     if type(version) is not int or version < 1:  # a bool is not a version
@@ -74,14 +88,13 @@ def _record_from_payload(
     host_label = payload["host_label"]
     if not isinstance(host_label, str):
         raise StoreError("HOST_LABEL_INVALID", f"host_label must be a string, got {host_label!r}")
-    data = payload["assessment"]
-    label = assessment_label(data)
-    if (host_filter is not None and host_label != host_filter) or (
-        labels is not None and label not in labels
-    ):
-        return None
+    return version, host_label, assessment_label(payload["assessment"])
+
+
+def _record_from_payload(payload) -> HistoryRecord:
+    version, host_label, _ = _line_keys(payload)
     return HistoryRecord(
-        assessment=assessment_from_dict(data),
+        assessment=assessment_from_dict(payload["assessment"]),
         host_label=host_label,
         schema_version=version,
     )
@@ -104,6 +117,107 @@ def append_record(path: Path | str, record: HistoryRecord) -> None:
         raise StoreError("IO_FAILURE", f"cannot append to {path}: {exc}") from exc
 
 
+@dataclass
+class _LineIndex:
+    """The checked lines of a history prefix of ``covered`` bytes.
+
+    ``lines`` holds ``[offset, host_label, label]`` for each line that
+    passed :func:`_line_keys`; ``skipped`` counts the lines that did not.
+    """
+
+    covered: int = 0
+    skipped: int = 0
+    lines: list = field(default_factory=list)
+
+
+def _index_path(path: Path) -> Path | None:
+    """Where the line index of ``path`` lives, or None for a pipe or device.
+
+    The index sits next to the regular file that ``path`` names once
+    symlinks (``/dev/stdin`` too) are followed; a pipe or device keeps no
+    prefix between reads.
+    """
+    if not path.is_file():
+        return None
+    real = path.resolve()
+    return real.with_name(real.name + ".idx")
+
+
+def _prefix_digest(data: bytes, covered: int) -> str:
+    # hashlib loads OpenSSL, about 4 MiB of RSS and 5 ms; imported here,
+    # only filtered history reads pay for it, not every command.
+    import hashlib
+
+    return hashlib.sha256(memoryview(data)[:covered]).hexdigest()
+
+
+def _read_index(index_path: Path, data: bytes) -> _LineIndex | None:
+    """The index stored at ``index_path`` if it still describes a prefix of ``data``."""
+    try:
+        stored = json.loads(index_path.read_bytes())
+        covered, skipped, lines = stored["covered"], stored["skipped"], stored["lines"]
+        if (
+            stored["format"] != _INDEX_FORMAT
+            or stored["schema_version"] != SCHEMA_VERSION
+            or type(covered) is not int
+            or not 0 < covered <= len(data)
+            or type(skipped) is not int
+            or type(lines) is not list
+            or stored["sha256"] != _prefix_digest(data, covered)
+            or not all(
+                type(offset) is int and 0 <= offset < covered
+                and type(host_label) is str and type(label) is str
+                for offset, host_label, label in lines
+            )
+        ):
+            return None
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    return _LineIndex(covered, skipped, lines)
+
+
+def _write_index(index_path: Path, data: bytes, index: _LineIndex) -> None:
+    """Replace the index atomically; a read that cannot write one is still correct."""
+    text = json.dumps(
+        {
+            "format": _INDEX_FORMAT,
+            "schema_version": SCHEMA_VERSION,
+            "covered": index.covered,
+            "sha256": _prefix_digest(data, index.covered),
+            "skipped": index.skipped,
+            "lines": index.lines,
+        },
+        separators=(",", ":"),
+    )
+    try:
+        handle, temporary = tempfile.mkstemp(dir=index_path.parent, prefix=index_path.name + ".")
+    except OSError:
+        return
+    try:
+        with os.fdopen(handle, "w", encoding="utf-8") as stream:
+            stream.write(text)
+        os.replace(temporary, index_path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(temporary)
+
+
+def _parse_line(line: bytes):
+    """The JSON value of one line, or None for a blank one."""
+    text = line.decode("utf-8")
+    return json.loads(text) if text.strip() else None
+
+
+def _line_spans(data: bytes, start: int):
+    """Yield ``(start, end)`` of each line from ``start`` on; a line ends at ``\\n``."""
+    while start < len(data):
+        end = data.find(b"\n", start)
+        if end < 0:
+            end = len(data)
+        yield start, end
+        start = end + 1
+
+
 def load_history(
     path: Path | str,
     host_filter: str | None = None,
@@ -111,28 +225,60 @@ def load_history(
 ) -> HistoryLoad:
     """Read records in file order, optionally filtered by host and label.
 
-    Every non-blank line must be JSON of a known schema version (an integer
-    from 1 up) with a string host label and a string assessment label; a
-    line that is not is skipped and counted in ``skipped``. Only lines that
-    pass ``host_filter`` and ``labels`` are fully decoded, and one of them
-    that fails (the wrong shape, broken invariants) is also skipped and
-    counted, so an unfiltered read counts every corrupt line. An empty file
-    yields an empty result.
+    A line ends at ``\\n``. Every non-blank line must be UTF-8 JSON of a
+    known schema version (an integer from 1 up) with a string host label
+    and a string assessment label; a line that is not is skipped and
+    counted in ``skipped``. Only lines that pass ``host_filter`` and
+    ``labels`` are fully decoded, and one of them that fails (the wrong
+    shape, broken invariants) is also skipped and counted, so an unfiltered
+    read counts every corrupt line. An empty file yields an empty result.
+
+    A filtered read of a regular file takes the checked lines of an
+    unchanged prefix from the ``<history>.idx`` index, scans only the rest
+    and extends the index; an unfiltered read scans the whole file and
+    leaves the index alone.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
     except OSError as exc:
         raise StoreError("IO_FAILURE", f"cannot read {path}: {exc}") from exc
-    result = HistoryLoad()
-    for line in text.splitlines():
-        if not line.strip():
-            continue
+    filtered = host_filter is not None or labels is not None
+    index_path = _index_path(path) if filtered else None
+    index = (_read_index(index_path, data) if index_path else None) or _LineIndex()
+    grown = _LineIndex(data.rfind(b"\n") + 1, index.skipped, list(index.lines))
+    result = HistoryLoad(skipped=index.skipped)
+
+    def wanted(host_label: str, label: str) -> bool:
+        return (host_filter is None or host_label == host_filter) and (
+            labels is None or label in labels
+        )
+
+    for start, host_label, label in index.lines:
+        if wanted(host_label, label):
+            try:
+                line = data[start : data.index(b"\n", start)]
+                result.records.append(_record_from_payload(_parse_line(line)))
+            except _CORRUPT:
+                result.skipped += 1
+    for start, end in _line_spans(data, index.covered):
+        complete = end < grown.covered  # a final line with no b"\n" may still grow
         try:
-            record = _record_from_payload(json.loads(line), host_filter, labels)
-        except (ValueError, KeyError, TypeError, AttributeError, AuditError):
+            payload = _parse_line(data[start:end])
+            if payload is None:
+                continue
+            _, host_label, label = _line_keys(payload)
+        except _CORRUPT:
             result.skipped += 1
+            grown.skipped += complete
             continue
-        if record is not None:
-            result.records.append(record)
+        if complete:
+            grown.lines.append([start, host_label, label])
+        if wanted(host_label, label):
+            try:
+                result.records.append(_record_from_payload(payload))
+            except _CORRUPT:
+                result.skipped += 1
+    if index_path and grown.covered > index.covered:
+        _write_index(index_path, data, grown)
     return result

@@ -1,11 +1,16 @@
 import json
+import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
 
+import auditscore
 from auditscore.cli import build_parser, load_manifest, main
 from auditscore.errors import ValidationError
 from auditscore.model import ToolKind
@@ -390,12 +395,13 @@ def test_history_host_filter(capsys, populated_history):
 def test_history_readers_skip_and_report_corrupt_lines(capsys, populated_history, argv):
     record = json.loads(populated_history.read_text().splitlines()[0])
     record["assessment"]["scores"] = []
-    with open(populated_history, "a") as handle:
-        handle.write(json.dumps(record) + "\n{torn\n")
+    with open(populated_history, "ab") as handle:
+        handle.write(json.dumps(record).encode() + b"\n{torn\n")
+        handle.write(b'\xff\xfe{"x":1}\n')  # not UTF-8
     code, out, err = run_cli(capsys, *argv, "--history", str(populated_history))
     assert code == 0
     assert out
-    assert err == "warning: skipped 2 corrupt line(s)\n"
+    assert err == "warning: skipped 3 corrupt line(s)\n"
 
 
 def _append_deep_invalid(history, label):
@@ -467,6 +473,65 @@ def test_history_counts_corrupt_lines_it_decodes(capsys, populated_history, host
     # Lines that fail the cheap checks are counted by every reader;
     # deep-invalid ones only by a reader that decodes them.
     assert err == f"warning: skipped {deep_skipped + 3} corrupt line(s)\n"
+
+
+def _run_with_stdout(stdout, *argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(auditscore.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)  # block-buffered, as a pipe or file normally is
+    completed = subprocess.run(
+        [sys.executable, "-m", "auditscore.cli", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=env,
+        timeout=60,
+    )
+    return completed.returncode, completed.stderr.decode()
+
+
+def _run_with_closed_stdout(*argv):
+    """Run the CLI in a child whose stdout is a pipe nobody reads any more."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return _run_with_stdout(write_end, *argv)
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["history"], ["history", "--json"], ["report", "baseline", "full"]],
+)
+def test_closed_stdout_is_not_an_error(populated_history, argv):
+    # Enough records that `history --json` overflows the stdout buffer
+    # mid-command, not only at the final flush.
+    lines = populated_history.read_text().splitlines(keepends=True)
+    populated_history.write_text("".join(lines * 4))
+    code, err = _run_with_closed_stdout(*argv, "--history", str(populated_history))
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_full_stdout_is_io_failure(populated_history):
+    with open("/dev/full", "w") as full:
+        code, err = _run_with_stdout(full, "history", "--history", str(populated_history))
+    assert (code, err) == (2, "error[IO_FAILURE]: [Errno 28] No space left on device\n")
+
+
+def test_closed_stdout_keeps_score_append_and_gate(populated_history, data_dir):
+    before = populated_history.read_text().count("\n")
+    code, err = _run_with_closed_stdout(
+        "score",
+        "--manifest",
+        str(data_dir / "manifest-baseline.yaml"),
+        "--history",
+        str(populated_history),
+        "--min-score",
+        "101",
+    )
+    assert code == 3
+    assert err == "composite 58.34 below required minimum 101.00\n"
+    assert populated_history.read_text().count("\n") == before + 1
 
 
 def test_compare_baseline_to_full(capsys, populated_history):

@@ -1,14 +1,18 @@
 import json
+import os
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from auditscore.errors import StoreError
+from auditscore import store
+from auditscore.errors import AuditError, StoreError
 from auditscore.model import WeightProfile
 from auditscore.scoring import aggregate
 from auditscore.store import (
     SCHEMA_VERSION,
+    HistoryLoad,
     HistoryRecord,
     append_record,
     load_history,
@@ -261,3 +265,158 @@ def test_filtered_load_equals_unfiltered_load_then_filtered(
         kind not in ("valid", "blank") and (not kind.startswith("deep") or kept(label, host))
         for kind, label, host in lines
     )
+
+
+def test_unicode_line_separator_inside_a_string_is_kept(tmp_path):
+    # A raw U+2028 in a string is legal JSON; only b"\n" ends a line.
+    payload = json.loads(record_to_json(_record(host="rack\u2028a")))
+    path = tmp_path / "history.jsonl"
+    path.write_text(json.dumps(payload, ensure_ascii=False) + "\n", encoding="utf-8")
+    for host_filter in (None, "rack\u2028a"):
+        loaded = load_history(path, host_filter=host_filter)
+        assert [r.host_label for r in loaded.records] == ["rack\u2028a"]
+        assert loaded.skipped == 0
+
+
+# Differential test of the line index kept by filtered reads: after any
+# sequence of appends, edits, truncations and index damage, every read
+# equals a plain reader that keeps no index.
+_CORRUPT = (ValueError, KeyError, TypeError, AttributeError, AuditError)
+
+
+def _plain_load(path, host_filter=None, labels=None):
+    result = HistoryLoad()
+    for line in path.read_bytes().split(b"\n"):
+        try:
+            text = line.decode("utf-8")
+            if not text.strip():
+                continue
+            payload = json.loads(text)
+            version, host, label = (
+                payload["schema_version"],
+                payload["host_label"],
+                payload["assessment"]["label"],
+            )
+            if not (type(version) is int and 1 <= version <= SCHEMA_VERSION):
+                raise ValueError(version)
+            if type(host) is not str or type(label) is not str:
+                raise ValueError(host, label)
+        except _CORRUPT:
+            result.skipped += 1
+            continue
+        if (host_filter is None or host == host_filter) and (labels is None or label in labels):
+            try:
+                result.records.append(record_from_json(text))
+            except _CORRUPT:
+                result.skipped += 1
+    return result
+
+
+_READS = (
+    (None, None),
+    ("alpha", None),
+    ("gamma", None),
+    (None, frozenset({"baseline"})),
+    ("beta", frozenset({"partial", "full"})),
+)
+_BYTE_LINES = {
+    "not-utf8": b'\xff\xfe{"x":1}',
+    "u2028": json.dumps(
+        json.loads(_LINES["valid", "full", "alpha"]) | {"host_label": "al\u2028pha"},
+        ensure_ascii=False,
+    ).encode(),
+    "crlf": _LINES["valid", "partial", "beta"].encode() + b"\r",
+    "inner-cr": (_LINES["valid", "baseline", "alpha"] + "\r" + _LINES["valid", "full", "beta"])
+    .encode(),
+}
+_APPENDS = sorted(key for key in _LINES if key[0] != "blank") + sorted(_BYTE_LINES)
+_BAD_INDEXES = {"garbage": b"\x00\xff[", "empty": b"", "wrong-shape": b'[1, "a", null]'}
+_DAMAGE = (*_BAD_INDEXES, "stale", "other-file", "other-schema", "directory")
+_STEPS = st.one_of(
+    st.tuples(st.just("read"), st.booleans()),
+    st.tuples(st.just("append"), st.sampled_from(_APPENDS), st.booleans()),
+    st.tuples(st.just("edit"), st.integers(0, 50)),
+    st.tuples(st.just("truncate"), st.integers(0, 100)),
+    st.tuples(st.just("damage"), st.sampled_from(_DAMAGE)),
+)
+
+
+def _drop_index(index):
+    if index.is_dir():
+        index.rmdir()
+    else:
+        index.unlink(missing_ok=True)
+
+
+def _line_bytes(key):
+    return _BYTE_LINES[key] if key in _BYTE_LINES else _LINES[key].encode()
+
+
+@given(steps=st.lists(_STEPS, min_size=1, max_size=10))
+@example(steps=[("damage", "directory")])
+@example(steps=[("damage", "other-schema")])
+@example(steps=[("read", True), ("edit", 3)])
+@settings(max_examples=100, deadline=None)
+def test_indexed_reads_equal_a_plain_reader(tmp_path_factory, steps):
+    directory = tmp_path_factory.mktemp("store")
+    path = directory / "history.jsonl"
+    index = directory / "history.jsonl.idx"
+    # A line of every kind, some of each label and host.
+    path.write_bytes(
+        b"".join(_line_bytes(key) + b"\n" for key in sorted(_LINES)[::5] + sorted(_BYTE_LINES))
+    )
+    snapshots = []
+    for step in steps:
+        if step[0] == "read" and step[1]:  # cold: no index to start from
+            _drop_index(index)
+        elif step[0] == "append":
+            with open(path, "ab") as handle:
+                handle.write(_line_bytes(step[1]) + (b"\n" if step[2] else b""))
+        elif step[0] == "edit":
+            # Same length, so only the digest can tell the line changed.
+            data = bytearray(path.read_bytes())
+            starts = [0] + [i + 1 for i, byte in enumerate(data) if byte == 10][:-1]
+            start = starts[step[1] % len(starts)] if data else 0
+            host = data.find(b'"host_label":"alpha"', start)
+            if 0 <= host < data.find(b"\n", start):
+                data[host + 14 : host + 19] = b"gamma"
+            elif start < len(data):
+                data[start] = ord("~")
+            path.write_bytes(bytes(data))
+        elif step[0] == "truncate":
+            data = path.read_bytes()
+            path.write_bytes(data[: len(data) * step[1] // 100])
+        elif step[1] in _BAD_INDEXES:
+            _drop_index(index)
+            index.write_bytes(_BAD_INDEXES[step[1]])
+        elif step[1] == "stale" and snapshots:
+            _drop_index(index)
+            index.write_bytes(snapshots[0])
+        elif step[1] == "other-file":
+            # Shares a prefix with the history, then differs.
+            other = directory / "other.jsonl"
+            data = path.read_bytes()
+            shared = data[: data.rfind(b"\n", 0, len(data) // 2) + 1]
+            other.write_bytes(shared + _LINES["valid", "full", "beta"].encode() + b"\n")
+            load_history(other, labels={"full"})
+            _drop_index(index)
+            if (directory / "other.jsonl.idx").exists():
+                os.replace(directory / "other.jsonl.idx", index)
+        elif step[1] == "other-schema":
+            # Built while newer-schema lines counted as valid.
+            _drop_index(index)
+            with mock.patch.object(store, "SCHEMA_VERSION", SCHEMA_VERSION + 1):
+                load_history(path, host_filter="alpha")
+        elif step[1] == "directory":
+            _drop_index(index)
+            index.mkdir()
+        before = index.read_bytes() if index.is_file() else index.is_dir()
+        for host_filter, labels in _READS:
+            loaded = load_history(path, host_filter=host_filter, labels=labels)
+            expected = _plain_load(path, host_filter, labels)
+            assert (loaded.records, loaded.skipped) == (expected.records, expected.skipped)
+            if host_filter is None and labels is None:
+                # An unfiltered read neither writes nor replaces the index.
+                assert (index.read_bytes() if index.is_file() else index.is_dir()) == before
+        if index.is_file():
+            snapshots.append(index.read_bytes())
