@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import stat
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -331,7 +333,48 @@ _BYTE_LINES = {
 }
 _APPENDS = sorted(key for key in _LINES if key[0] != "blank") + sorted(_BYTE_LINES)
 _BAD_INDEXES = {"garbage": b"\x00\xff[", "empty": b"", "wrong-shape": b'[1, "a", null]'}
-_DAMAGE = (*_BAD_INDEXES, "stale", "other-file", "other-schema", "directory")
+
+
+def _reverse_keys(stored, data):
+    # A permutation of the keys: any read it affects claims a line it does not want.
+    keys = [entry[1:] for entry in stored["lines"]][::-1]
+    stored["lines"] = [[entry[0], *key] for entry, key in zip(stored["lines"], keys)]
+
+
+def _shift_offset(stored, data):
+    stored["lines"][-1][0] += 1  # into the middle of a line
+
+
+def _duplicate_entry(stored, data):
+    stored["lines"].insert(0, stored["lines"][0])
+
+
+def _count_one_more(stored, data):
+    stored["skipped"] += 1
+    stored["lines"].pop()
+
+
+def _claim_a_skipped_line(stored, data):
+    # An entry, wanted by host "alpha" reads, for a line that fails the checks.
+    kept = {entry[0] for entry in stored["lines"]}
+    starts = [0] + [i + 1 for i in range(stored["covered"] - 1) if data[i] == 10]
+    for start in starts:
+        if start not in kept and data[start:data.index(b"\n", start)].strip():
+            stored["lines"] = sorted([*stored["lines"], [start, "alpha", "baseline"]])
+            return
+
+
+# Index entries that disagree with the file, under a digest recomputed over
+# them ("forged-*", as if the index were written that way) or left as it was.
+_EDITS = {
+    "forged-keys": (_reverse_keys, True),
+    "forged-offset": (_shift_offset, True),
+    "forged-duplicate": (_duplicate_entry, True),
+    "forged-corrupt": (_claim_a_skipped_line, True),
+    "tampered": (_count_one_more, False),
+}
+_DAMAGE = (*_BAD_INDEXES, *_EDITS, "stale", "other-file", "other-schema", "directory", "fifo",
+           "symlink")
 _STEPS = st.one_of(
     st.tuples(st.just("read"), st.booleans()),
     st.tuples(st.just("append"), st.sampled_from(_APPENDS), st.booleans()),
@@ -342,19 +385,52 @@ _STEPS = st.one_of(
 
 
 def _drop_index(index):
-    if index.is_dir():
+    if index.is_dir() and not index.is_symlink():
         index.rmdir()
     else:
         index.unlink(missing_ok=True)
+
+
+def _index_state(index):
+    if index.is_symlink():
+        return "symlink"
+    if index.is_file():
+        return index.read_bytes()
+    return stat.S_IFMT(index.stat().st_mode) if index.exists() else None
 
 
 def _line_bytes(key):
     return _BYTE_LINES[key] if key in _BYTE_LINES else _LINES[key].encode()
 
 
+def _edit_index(path, index, edit, sign):
+    load_history(path, labels={"full"})  # an index of the file as it is now
+    if not index.is_file():
+        return
+    digest, _, body = index.read_bytes().partition(b"\n")
+    stored = json.loads(body)
+    if not stored["lines"]:
+        return
+    edit(stored, path.read_bytes())
+    body = json.dumps(stored, separators=(",", ":")).encode()
+    if sign:
+        digest = hashlib.sha256(path.read_bytes()[: stored["covered"]] + body).hexdigest().encode()
+    index.write_bytes(digest + b"\n" + body)
+
+
 @given(steps=st.lists(_STEPS, min_size=1, max_size=10))
 @example(steps=[("damage", "directory")])
 @example(steps=[("damage", "other-schema")])
+@example(
+    steps=[("truncate", 0), ("append", ("newer", "full", "beta"), True), ("damage", "other-schema")]
+)
+@example(steps=[("damage", "fifo")])
+@example(steps=[("damage", "symlink")])
+@example(steps=[("damage", "forged-keys")])
+@example(steps=[("damage", "forged-offset")])
+@example(steps=[("damage", "forged-duplicate")])
+@example(steps=[("damage", "forged-corrupt")])
+@example(steps=[("damage", "tampered")])
 @example(steps=[("read", True), ("edit", 3)])
 @settings(max_examples=100, deadline=None)
 def test_indexed_reads_equal_a_plain_reader(tmp_path_factory, steps):
@@ -407,16 +483,81 @@ def test_indexed_reads_equal_a_plain_reader(tmp_path_factory, steps):
             _drop_index(index)
             with mock.patch.object(store, "SCHEMA_VERSION", SCHEMA_VERSION + 1):
                 load_history(path, host_filter="alpha")
+        elif step[1] in _EDITS:
+            _edit_index(path, index, *_EDITS[step[1]])
         elif step[1] == "directory":
             _drop_index(index)
             index.mkdir()
-        before = index.read_bytes() if index.is_file() else index.is_dir()
+        elif step[1] == "fifo":
+            # Reading it would block until a writer comes.
+            _drop_index(index)
+            os.mkfifo(index)
+        elif step[1] == "symlink":
+            # To a valid index of the file; the reader does not follow it.
+            load_history(path, labels={"full"})
+            target = directory / "elsewhere.idx"
+            if index.is_file():
+                os.replace(index, target)
+            _drop_index(index)
+            index.symlink_to(target)
+        before = _index_state(index)
         for host_filter, labels in _READS:
             loaded = load_history(path, host_filter=host_filter, labels=labels)
             expected = _plain_load(path, host_filter, labels)
             assert (loaded.records, loaded.skipped) == (expected.records, expected.skipped)
             if host_filter is None and labels is None:
                 # An unfiltered read neither writes nor replaces the index.
-                assert (index.read_bytes() if index.is_file() else index.is_dir()) == before
-        if index.is_file():
+                assert _index_state(index) == before
+        if index.is_file() and not index.is_symlink():
             snapshots.append(index.read_bytes())
+
+
+def _history(tmp_path, count=3):
+    path = tmp_path / "history.jsonl"
+    for number in range(count):
+        append_record(path, _record(host=f"node-{number % 2}"))
+    return path
+
+
+def test_history_named_through_a_symlink_keeps_no_index(tmp_path):
+    path = _history(tmp_path)
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(path)
+    assert len(load_history(link, host_filter="node-0").records) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["history.jsonl", "link.jsonl"]
+
+
+def test_index_is_written_with_the_history_mode(tmp_path):
+    path = _history(tmp_path)
+    path.chmod(0o640)
+    load_history(path, host_filter="node-0")
+    assert stat.S_IMODE((tmp_path / "history.jsonl.idx").stat().st_mode) == 0o640
+
+
+def test_reader_that_cannot_write_the_index_hashes_nothing(tmp_path):
+    path = _history(tmp_path)
+    with (
+        mock.patch.object(store.tempfile, "mkstemp", side_effect=PermissionError),
+        mock.patch.object(store, "_new_digest", side_effect=AssertionError("hashed")),
+    ):
+        assert len(load_history(path, host_filter="node-0").records) == 2
+    assert not (tmp_path / "history.jsonl.idx").exists()
+
+
+@pytest.mark.skipif(os.geteuid() != 0, reason="giving a file to another user needs root")
+def test_index_owned_by_another_user_is_ignored(tmp_path):
+    path = _history(tmp_path)
+    index = tmp_path / "history.jsonl.idx"
+    load_history(path, host_filter="node-0")
+    # A valid index whose entries all claim another host: trusted, it would
+    # hide the node-0 records.
+    digest, _, body = index.read_bytes().partition(b"\n")
+    stored = json.loads(body)
+    for entry in stored["lines"]:
+        entry[1] = "node-9"
+    body = json.dumps(stored, separators=(",", ":")).encode()
+    digest = hashlib.sha256(path.read_bytes()[: stored["covered"]] + body).hexdigest().encode()
+    index.write_bytes(digest + b"\n" + body)
+    os.chown(index, 12345, 12345)
+    with mock.patch.object(store.os, "replace", side_effect=PermissionError):  # a sticky directory
+        assert len(load_history(path, host_filter="node-0").records) == 2
