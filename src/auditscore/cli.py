@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import socket
 import sys
@@ -23,7 +24,6 @@ from .analysis import decompose_delta, rank_contributions, trend_series
 from .config import CONFIG_ENV_VAR, AppConfig, load_config, load_manifest, load_weight_profile
 from .errors import AuditError, ParseError, ValidationError
 from .model import CompositeAssessment, NormalizedScore, ToolKind, WeightProfile, raw_report_to_dict
-from .parsers import ParseDiagnostics
 from .render import (
     format_assessment_text,
     format_compare_text,
@@ -71,12 +71,19 @@ def _read_text(path: Path) -> str:
     return path.read_text(encoding="utf-8", errors="replace")
 
 
-def _emit_diagnostics(diagnostics: ParseDiagnostics, verbose: bool) -> None:
+def _score_report(
+    tool: ToolKind, path: Path, firewall: bool | None, profile: WeightProfile, verbose: bool
+) -> tuple[NormalizedScore, list[str]]:
+    """Read, parse and normalize one report, printing its diagnostics first;
+    returns the score (``raw`` is the parsed report) and the warnings."""
+    source = str(path)
+    report, diagnostics = TOOLS[tool].parse(_read_text(path), source, firewall)
     for warning in diagnostics.warnings:
-        print(f"warning: {diagnostics.source_path}: {warning}", file=sys.stderr)
+        print(f"warning: {source}: {warning}", file=sys.stderr)
     if verbose:
         for note in diagnostics.trace:
-            print(f"debug: {diagnostics.source_path}: {note}", file=sys.stderr)
+            print(f"debug: {source}: {note}", file=sys.stderr)
+    return normalize_report(report, profile), diagnostics.warnings
 
 
 def _profile_for(args: argparse.Namespace, config: AppConfig) -> WeightProfile:
@@ -93,31 +100,34 @@ def _profile_for(args: argparse.Namespace, config: AppConfig) -> WeightProfile:
 def cmd_parse(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     profile = _profile_for(args, config)
-    tool = _CLI_TOOL_NAMES[args.tool]
     override = {"auto": None, "active": True, "inactive": False}[args.firewall]
-    text = _read_text(args.file)
-    report, diagnostics = TOOLS[tool].parse(text, str(args.file), override)
-    score = normalize_report(report, profile)
-    _emit_diagnostics(diagnostics, args.verbose)
+    score, warnings = _score_report(
+        _CLI_TOOL_NAMES[args.tool], args.file, override, profile, args.verbose
+    )
     if args.json:
         _out(
             json.dumps(
                 {
                     "tool": score.tool.value,
                     "source": str(args.file),
-                    "raw": raw_report_to_dict(report),
+                    "raw": raw_report_to_dict(score.raw),
                     "score": score.value,
-                    "warnings": list(diagnostics.warnings),
+                    "warnings": warnings,
                 },
                 indent=2,
             )
         )
     else:
-        _out(format_parse_text(score.tool, str(args.file), report, score.value))
+        _out(format_parse_text(score.tool, str(args.file), score.raw, score.value))
     return 0
 
 
 def cmd_score(args: argparse.Namespace) -> int:
+    if args.min_score is not None and not math.isfinite(args.min_score):
+        # A NaN bound would pass every composite.
+        raise ValidationError(
+            "VALUE_OUT_OF_RANGE", f"--min-score must be finite, got {args.min_score}"
+        )
     config = load_config(args.config)
     profile = _profile_for(args, config)
     manifest = load_manifest(args.manifest)
@@ -127,12 +137,8 @@ def cmd_score(args: argparse.Namespace) -> int:
     for tool, entry in manifest.entries.items():
         if entry.score is not None:
             scores[tool] = NormalizedScore(tool, entry.score, None)
-            continue
-        assert entry.path is not None
-        text = _read_text(entry.path)
-        report, diagnostics = TOOLS[tool].parse(text, str(entry.path), entry.firewall)
-        _emit_diagnostics(diagnostics, args.verbose)
-        scores[tool] = normalize_report(report, profile)
+        else:
+            scores[tool], _ = _score_report(tool, entry.path, entry.firewall, profile, args.verbose)
     assessment = aggregate(scores, profile, label)
     record = HistoryRecord(assessment=assessment, host_label=host)
     if args.json:
@@ -163,36 +169,40 @@ def _load_history(
     return loaded
 
 
-def _resolve_assessment(
-    reference: str, history: HistoryLoad | None, history_path: Path
-) -> CompositeAssessment:
-    """Resolve a record-file path, or else a label stored in ``history``."""
-    as_path = Path(reference)
-    if as_path.is_file():
-        loaded = _load_history(as_path)
-        if not loaded.records:
+def _latest_by_label(history_path: Path, labels: list[str]) -> list[HistoryRecord]:
+    """The latest record of each label, in the order given, from one filtered read.
+
+    The first label with no record raises ``UNKNOWN_LABEL``.
+    """
+    loaded = _load_history(history_path, labels=set(labels))
+    latest = {record.assessment.label: record for record in loaded.records}
+    for label in labels:
+        if label not in latest:
             raise ValidationError(
-                "UNKNOWN_LABEL", f"{reference}: file contains no parseable records"
+                "UNKNOWN_LABEL", f"no assessment labeled {label!r} in {history_path}"
             )
-        return loaded.records[-1].assessment
-    for record in reversed(history.records):
-        if record.assessment.label == reference:
-            return record.assessment
-    raise ValidationError(
-        "UNKNOWN_LABEL", f"no assessment labeled {reference!r} in {history_path}"
-    )
+    return [latest[label] for label in labels]
+
+
+def _last_in_file(reference: str) -> CompositeAssessment:
+    loaded = _load_history(Path(reference))
+    if not loaded.records:
+        raise ValidationError("UNKNOWN_LABEL", f"{reference}: file contains no parseable records")
+    return loaded.records[-1].assessment
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     history_path = args.history or config.history_path
+    # A reference names a record file when one exists there, else a stored
+    # label; the history is read once, and only for labels.
     references = (args.from_ref, args.to_ref)
-    # Read the history once, only when a reference is not a file, and
-    # decode only the records of the labels asked for.
-    labels = {reference for reference in references if not Path(reference).is_file()}
-    history = _load_history(history_path, labels=labels) if labels else None
+    is_file = [Path(reference).is_file() for reference in references]
+    labels = [reference for reference, file in zip(references, is_file) if not file]
+    labeled = iter(_latest_by_label(history_path, labels) if labels else ())
     from_assessment, to_assessment = (
-        _resolve_assessment(reference, history, history_path) for reference in references
+        _last_in_file(reference) if file else next(labeled).assessment
+        for reference, file in zip(references, is_file)
     )
     decomposition = decompose_delta(from_assessment, to_assessment)
     ranked = rank_contributions(decomposition)
@@ -222,18 +232,7 @@ def cmd_history(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    history_path = args.history or config.history_path
-    loaded = _load_history(history_path, labels=set(args.labels))
-    by_label: dict[str, HistoryRecord] = {}
-    for record in loaded.records:
-        by_label[record.assessment.label] = record
-    records: list[HistoryRecord] = []
-    for label in args.labels:
-        if label not in by_label:
-            raise ValidationError(
-                "UNKNOWN_LABEL", f"no assessment labeled {label!r} in {history_path}"
-            )
-        records.append(by_label[label])
+    records = _latest_by_label(args.history or config.history_path, args.labels)
     assessments = [record.assessment for record in records]
     trends = trend_series(assessments) if len(assessments) >= 2 else None
     decomposition = (
@@ -389,9 +388,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exited:  # after --help, --version or a usage error
+            code = exited.code
+        else:
+            code = args.func(args)
         # Flush here, not at interpreter exit, so that a stdout that cannot
         # be written is reported like any other I/O failure.
         _flush_stdout()

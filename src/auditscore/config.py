@@ -20,7 +20,7 @@ from typing import Any, Mapping
 import yaml
 
 from .errors import ValidationError
-from .model import PENALTY_FIELDS, Severity, ToolKind, WeightProfile, validate_weights
+from .model import PENALTY_FIELDS, Severity, ToolKind, WeightProfile
 from .runner import ToolInvocation
 from .scoring import TOOLS
 
@@ -32,6 +32,8 @@ DEFAULT_TARGET = "127.0.0.1"
 DEFAULT_DATASTREAM = "/usr/share/xml/scap/ssg/content/ssg-ubuntu2204-ds.xml"
 
 DEFAULT_TIMEOUT = 3600.0
+# One week; poll(2) takes an int of milliseconds, which ends at 24.8 days.
+MAX_TIMEOUT = 7 * 24 * 3600.0
 
 
 @dataclass(frozen=True)
@@ -51,10 +53,6 @@ class AppConfig:
     weights: WeightProfile
     history_path: Path
     runner: RunnerSettings
-
-
-def default_config() -> AppConfig:
-    return AppConfig(WeightProfile(), DEFAULT_HISTORY_PATH, _runner_from_mapping({}))
 
 
 def _require_mapping(value: Any, context: str, code: str = "CONFIG_INVALID") -> Mapping:
@@ -91,8 +89,9 @@ def _number(value: Any, kind: type, context: str, code: str = "CONFIG_INVALID") 
     raise ValidationError(code, f"{context} must be a finite {kind.__name__}, got {value!r}")
 
 
-def weights_from_mapping(data: Mapping, context: str = "weights") -> WeightProfile:
-    """Build a validated profile from a config mapping; defaults fill gaps."""
+def weights_from_mapping(data: Any, context: str = "weights") -> WeightProfile:
+    """Build a profile from a config mapping; defaults fill gaps."""
+    data = _require_mapping(data, context)
     _reject_unknown(data, {"tool_weights", "severity_weights", *PENALTY_FIELDS}, context)
     defaults = WeightProfile()
     tool_weights = dict(defaults.tool_weights)
@@ -115,13 +114,13 @@ def weights_from_mapping(data: Mapping, context: str = "weights") -> WeightProfi
         name: _number(data.get(name, getattr(defaults, name)), float, f"{context}.{name}")
         for name in PENALTY_FIELDS
     }
-    return validate_weights(WeightProfile(tool_weights, severity_weights, **penalties))
+    return WeightProfile(tool_weights, severity_weights, **penalties)
 
 
 def load_weight_profile(path: Path | str) -> WeightProfile:
     """Load and validate a standalone weight profile file."""
     data = _load_yaml(Path(path))
-    return weights_from_mapping(_require_mapping(data, str(path)), context=str(path))
+    return weights_from_mapping(data, context=str(path))
 
 
 def _load_yaml(path: Path, code: str = "CONFIG_INVALID") -> Any:
@@ -131,8 +130,11 @@ def _load_yaml(path: Path, code: str = "CONFIG_INVALID") -> Any:
         raise ValidationError(code, f"cannot read {path}: {exc}") from exc
     try:
         return yaml.safe_load(text) or {}
-    except yaml.YAMLError as exc:
+    # A bad date or an integer of too many digits raises ValueError.
+    except (yaml.YAMLError, ValueError) as exc:
         raise ValidationError(code, f"{path}: {exc}") from exc
+    except RecursionError:
+        raise ValidationError(code, f"{path}: nested too deeply") from None
 
 
 def _runner_from_mapping(data: Mapping) -> RunnerSettings:
@@ -154,9 +156,11 @@ def _runner_from_mapping(data: Mapping) -> RunnerSettings:
         if not isinstance(exit_codes, (list, frozenset)):
             raise ValidationError("CONFIG_INVALID", f"{context}.exit_codes must be a list")
         timeout = _number(entry.get("timeout", base.timeout), float, f"{context}.timeout")
-        if timeout <= 0:
+        if not 0 < timeout <= MAX_TIMEOUT:
             raise ValidationError(
-                "CONFIG_INVALID", f"{context}.timeout must be greater than 0, got {timeout:g}"
+                "CONFIG_INVALID",
+                f"{context}.timeout must be greater than 0 and at most {MAX_TIMEOUT:g}, "
+                f"got {timeout:g}",
             )
         checks[tool] = ToolInvocation(
             tool,
@@ -208,19 +212,13 @@ def load_config(path: Path | str | None = None) -> AppConfig:
     """Load configuration from a file, the environment default, or defaults.
 
     Explicit ``path`` wins; otherwise the ``AUDITSCORE_CONFIG`` variable
-    is consulted; with neither, the embedded defaults apply.
+    is consulted; with neither, the defaults apply, as for an empty file.
     """
     if path is None:
-        env_path = os.environ.get(CONFIG_ENV_VAR, "").strip()
-        if not env_path:
-            return default_config()
-        path = Path(env_path)
-    data = _load_yaml(Path(path))
-    data = _require_mapping(data, str(path))
+        path = os.environ.get(CONFIG_ENV_VAR, "").strip() or None
+    data = {} if path is None else _require_mapping(_load_yaml(Path(path)), str(path))
     _reject_unknown(data, {"weights", "history", "runner"}, str(path))
-    weights = weights_from_mapping(
-        _require_mapping(data.get("weights", {}), "weights"), "weights"
-    )
+    weights = weights_from_mapping(data.get("weights", {}))
     runner = _runner_from_mapping(_require_mapping(data.get("runner", {}), "runner"))
     history = Path(str(data.get("history", DEFAULT_HISTORY_PATH)))
     return AppConfig(weights=weights, history_path=history, runner=runner)

@@ -75,6 +75,8 @@ def classify_severity(cvss: float) -> Severity:
 
 
 def _require_non_negative(name: str, value: int) -> None:
+    if type(value) is not int:  # a stored count may be any JSON value
+        raise ValidationError("VALUE_NOT_INTEGER", f"{name} must be an integer, got {value!r}")
     if value < 0:
         raise ValidationError("VALUE_OUT_OF_RANGE", f"{name} must be non-negative, got {value}")
 
@@ -224,20 +226,25 @@ class WeightProfile:
     """Per-tool weights plus the penalty constants of the vulnerability model.
 
     Multi-domain tools carry 0.20, single-domain tools 0.15 by default;
-    the six tool weights must sum to 1.0 (checked by
-    :func:`validate_weights`, not at construction, so profiles can be
-    built up before validation).
+    the six tool weights must sum to 1.0. Construction copies both maps
+    into read-only views and runs :func:`validate_weights`, so a profile
+    that exists is valid and stays so.
     """
 
-    tool_weights: Mapping[ToolKind, float] = field(
-        default_factory=lambda: dict(DEFAULT_TOOL_WEIGHTS)
-    )
+    tool_weights: Mapping[ToolKind, float] = field(default_factory=DEFAULT_TOOL_WEIGHTS.copy)
     severity_weights: Mapping[Severity, float] = field(
-        default_factory=lambda: dict(DEFAULT_SEVERITY_WEIGHTS)
+        default_factory=DEFAULT_SEVERITY_WEIGHTS.copy
     )
     port_penalty: float = 3.0
     confirmed_penalty: float = 10.0
     firewall_discount: float = 10.0
+
+    def __post_init__(self):
+        from types import MappingProxyType
+
+        object.__setattr__(self, "tool_weights", MappingProxyType(dict(self.tool_weights)))
+        object.__setattr__(self, "severity_weights", MappingProxyType(dict(self.severity_weights)))
+        validate_weights(self)
 
 
 def _require_weight(value: float, name: str, key: Enum | None = None) -> None:
@@ -251,7 +258,7 @@ def _require_weight(value: float, name: str, key: Enum | None = None) -> None:
 
 
 def validate_weights(profile: WeightProfile) -> WeightProfile:
-    """Check a weight profile and return it unchanged when acceptable.
+    """Check a weight profile, as every one is when built, and return it unchanged.
 
     Raises :class:`ValidationError` naming the offending entry with code
     ``TOOL_MISSING``, ``SEVERITY_MISSING``, ``WEIGHT_NOT_FINITE`` (NaN or
@@ -280,14 +287,12 @@ def validate_weights(profile: WeightProfile) -> WeightProfile:
     return profile
 
 
-def tool_weights_match(a: WeightProfile, b: WeightProfile, tolerance: float = WEIGHT_SUM_TOLERANCE) -> bool:
+def tool_weights_match(a: WeightProfile, b: WeightProfile) -> bool:
     """True when both profiles carry the same six tool weights within tolerance."""
-    for tool in _TOOL_KINDS:
-        if tool not in a.tool_weights or tool not in b.tool_weights:
-            return False
-        if abs(a.tool_weights[tool] - b.tool_weights[tool]) > tolerance:
-            return False
-    return True
+    return all(
+        abs(a.tool_weights[tool] - b.tool_weights[tool]) <= WEIGHT_SUM_TOLERANCE
+        for tool in _TOOL_KINDS
+    )
 
 
 @dataclass(frozen=True)
@@ -339,7 +344,7 @@ class CompositeAssessment:
         if absent:
             raise ValidationError("TOOL_MISSING", "no contribution for: " + ", ".join(absent))
         total = sum(self.contributions[tool] for tool in _TOOL_KINDS)
-        if abs(self.composite - total) > COMPOSITE_TOLERANCE:
+        if not abs(self.composite - total) <= COMPOSITE_TOLERANCE:  # NaN when inf meets -inf
             raise ValidationError(
                 "COMPOSITE_MISMATCH",
                 f"composite {self.composite!r} != sum of contributions {total!r}",
@@ -478,7 +483,7 @@ def profile_to_dict(profile: WeightProfile) -> dict:
 
 def profile_from_dict(data: Mapping) -> WeightProfile:
     """Decode a stored profile; one that fails :func:`validate_weights` raises."""
-    profile = WeightProfile(
+    return WeightProfile(
         tool_weights={ToolKind(name): value for name, value in data["tool_weights"].items()},
         severity_weights={
             Severity(name): value for name, value in data["severity_weights"].items()
@@ -487,7 +492,6 @@ def profile_from_dict(data: Mapping) -> WeightProfile:
         confirmed_penalty=data["confirmed_penalty"],
         firewall_discount=data["firewall_discount"],
     )
-    return validate_weights(profile)
 
 
 def assessment_to_dict(assessment: CompositeAssessment) -> dict:

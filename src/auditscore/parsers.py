@@ -115,6 +115,24 @@ def parse_lynis(report_text: str, source: str = "<string>") -> tuple[LynisReport
 # ---------------------------------------------------------------------------
 
 
+# Larger counts come from no real scan, and would overflow the float
+# arithmetic of normalization.
+_MAX_COUNT = 10**18
+
+
+def _count(text: str, what: str, source: str) -> int:
+    """An integer count from report text: ``VALUE_NOT_INTEGER`` when ``int``
+    cannot read it (past 4,300 digits too), ``VALUE_OUT_OF_RANGE`` above
+    :data:`_MAX_COUNT`."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ParseError("VALUE_NOT_INTEGER", f"{what} is {text!r}", source) from None
+    if value > _MAX_COUNT:
+        raise ParseError("VALUE_OUT_OF_RANGE", f"{what} exceeds {_MAX_COUNT}", source)
+    return value
+
+
 def _localname(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
@@ -128,14 +146,27 @@ def parse_xccdf(
     failures. Everything else (notapplicable, notchecked, notselected,
     informational, unknown) is excluded from both counts and tallied in
     the diagnostics, since excluded rules never enter the evaluated
-    denominator. Namespace-agnostic: any XCCDF version parses.
+    denominator. A document with several ``TestResult`` elements is
+    scored by the last in document order, with a warning naming how many
+    were ignored. Namespace-agnostic: any XCCDF version parses.
     """
     diagnostics = ParseDiagnostics(source, profile.tool)
     try:
         root = ET.fromstring(result_xml)
     except ET.ParseError as exc:
         raise ParseError("MALFORMED_XML", str(exc), source) from None
-    rule_results = [el for el in root.iter() if _localname(el.tag) == "rule-result"]
+    rule_results, test_results = [], 0
+    for el in root.iter():  # document order: each TestResult starts afresh
+        name = _localname(el.tag)
+        if name == "rule-result":
+            rule_results.append(el)
+        elif name == "TestResult":
+            rule_results, test_results = [], test_results + 1
+    if test_results > 1:
+        diagnostics.warn(
+            f"document contains {test_results} TestResult elements; scoring the last, "
+            f"{test_results - 1} ignored"
+        )
     if not rule_results:
         raise ParseError("NO_TEST_RESULT", "document contains no rule-result elements", source)
     pass_count = 0
@@ -189,7 +220,7 @@ def parse_aide(report_text: str, source: str = "<string>") -> tuple[AideReport, 
     counts: dict[str, int] = {}
     for found in _AIDE_COUNT.finditer(report_text):
         key = found.group(1).lower()
-        value = int(found.group(2))
+        value = _count(found.group(2), f"{key} entries", source)
         if key in counts:
             diagnostics.warn(f"duplicate '{found.group(1)} entries' line; keeping first value")
             continue
@@ -233,8 +264,8 @@ def parse_tripwire(
         if violations_match is None:
             missing.append("'Total violations found'")
         raise ParseError("SUMMARY_MISSING", "missing " + " and ".join(missing), source)
-    objects_scanned = int(objects_match.group(1).replace(",", ""))
-    violations = int(violations_match.group(1).replace(",", ""))
+    objects_scanned = _count(objects_match.group(1).replace(",", ""), "objects scanned", source)
+    violations = _count(violations_match.group(1).replace(",", ""), "violations", source)
     objects_line = report_text.count("\n", 0, objects_match.start()) + 1
     violations_line = report_text.count("\n", 0, violations_match.start()) + 1
     diagnostics.note(f"objects scanned={objects_scanned} (line {objects_line})")
@@ -380,7 +411,15 @@ def parse_nmap(
         root = ET.fromstring(scan_xml)
     except ET.ParseError as exc:
         raise ParseError("MALFORMED_XML", str(exc), source) from None
-    hosts = [el for el in root.iter() if _localname(el.tag) == "host"]
+    # Outermost hosts in document order: one nested in another (nmap writes
+    # none) is part of it, so each port counts once, in linear time.
+    hosts, stack = [], [root]
+    while stack:
+        element = stack.pop()
+        if _localname(element.tag) == "host":
+            hosts.append(element)
+        else:
+            stack.extend(reversed(element))
     if not hosts:
         raise ParseError("NO_HOST", "document contains no host element", source)
     if len(hosts) > 1:
@@ -392,7 +431,7 @@ def parse_nmap(
     for host in hosts:
         for port_el in (el for el in host.iter() if _localname(el.tag) == "port"):
             portid_raw = port_el.get("portid", "")
-            portid = int(portid_raw) if portid_raw.isdecimal() else None
+            portid = _count(portid_raw, "portid", source) if portid_raw.isdecimal() else None
             state_el = next((c for c in port_el if _localname(c.tag) == "state"), None)
             state = state_el.get("state", "") if state_el is not None else ""
             if state == "open":
@@ -407,13 +446,7 @@ def parse_nmap(
                 findings.extend(_script_findings(script_el, portid, diagnostics))
         for extra_el in (el for el in host.iter() if _localname(el.tag) == "extraports"):
             if extra_el.get("state") == "filtered":
-                raw_count = extra_el.get("count", "0")
-                try:
-                    count = int(raw_count)
-                except ValueError:
-                    raise ParseError(
-                        "VALUE_NOT_INTEGER", f"extraports count is {raw_count!r}", source
-                    ) from None
+                count = _count(extra_el.get("count", "0"), "extraports count", source)
                 filtered_ports += count
                 diagnostics.note(f"extraports: {count} filtered")
         for hostscript in (el for el in host.iter() if _localname(el.tag) == "hostscript"):

@@ -66,13 +66,13 @@ class ScanOutcome:
 def _render_command(invocation: ToolInvocation, substitutions: Mapping[str, str]) -> list[str]:
     values = {"output": str(invocation.output_path), **substitutions}
     try:
-        rendered = invocation.command_template.format(**values)
-    except (KeyError, IndexError, ValueError) as exc:
+        # ``{output.x}`` and ``{output[x]}`` fail as lookups, an open quote in shlex.
+        argv = shlex.split(invocation.command_template.format(**values))
+    except (KeyError, IndexError, ValueError, AttributeError, TypeError) as exc:
         raise RunnerError(
             "TEMPLATE_INVALID",
             f"{invocation.tool.value}: cannot render command template: {exc}",
         ) from exc
-    argv = shlex.split(rendered)
     if not argv:
         raise RunnerError("TEMPLATE_INVALID", f"{invocation.tool.value}: empty command")
     return argv
@@ -104,6 +104,10 @@ def invoke_tool(
     except FileNotFoundError:
         raise RunnerError(
             "TOOL_NOT_FOUND", f"{invocation.tool.value}: executable {argv[0]!r} not found"
+        ) from None
+    except ValueError as exc:  # a NUL character in the command
+        raise RunnerError(
+            "TEMPLATE_INVALID", f"{invocation.tool.value}: cannot run command: {exc}"
         ) from None
     except subprocess.TimeoutExpired:
         output_path.unlink(missing_ok=True)

@@ -12,8 +12,8 @@ Each scanner's raw metrics map onto a common 0-100 scale:
   per-open-port penalty and a per-confirmed-finding penalty; an active
   firewall discounts the total penalty, which never drops below zero
 
-The composite is the convex combination of the six scores under a
-validated weight profile. Intermediate arithmetic stays in full double
+The composite is the convex combination of the six scores under a weight
+profile, valid once built. Intermediate arithmetic stays in full double
 precision; rounding for display happens only in the reporting layer.
 
 :data:`TOOLS` (per tool) and :data:`RAW_SPECS` (per raw report type) hold
@@ -44,7 +44,6 @@ from .model import (
     VulnReport,
     WeightProfile,
     classify_severity,  # re-exported: severity bands are part of the scoring API
-    validate_weights,
 )
 from .parsers import (
     ParseDiagnostics,
@@ -119,7 +118,6 @@ def normalize_vuln(report: VulnReport, profile: WeightProfile) -> NormalizedScor
     discount; the penalty is floored at zero first, so a firewall can
     never push a score above 100.
     """
-    validate_weights(profile)
     raw_penalty = vuln_penalty(report, profile)
     if report.firewall_active:
         effective = max(0.0, raw_penalty - profile.firewall_discount)
@@ -283,7 +281,6 @@ def aggregate(
     Raises ``TOOL_MISSING`` naming every absent tool. The stored
     composite equals the sum of the per-tool weighted contributions.
     """
-    validate_weights(profile)
     missing = [tool.value for tool in ToolKind if tool not in scores]
     if missing:
         raise ScoringError("TOOL_MISSING", "no score for: " + ", ".join(missing))

@@ -43,8 +43,9 @@ SCHEMA_VERSION = 1
 # whose outcome it stores; an index of another version is ignored.
 _INDEX_FORMAT = 2
 
-# What a corrupt line raises while it is decoded and checked.
-_CORRUPT = (ValueError, KeyError, TypeError, AttributeError, AuditError)
+# What a corrupt line raises while it is decoded and checked; JSON nested
+# deeper than the interpreter's recursion limit raises RecursionError.
+_CORRUPT = (ValueError, KeyError, TypeError, AttributeError, RecursionError, AuditError)
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,8 @@ def record_to_json(record: HistoryRecord) -> str:
 
 
 def record_from_json(line: str) -> HistoryRecord:
-    return _record_from_payload(json.loads(line))
+    payload = json.loads(line)
+    return _record_from_payload(payload, _line_keys(payload))
 
 
 def _line_keys(payload) -> tuple[int, str, str]:
@@ -96,9 +98,9 @@ def _line_keys(payload) -> tuple[int, str, str]:
     return version, host_label, assessment_label(payload["assessment"])
 
 
-def _record_from_payload(payload, keys: tuple[int, str, str] | None = None) -> HistoryRecord:
-    """Decode a parsed line; ``keys`` is what :func:`_line_keys` returned for it, if known."""
-    version, host_label, _ = keys or _line_keys(payload)
+def _record_from_payload(payload, keys: tuple[int, str, str]) -> HistoryRecord:
+    """Decode a parsed line; ``keys`` is what :func:`_line_keys` returned for it."""
+    version, host_label, _ = keys
     return HistoryRecord(
         assessment=assessment_from_dict(payload["assessment"]),
         host_label=host_label,
@@ -205,7 +207,7 @@ def _read_index(index_path: Path, data: bytes, owner: int) -> _LineIndex | None:
             ):
                 return None
             previous = offset
-    except (ValueError, KeyError, TypeError):
+    except _CORRUPT:
         return None
     digest = _new_digest()
     digest.update(memoryview(data)[:covered])
@@ -268,6 +270,13 @@ def _scan(data: bytes, index: _LineIndex, wanted) -> tuple[HistoryLoad, _LineInd
     """
     result = HistoryLoad(skipped=index.skipped)
     grown = _LineIndex(data.rfind(b"\n") + 1, index.skipped, list(index.lines))
+
+    def keep(payload, keys: tuple[int, str, str]) -> None:
+        try:
+            result.records.append(_record_from_payload(payload, keys))
+        except _CORRUPT:
+            result.skipped += 1
+
     for start, host_label, label in index.lines:
         if wanted(host_label, label):
             try:
@@ -277,10 +286,7 @@ def _scan(data: bytes, index: _LineIndex, wanted) -> tuple[HistoryLoad, _LineInd
                 raise _StaleIndex(start) from exc
             if keys[1:] != (host_label, label):
                 raise _StaleIndex(start)
-            try:
-                result.records.append(_record_from_payload(payload, keys))
-            except _CORRUPT:
-                result.skipped += 1
+            keep(payload, keys)
     for start, end in _line_spans(data, index.covered):
         complete = end < grown.covered  # a final line with no b"\n" may still grow
         try:
@@ -295,10 +301,7 @@ def _scan(data: bytes, index: _LineIndex, wanted) -> tuple[HistoryLoad, _LineInd
         if complete:
             grown.lines.append([start, *keys[1:]])
         if wanted(*keys[1:]):
-            try:
-                result.records.append(_record_from_payload(payload, keys))
-            except _CORRUPT:
-                result.skipped += 1
+            keep(payload, keys)
     return result, grown
 
 

@@ -155,6 +155,14 @@ def test_score_min_score_gate_passes(capsys, data_dir):
     assert code == 0
 
 
+def test_score_min_score_must_be_finite(capsys, data_dir):
+    manifest = str(data_dir / "manifest-baseline.yaml")
+    for bound in ("nan", "inf", "-inf", "1e999"):
+        code, out, err = run_cli(capsys, "score", "--manifest", manifest, f"--min-score={bound}")
+        assert (code, out) == (2, ""), bound
+        assert err.startswith("error[VALUE_OUT_OF_RANGE]: --min-score must be finite"), err
+
+
 def test_score_missing_tool_exits_2_naming_it(capsys, tmp_path, data_dir):
     manifest = {
         "label": "incomplete",
@@ -500,7 +508,7 @@ def _run_with_closed_stdout(*argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [["history"], ["history", "--json"], ["report", "baseline", "full"]],
+    [["history"], ["history", "--json"], ["report", "baseline", "full"], ["--help"]],
 )
 def test_closed_stdout_is_not_an_error(populated_history, argv):
     # Enough records that `history --json` overflows the stdout buffer
@@ -513,9 +521,11 @@ def test_closed_stdout_is_not_an_error(populated_history, argv):
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
 def test_full_stdout_is_io_failure(populated_history):
-    with open("/dev/full", "w") as full:
-        code, err = _run_with_stdout(full, "history", "--history", str(populated_history))
-    assert (code, err) == (2, "error[IO_FAILURE]: [Errno 28] No space left on device\n")
+    # Help and version text is written by argparse, which then exits.
+    for argv in (["history"], ["--help"], ["--version"], ["history", "--help"]):
+        with open("/dev/full", "w") as full:
+            code, err = _run_with_stdout(full, *argv, "--history", str(populated_history))
+        assert (code, err) == (2, "error[IO_FAILURE]: [Errno 28] No space left on device\n"), argv
 
 
 def test_closed_stdout_keeps_score_append_and_gate(populated_history, data_dir):
@@ -823,6 +833,9 @@ def test_invalid_config_exits_2(capsys, data_dir, tmp_path):
         "runner:\n  tools:\n    lynis:\n      timeout: -5\n",
         "runner:\n  tools:\n    aide:\n      timeout: 0\n",
         "runner:\n  init:\n    lynis:\n      command: lynis --init\n",
+        "weights: " + "[" * 1000 + "]" * 1000 + "\n",
+        "runner:\n  tools:\n    lynis:\n      timeout: 1.0e+7\n",
+        "weights:\n  port_penalty: 2001-13-45\n",
     ],
     ids=[
         "timeout-text",
@@ -837,6 +850,9 @@ def test_invalid_config_exits_2(capsys, data_dir, tmp_path):
         "timeout-negative",
         "timeout-zero",
         "init-without-database",
+        "nested-too-deep",
+        "timeout-too-large",
+        "not-a-date",
     ],
 )
 def test_config_bad_values_exit_2(capsys, data_dir, tmp_path, config_text):
@@ -853,6 +869,18 @@ def test_config_bad_values_exit_2(capsys, data_dir, tmp_path, config_text):
     assert code == 2
     assert out == ""
     assert "error[CONFIG_INVALID]" in err
+
+
+@pytest.mark.parametrize(
+    "option, code", [("--manifest", "MANIFEST_INVALID"), ("--weights", "CONFIG_INVALID")]
+)
+def test_deeply_nested_manifest_or_weights_exits_2(capsys, data_dir, tmp_path, option, code):
+    deep = tmp_path / "deep.yaml"
+    deep.write_text("label: " + "[" * 1000 + "]" * 1000 + "\n")
+    manifest = data_dir / "manifest-baseline-literal.yaml"
+    # A repeated --manifest takes the last value.
+    result = run_cli(capsys, "score", "--manifest", str(manifest), option, str(deep))
+    assert result == (2, "", f"error[{code}]: {deep}: nested too deeply\n")
 
 
 def test_weights_flag_overrides_default(capsys, data_dir, tmp_path):

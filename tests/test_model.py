@@ -90,11 +90,10 @@ def test_non_finite_weight_rejected_naming_entry(bad, where):
         severity_weights[Severity.HIGH] = bad
     else:
         penalty = bad
-    profile = WeightProfile(
-        tool_weights=tool_weights, severity_weights=severity_weights, confirmed_penalty=penalty
-    )
     with pytest.raises(ValidationError) as excinfo:
-        validate_weights(profile)
+        WeightProfile(
+            tool_weights=tool_weights, severity_weights=severity_weights, confirmed_penalty=penalty
+        )
     assert excinfo.value.code == "WEIGHT_NOT_FINITE"
     assert {"tool": "lynis", "severity": "high", "penalty": "confirmed_penalty"}[where] in str(
         excinfo.value

@@ -128,6 +128,26 @@ def test_xccdf_unknown_result_value_warned_and_excluded():
     assert any("unknown result" in warning for warning in diagnostics.warnings)
 
 
+def test_xccdf_several_test_results_score_the_last():
+    xml = (
+        "<Benchmark xmlns='http://checklists.nist.gov/xccdf/1.2'>"
+        "<TestResult><rule-result idref='r1'><result>pass</result></rule-result></TestResult>"
+        "<TestResult><rule-result idref='r1'><result>fail</result></rule-result>"
+        "<rule-result idref='r2'><result>fail</result></rule-result></TestResult>"
+        "<TestResult><rule-result idref='r1'><result>fail</result></rule-result>"
+        "<rule-result idref='r2'><result>pass</result></rule-result></TestResult>"
+        "</Benchmark>"
+    )
+    report, diagnostics = parse_xccdf(xml, ScapProfile.CIS)
+    assert (report.pass_count, report.fail_count) == (1, 1)
+    assert diagnostics.warnings == [
+        "document contains 3 TestResult elements; scoring the last, 2 ignored"
+    ]
+    # One TestResult, as every fixture has, gives no warning.
+    single = xml.replace("<TestResult>", "", 2).replace("</TestResult>", "", 2)
+    assert parse_xccdf(single, ScapProfile.CIS)[1].warnings == []
+
+
 # ---------------------------------------------------------------------------
 # File integrity check reports
 # ---------------------------------------------------------------------------
@@ -268,6 +288,32 @@ def test_nmap_non_decimal_digit_portid_is_not_a_port_number():
     report, _ = parse_nmap(xml)
     assert report.open_ports == 1
     assert report.findings[0].port is None
+
+
+def test_count_past_the_limits_is_a_parse_error():
+    # 5,000 digits is past the interpreter's int conversion limit.
+    for digits, code in (("1" + "0" * 19, "VALUE_OUT_OF_RANGE"), ("9" * 5000, "VALUE_NOT_INTEGER")):
+        for parse, text in (
+            (parse_aide, f"Added entries: {digits}\n"),
+            (parse_tripwire, f"Total objects scanned: {digits}\nTotal violations found: 0\n"),
+            (parse_tripwire, f"Total objects scanned: 5\nTotal violations found: {digits}\n"),
+            (
+                parse_nmap,
+                f"<nmaprun><host><extraports state='filtered' count='{digits}'/></host></nmaprun>",
+            ),
+            (parse_nmap, f"<nmaprun><host><port portid='{digits}'/></host></nmaprun>"),
+        ):
+            with pytest.raises(ParseError) as excinfo:
+                parse(text)
+            assert excinfo.value.code == code, text[:60]
+
+
+def test_nmap_host_nested_in_a_host_is_part_of_it():
+    port = "<ports><port portid='22'><state state='open'/></port></ports>"
+    xml = f"<nmaprun><host>{port}<host>{port}<host>{port}</host></host></host></nmaprun>"
+    report, diagnostics = parse_nmap(xml)
+    assert report.open_ports == 3  # each port once
+    assert diagnostics.warnings == []  # one outermost host
 
 
 def test_nmap_not_vulnerable_marker_is_not_confirmed():

@@ -134,14 +134,17 @@ def test_template_substitutions(tmp_path, out_dir):
 
 
 def test_unknown_placeholder_is_template_error(out_dir):
-    invocation = ToolInvocation(
-        tool=ToolKind.LYNIS,
-        command_template="echo {nonexistent}",
-        output_path=out_dir / "x",
-    )
-    with pytest.raises(RunnerError) as excinfo:
-        invoke_tool(invocation)
-    assert excinfo.value.code == "TEMPLATE_INVALID"
+    # Also a bad attribute or index lookup, an unclosed quote and a NUL.
+    for template in ("echo {nonexistent}", "echo {output.x}", "echo {output[a]}",
+                     "echo '{output}", "echo {output}\0"):
+        invocation = ToolInvocation(
+            tool=ToolKind.LYNIS,
+            command_template=template,
+            output_path=out_dir / "x",
+        )
+        with pytest.raises(RunnerError) as excinfo:
+            invoke_tool(invocation)
+        assert excinfo.value.code == "TEMPLATE_INVALID", template
 
 
 def test_invalid_timeout_rejected(out_dir):

@@ -130,6 +130,14 @@ def test_valid_json_with_broken_invariants_is_corrupt(tmp_path):
         (("host_label",), None),
         (("schema_version",), True),
         (("schema_version",), 0),
+        (("assessment", "scores", "aide", "raw", "added"), float("inf")),
+        (("assessment", "scores", "aide", "raw", "added"), 11.0),
+        # inf and -inf sum to NaN, which no tolerance check may let through
+        (
+            ("assessment", "contributions"),
+            {"lynis": float("inf"), "openscap_standard": float("-inf"), "aide": 0.0,
+             "tripwire": 0.0, "openscap_cis": 0.0, "vuln_scan": 0.0},
+        ),
     ],
 )
 def test_wrong_shape_records_are_skipped(tmp_path, data_dir, path, value):
@@ -210,6 +218,8 @@ def _line(kind, label, host):
         return _mutated(valid, lambda p: p.update(host_label=[host]))
     if kind == "bool-version":
         return _mutated(valid, lambda p: p.update(schema_version=True))
+    if kind == "too-deep":  # nested past the recursion limit
+        return "[" * 10_000 + "]" * 10_000
     if kind == "deep-composite":
         return _mutated(valid, lambda p: p["assessment"].update(composite=12.0))
     assert kind == "deep-shape"
@@ -226,6 +236,7 @@ _KINDS = (
     "no-host",
     "list-host",
     "bool-version",
+    "too-deep",
     "deep-composite",
     "deep-shape",
 )
@@ -242,6 +253,7 @@ _LINES = {
     host_filter=st.none() | st.sampled_from(_HOSTS + ("gamma",)),
     labels=st.none() | st.frozensets(st.sampled_from(_LABELS + ("absent",))),
 )
+@example(lines=[("too-deep", "full", "alpha")], host_filter="beta", labels=None)
 @settings(max_examples=150, deadline=None)
 def test_filtered_load_equals_unfiltered_load_then_filtered(
     tmp_path_factory, lines, host_filter, labels
@@ -283,7 +295,7 @@ def test_unicode_line_separator_inside_a_string_is_kept(tmp_path):
 # Differential test of the line index kept by filtered reads: after any
 # sequence of appends, edits, truncations and index damage, every read
 # equals a plain reader that keeps no index.
-_CORRUPT = (ValueError, KeyError, TypeError, AttributeError, AuditError)
+_CORRUPT = (ValueError, KeyError, TypeError, AttributeError, RecursionError, AuditError)
 
 
 def _plain_load(path, host_filter=None, labels=None):
@@ -332,7 +344,12 @@ _BYTE_LINES = {
     .encode(),
 }
 _APPENDS = sorted(key for key in _LINES if key[0] != "blank") + sorted(_BYTE_LINES)
-_BAD_INDEXES = {"garbage": b"\x00\xff[", "empty": b"", "wrong-shape": b'[1, "a", null]'}
+_BAD_INDEXES = {
+    "garbage": b"\x00\xff[",
+    "empty": b"",
+    "wrong-shape": b'[1, "a", null]',
+    "too-deep": b"\n" + b"[" * 10_000,
+}
 
 
 def _reverse_keys(stored, data):
@@ -425,6 +442,8 @@ def _edit_index(path, index, edit, sign):
     steps=[("truncate", 0), ("append", ("newer", "full", "beta"), True), ("damage", "other-schema")]
 )
 @example(steps=[("damage", "fifo")])
+@example(steps=[("damage", "too-deep")])
+@example(steps=[("append", ("too-deep", "full", "alpha"), True), ("read", False)])
 @example(steps=[("damage", "symlink")])
 @example(steps=[("damage", "forged-keys")])
 @example(steps=[("damage", "forged-offset")])
