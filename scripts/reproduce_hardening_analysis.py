@@ -13,7 +13,7 @@ Exits nonzero if any headline number fails to reproduce.
 import sys
 from datetime import datetime, timezone
 
-from auditscore.analysis import decompose_delta, rank_contributions, trend_series
+from auditscore.analysis import decompose_delta
 from auditscore.model import NormalizedScore, ToolKind, WeightProfile
 from auditscore.render import render_report_markdown
 from auditscore.scoring import aggregate
@@ -39,10 +39,9 @@ def main() -> int:
         assessments.append(aggregate(scores, profile, label, TIMESTAMP))
 
     records = [HistoryRecord(a, host_label="study-node") for a in assessments]
-    trends = trend_series(assessments)
+    print(render_report_markdown(records))
+
     decomposition = decompose_delta(assessments[0], assessments[-1])
-    ranked = rank_contributions(decomposition)
-    print(render_report_markdown(records, trends, decomposition, ranked))
 
     failures = []
     for assessment in assessments:

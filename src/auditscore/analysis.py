@@ -14,6 +14,7 @@ from typing import Sequence
 
 from .errors import AnalysisError
 from .model import (
+    COMPOSITE_TOLERANCE,
     CompositeAssessment,
     DeltaDecomposition,
     ToolKind,
@@ -51,6 +52,16 @@ def _require_same_weights(reference: CompositeAssessment, other: CompositeAssess
         )
 
 
+def _share(delta: float, total: float) -> float | None:
+    """``delta`` as a fraction of ``total``, or ``None`` when the total is zero.
+
+    Composites are only defined to within ``COMPOSITE_TOLERANCE``, so a total
+    inside it is zero: dividing by the rounding residue left when per-tool
+    deltas cancel would print shares of 10^14 % or ``inf%``.
+    """
+    return None if abs(total) <= COMPOSITE_TOLERANCE else delta / total
+
+
 def decompose_delta(
     from_assessment: CompositeAssessment, to_assessment: CompositeAssessment
 ) -> DeltaDecomposition:
@@ -58,7 +69,8 @@ def decompose_delta(
 
     The dominant tool is the one with the largest absolute weighted
     delta, ties broken by canonical tool order; its share of the total
-    delta is undefined (``None``) when the total is exactly zero.
+    delta is undefined (``None``) when the total is zero within
+    ``COMPOSITE_TOLERANCE``.
     """
     _require_same_weights(from_assessment, to_assessment)
     weights = to_assessment.weights.tool_weights
@@ -69,14 +81,13 @@ def decompose_delta(
     }
     total = sum(per_tool.values())
     dominant = max(ToolKind, key=lambda tool: abs(per_tool[tool]))
-    share = per_tool[dominant] / total if total != 0.0 else None
     return DeltaDecomposition(
         from_label=from_assessment.label,
         to_label=to_assessment.label,
         per_tool_delta=per_tool,
         total_delta=total,
         dominant_tool=dominant,
-        dominant_share=share,
+        dominant_share=_share(per_tool[dominant], total),
     )
 
 
@@ -123,15 +134,10 @@ def rank_contributions(
     """Deltas sorted by descending signed value, ties in canonical order.
 
     Shares are fractions of the total delta, or ``None`` when the total
-    is zero.
+    is zero within ``COMPOSITE_TOLERANCE``.
     """
-    ordered = sorted(ToolKind, key=lambda tool: -decomposition.per_tool_delta[tool])
-    total = decomposition.total_delta
+    deltas = decomposition.per_tool_delta
+    ordered = sorted(ToolKind, key=lambda tool: -deltas[tool])
     return [
-        (
-            tool,
-            decomposition.per_tool_delta[tool],
-            decomposition.per_tool_delta[tool] / total if total != 0.0 else None,
-        )
-        for tool in ordered
+        (tool, deltas[tool], _share(deltas[tool], decomposition.total_delta)) for tool in ordered
     ]

@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .analysis import decompose_delta, rank_contributions, trend_series
+from .analysis import decompose_delta
 from .config import CONFIG_ENV_VAR, AppConfig, load_config, load_manifest, load_weight_profile
 from .errors import AuditError, ParseError, ValidationError
 from .model import CompositeAssessment, NormalizedScore, ToolKind, WeightProfile, raw_report_to_dict
@@ -118,7 +118,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
             )
         )
     else:
-        _out(format_parse_text(score.tool, str(args.file), score.raw, score.value))
+        _out(format_parse_text(score, str(args.file)))
     return 0
 
 
@@ -205,11 +205,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
         for reference, file in zip(references, is_file)
     )
     decomposition = decompose_delta(from_assessment, to_assessment)
-    ranked = rank_contributions(decomposition)
     if args.json:
-        _out(json.dumps(compare_to_dict(decomposition, ranked), indent=2))
+        _out(json.dumps(compare_to_dict(decomposition), indent=2))
     else:
-        _out(format_compare_text(decomposition, ranked))
+        _out(format_compare_text(decomposition))
     return 0
 
 
@@ -233,18 +232,12 @@ def cmd_history(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     records = _latest_by_label(args.history or config.history_path, args.labels)
-    assessments = [record.assessment for record in records]
-    trends = trend_series(assessments) if len(assessments) >= 2 else None
-    decomposition = (
-        decompose_delta(assessments[0], assessments[-1]) if len(assessments) >= 2 else None
-    )
-    ranked = rank_contributions(decomposition) if decomposition is not None else None
     if args.format == "json":
-        _out(render_report_json(records, trends, decomposition, ranked))
+        _out(render_report_json(records))
     elif args.format == "text":
-        _out(render_report_text(records, trends, decomposition, ranked, args.timestamps))
+        _out(render_report_text(records, args.timestamps))
     else:
-        _out(render_report_markdown(records, trends, decomposition, ranked, args.timestamps))
+        _out(render_report_markdown(records, args.timestamps))
     return 0
 
 

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import math
 import os
+import reprlib
 import socket
 from dataclasses import dataclass, replace
+from enum import Enum
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 import yaml
 
@@ -55,6 +57,16 @@ class AppConfig:
     runner: RunnerSettings
 
 
+# YAML values appear in messages through ``_show``: a short scalar exactly as
+# ``repr`` shows it, anything longer or deeper cut short, since a few hundred
+# bytes of YAML aliases can nest into a value of megabytes.
+_SHORT = reprlib.Repr()
+_SHORT.maxlevel = 2
+_SHORT.maxlist = _SHORT.maxdict = _SHORT.maxset = 4
+_SHORT.maxstring = _SHORT.maxlong = _SHORT.maxother = 60
+_show = _SHORT.repr
+
+
 def _require_mapping(value: Any, context: str, code: str = "CONFIG_INVALID") -> Mapping:
     if not isinstance(value, Mapping):
         raise ValidationError(code, f"{context} must be a mapping")
@@ -74,7 +86,43 @@ def _tool_by_name(name: Any, context: str, code: str = "CONFIG_INVALID") -> Tool
     try:
         return ToolKind(str(name).replace("-", "_"))
     except ValueError:
-        raise ValidationError(code, f"{context}: unknown tool {name!r}") from None
+        raise ValidationError(code, f"{context}: unknown tool {_show(name)}") from None
+
+
+def _severity_by_name(name: Any, context: str, code: str = "CONFIG_INVALID") -> Severity:
+    """The severity a ``severity_weights`` key names, in any case."""
+    try:
+        return Severity(str(name).lower())
+    except ValueError:
+        raise ValidationError(code, f"{context}: unknown severity {_show(name)}") from None
+
+
+def _entries(
+    section: Mapping,
+    key_of: Callable[[Any, str, str], Enum],
+    context: str,
+    code: str = "CONFIG_INVALID",
+) -> Iterator[tuple[Enum, Any, Any]]:
+    """``(key, name, value)`` for each entry of a section keyed by tool or
+    severity, ``key`` being ``key_of(name, context, code)``. Two names of one
+    key (``vuln_scan`` and ``vuln-scan``) raise ``code``; neither wins."""
+    seen: dict[Enum, Any] = {}
+    for name, value in section.items():
+        key = key_of(name, context, code)
+        if key in seen:
+            raise ValidationError(
+                code, f"{context}: {_show(seen[key])} and {_show(name)} both name {key.value}"
+            )
+        seen[key] = name
+        yield key, name, value
+
+
+def _text(value: Any, context: str, code: str = "CONFIG_INVALID") -> str:
+    """A string setting: any scalar, kept as its string form; a list, mapping
+    or set raises ``code``."""
+    if isinstance(value, (Mapping, list, set)):
+        raise ValidationError(code, f"{context} must be a scalar, got {_show(value)}")
+    return str(value)
 
 
 def _number(value: Any, kind: type, context: str, code: str = "CONFIG_INVALID") -> Any:
@@ -86,7 +134,7 @@ def _number(value: Any, kind: type, context: str, code: str = "CONFIG_INVALID") 
             return number
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ValidationError(code, f"{context} must be a finite {kind.__name__}, got {value!r}")
+    raise ValidationError(code, f"{context} must be a finite {kind.__name__}, got {_show(value)}")
 
 
 def weights_from_mapping(data: Any, context: str = "weights") -> WeightProfile:
@@ -95,20 +143,12 @@ def weights_from_mapping(data: Any, context: str = "weights") -> WeightProfile:
     _reject_unknown(data, {"tool_weights", "severity_weights", *PENALTY_FIELDS}, context)
     defaults = WeightProfile()
     tool_weights = dict(defaults.tool_weights)
-    for name, value in _require_mapping(data.get("tool_weights", {}), f"{context}.tool_weights").items():
-        tool_weights[_tool_by_name(name, context)] = _number(
-            value, float, f"{context}.tool_weights.{name}"
-        )
+    section = _require_mapping(data.get("tool_weights", {}), f"{context}.tool_weights")
+    for tool, name, value in _entries(section, _tool_by_name, context):
+        tool_weights[tool] = _number(value, float, f"{context}.tool_weights.{name}")
     severity_weights = dict(defaults.severity_weights)
-    for name, value in _require_mapping(
-        data.get("severity_weights", {}), f"{context}.severity_weights"
-    ).items():
-        try:
-            severity = Severity(str(name).lower())
-        except ValueError:
-            raise ValidationError(
-                "CONFIG_INVALID", f"{context}: unknown severity {name!r}"
-            ) from None
+    section = _require_mapping(data.get("severity_weights", {}), f"{context}.severity_weights")
+    for severity, name, value in _entries(section, _severity_by_name, context):
         severity_weights[severity] = _number(value, float, f"{context}.severity_weights.{name}")
     penalties = {
         name: _number(data.get(name, getattr(defaults, name)), float, f"{context}.{name}")
@@ -139,15 +179,15 @@ def _load_yaml(path: Path, code: str = "CONFIG_INVALID") -> Any:
 
 def _runner_from_mapping(data: Mapping) -> RunnerSettings:
     _reject_unknown(data, {"output_dir", "target", "datastream", "tools", "init"}, "runner")
-    output_dir = Path(str(data.get("output_dir", DEFAULT_OUTPUT_DIR)))
+    output_dir = Path(_text(data.get("output_dir", DEFAULT_OUTPUT_DIR), "runner.output_dir"))
     checks = {
         tool: ToolInvocation(
             tool, spec.command, output_dir / spec.output_name, DEFAULT_TIMEOUT, spec.exit_codes
         )
         for tool, spec in TOOLS.items()
     }
-    for name, entry in _require_mapping(data.get("tools", {}), "runner.tools").items():
-        tool = _tool_by_name(name, "runner.tools")
+    tools = _require_mapping(data.get("tools", {}), "runner.tools")
+    for tool, name, entry in _entries(tools, _tool_by_name, "runner.tools"):
         context = f"runner.tools.{name}"
         entry = _require_mapping(entry, context)
         _reject_unknown(entry, {"command", "timeout", "exit_codes", "output"}, context)
@@ -164,8 +204,10 @@ def _runner_from_mapping(data: Mapping) -> RunnerSettings:
             )
         checks[tool] = ToolInvocation(
             tool,
-            str(entry.get("command", base.command_template)),
-            output_dir / str(entry["output"]) if "output" in entry else base.output_path,
+            _text(entry.get("command", base.command_template), f"{context}.command"),
+            output_dir / _text(entry["output"], f"{context}.output")
+            if "output" in entry
+            else base.output_path,
             timeout,
             frozenset(_number(code, int, f"{context}.exit_codes") for code in exit_codes),
         )
@@ -186,8 +228,8 @@ def _runner_from_mapping(data: Mapping) -> RunnerSettings:
         for tool, spec in TOOLS.items()
         if spec.init_command
     }
-    for name, entry in _require_mapping(data.get("init", {}), "runner.init").items():
-        tool = _tool_by_name(name, "runner.init")
+    init = _require_mapping(data.get("init", {}), "runner.init")
+    for tool, name, entry in _entries(init, _tool_by_name, "runner.init"):
         context = f"runner.init.{name}"
         if tool not in inits:
             raise ValidationError(
@@ -196,14 +238,14 @@ def _runner_from_mapping(data: Mapping) -> RunnerSettings:
         entry = _require_mapping(entry, context)
         _reject_unknown(entry, {"command", "database"}, context)
         invocation, database = inits[tool]
-        command = str(entry.get("command", invocation.command_template))
+        command = _text(entry.get("command", invocation.command_template), f"{context}.command")
         inits[tool] = (
             replace(invocation, command_template=command),
-            Path(str(entry.get("database", database))),
+            Path(_text(entry.get("database", database), f"{context}.database")),
         )
     substitutions = {
-        "target": str(data.get("target", DEFAULT_TARGET)),
-        "datastream": str(data.get("datastream", DEFAULT_DATASTREAM)),
+        "target": _text(data.get("target", DEFAULT_TARGET), "runner.target"),
+        "datastream": _text(data.get("datastream", DEFAULT_DATASTREAM), "runner.datastream"),
     }
     return RunnerSettings(checks=checks, inits=inits, substitutions=substitutions)
 
@@ -220,7 +262,7 @@ def load_config(path: Path | str | None = None) -> AppConfig:
     _reject_unknown(data, {"weights", "history", "runner"}, str(path))
     weights = weights_from_mapping(data.get("weights", {}))
     runner = _runner_from_mapping(_require_mapping(data.get("runner", {}), "runner"))
-    history = Path(str(data.get("history", DEFAULT_HISTORY_PATH)))
+    history = Path(_text(data.get("history", DEFAULT_HISTORY_PATH), "history"))
     return AppConfig(weights=weights, history_path=history, runner=runner)
 
 
@@ -256,8 +298,7 @@ def load_manifest(path: Path) -> Manifest:
     reports = _require_mapping(data.get("reports", {}), f"{path}: 'reports'", invalid)
     base = path.parent
     entries: dict[ToolKind, ManifestEntry] = {}
-    for name, value in reports.items():
-        tool = _tool_by_name(name, str(path), invalid)
+    for tool, name, value in _entries(reports, _tool_by_name, str(path), invalid):
         context = f"{path}: {name}"
         if isinstance(value, str):
             entries[tool] = ManifestEntry(path=base / value)
@@ -273,22 +314,16 @@ def load_manifest(path: Path) -> Manifest:
         firewall = value.get("firewall")
         if firewall is not None and not isinstance(firewall, bool):
             raise ValidationError(
-                invalid, f"{context}: firewall must be true or false, got {firewall!r}"
+                invalid, f"{context}: firewall must be true or false, got {_show(firewall)}"
             )
         if has_path:
-            entries[tool] = ManifestEntry(path=base / str(value["path"]), firewall=firewall)
+            report = _text(value["path"], f"{context}: path", invalid)
+            entries[tool] = ManifestEntry(path=base / report, firewall=firewall)
         else:
             score = _number(value["score"], float, f"{context}: score", invalid)
             entries[tool] = ManifestEntry(score=score, firewall=firewall)
-    return Manifest(
-        label=_manifest_name(data.get("label"), f"{path}: label"),
-        host=_manifest_name(data.get("host"), f"{path}: host"),
-        entries=entries,
+    label, host = (
+        None if data.get(key) is None else _text(data[key], f"{path}: {key}", invalid)
+        for key in ("label", "host")
     )
-
-
-def _manifest_name(value: Any, context: str) -> str | None:
-    """A manifest ``label``/``host``: a scalar, kept as its string form."""
-    if isinstance(value, (Mapping, list, set)):
-        raise ValidationError("MANIFEST_INVALID", f"{context} must be a scalar, got {value!r}")
-    return None if value is None else str(value)
+    return Manifest(label=label, host=host, entries=entries)

@@ -74,9 +74,27 @@ def classify_severity(cvss: float) -> Severity:
     return Severity.LOW
 
 
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+
+
+def _require_kind(name: str, value: object, kind: type) -> None:
+    """Raise unless ``value`` is exactly a ``kind`` (for ``float``, any number).
+
+    A stored field may be any JSON value, and none is coerced: ``bool("no")``
+    is true, and ``true`` would pass for the number 1.
+    """
+    if _is_number(value) if kind is float else type(value) is kind:
+        return
+    code = "VALUE_NOT_INTEGER" if kind is int else "VALUE_WRONG_TYPE"
+    raise ValidationError(code, f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
 def _require_non_negative(name: str, value: int) -> None:
-    if type(value) is not int:  # a stored count may be any JSON value
-        raise ValidationError("VALUE_NOT_INTEGER", f"{name} must be an integer, got {value!r}")
+    _require_kind(name, value, int)
     if value < 0:
         raise ValidationError("VALUE_OUT_OF_RANGE", f"{name} must be non-negative, got {value}")
 
@@ -86,8 +104,10 @@ class LynisReport:
     """Raw metrics from a system audit: the tool's own 0-100 index."""
 
     hardening_index: int
+    tool = ToolKind.LYNIS  # a class attribute, not a field: whose report this is
 
     def __post_init__(self):
+        _require_kind("hardening_index", self.hardening_index, int)
         if not 0 <= self.hardening_index <= 100:
             raise ValidationError(
                 "VALUE_OUT_OF_RANGE",
@@ -103,6 +123,10 @@ class ScapReport:
     pass_count: int
     fail_count: int
 
+    @property
+    def tool(self) -> ToolKind:
+        return self.profile.tool
+
     def __post_init__(self):
         _require_non_negative("pass_count", self.pass_count)
         _require_non_negative("fail_count", self.fail_count)
@@ -115,6 +139,7 @@ class AideReport:
     added: int
     removed: int
     changed: int
+    tool = ToolKind.AIDE
 
     def __post_init__(self):
         _require_non_negative("added", self.added)
@@ -132,6 +157,7 @@ class TripwireReport:
 
     objects_scanned: int
     violations: int
+    tool = ToolKind.TRIPWIRE
 
     def __post_init__(self):
         _require_non_negative("objects_scanned", self.objects_scanned)
@@ -160,7 +186,11 @@ class VulnFinding:
     description: str = ""
 
     def __post_init__(self):
+        _require_kind("identifier", self.identifier, str)
+        _require_kind("confirmed", self.confirmed, bool)
+        _require_kind("description", self.description, str)
         if self.cvss is not None:
+            _require_kind("cvss", self.cvss, float)
             expected = classify_severity(self.cvss)
             if expected is not self.severity:
                 raise ValidationError(
@@ -168,10 +198,12 @@ class VulnFinding:
                     f"finding {self.identifier}: cvss {self.cvss} maps to "
                     f"{expected.value}, not {self.severity.value}",
                 )
-        if self.port is not None and not 1 <= self.port <= 65535:
-            raise ValidationError(
-                "VALUE_OUT_OF_RANGE", f"port must be in [1, 65535], got {self.port}"
-            )
+        if self.port is not None:
+            _require_kind("port", self.port, int)
+            if not 1 <= self.port <= 65535:
+                raise ValidationError(
+                    "VALUE_OUT_OF_RANGE", f"port must be in [1, 65535], got {self.port}"
+                )
 
 
 @dataclass(frozen=True)
@@ -183,9 +215,11 @@ class VulnReport:
     firewall_active: bool
     findings: tuple[VulnFinding, ...] = ()
     confirmed_count: int = 0
+    tool = ToolKind.VULN_SCAN
 
     def __post_init__(self):
         object.__setattr__(self, "findings", tuple(self.findings))
+        _require_kind("firewall_active", self.firewall_active, bool)
         _require_non_negative("open_ports", self.open_ports)
         _require_non_negative("filtered_ports", self.filtered_ports)
         _require_non_negative("confirmed_count", self.confirmed_count)
@@ -248,10 +282,11 @@ class WeightProfile:
 
 
 def _require_weight(value: float, name: str, key: Enum | None = None) -> None:
-    if value >= 0 and math.isfinite(value):
+    if _is_number(value) and value >= 0 and math.isfinite(value):
         return
     if key is not None:
         name = f"{name}[{key.value}]"
+    _require_kind(name, value, float)
     if not math.isfinite(value):
         raise ValidationError("WEIGHT_NOT_FINITE", f"{name} is not finite ({value})")
     raise ValidationError("WEIGHT_NEGATIVE", f"{name} is negative ({value})")
@@ -261,8 +296,9 @@ def validate_weights(profile: WeightProfile) -> WeightProfile:
     """Check a weight profile, as every one is when built, and return it unchanged.
 
     Raises :class:`ValidationError` naming the offending entry with code
-    ``TOOL_MISSING``, ``SEVERITY_MISSING``, ``WEIGHT_NOT_FINITE`` (NaN or
-    infinite), ``WEIGHT_NEGATIVE`` or ``WEIGHT_SUM_INVALID``. Validation
+    ``TOOL_MISSING``, ``SEVERITY_MISSING``, ``VALUE_WRONG_TYPE`` (not a
+    number, a bool included), ``WEIGHT_NOT_FINITE`` (NaN or infinite),
+    ``WEIGHT_NEGATIVE`` or ``WEIGHT_SUM_INVALID``. Validation
     iterates tools in canonical order, so the outcome is independent of
     map insertion order.
     """
@@ -300,7 +336,8 @@ class NormalizedScore:
     """A tool identity plus its 0-100 score and the raw metrics behind it.
 
     ``raw`` is ``None`` for scores supplied out-of-band (manifest entries
-    that carry a literal score instead of a report file).
+    that carry a literal score instead of a report file); otherwise it is
+    a report of ``tool``.
     """
 
     tool: ToolKind
@@ -308,10 +345,16 @@ class NormalizedScore:
     raw: RawToolReport | None = None
 
     def __post_init__(self):
+        _require_kind("score value", self.value, float)
         if not 0.0 <= self.value <= 100.0:
             raise ValidationError(
                 "VALUE_OUT_OF_RANGE",
                 f"{self.tool.value} score must be in [0, 100], got {self.value}",
+            )
+        if self.raw is not None and self.raw.tool is not self.tool:
+            raise ValidationError(
+                "TOOL_MISMATCH",
+                f"{self.tool.value} score carries a {self.raw.tool.value} report",
             )
 
 
@@ -360,7 +403,8 @@ class DeltaDecomposition:
     """Per-tool weighted score change between two assessments.
 
     ``dominant_share`` is the dominant tool's fraction of the total delta
-    and is ``None`` when the total delta is exactly zero.
+    and is ``None`` when the total delta is zero within
+    ``COMPOSITE_TOLERANCE``.
     """
 
     from_label: str
@@ -399,7 +443,7 @@ def finding_from_dict(data: Mapping) -> VulnFinding:
     return VulnFinding(
         identifier=data["identifier"],
         severity=Severity(data["severity"]),
-        confirmed=bool(data["confirmed"]),
+        confirmed=data["confirmed"],
         cvss=data.get("cvss"),
         port=data.get("port"),
         description=data.get("description", ""),

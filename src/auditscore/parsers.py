@@ -137,6 +137,18 @@ def _localname(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
+def _xml_root(text: str, source: str) -> ET.Element:
+    try:
+        return ET.fromstring(text)
+    except ET.ParseError as exc:
+        raise ParseError("MALFORMED_XML", str(exc), source) from None
+
+
+def _line_of(text: str, pos: int) -> int:
+    """The 1-based line number of offset ``pos`` in ``text``."""
+    return text.count("\n", 0, pos) + 1
+
+
 def parse_xccdf(
     result_xml: str, profile: ScapProfile, source: str = "<string>"
 ) -> tuple[ScapReport, ParseDiagnostics]:
@@ -151,10 +163,7 @@ def parse_xccdf(
     were ignored. Namespace-agnostic: any XCCDF version parses.
     """
     diagnostics = ParseDiagnostics(source, profile.tool)
-    try:
-        root = ET.fromstring(result_xml)
-    except ET.ParseError as exc:
-        raise ParseError("MALFORMED_XML", str(exc), source) from None
+    root = _xml_root(result_xml, source)
     rule_results, test_results = [], 0
     for el in root.iter():  # document order: each TestResult starts afresh
         name = _localname(el.tag)
@@ -225,8 +234,7 @@ def parse_aide(report_text: str, source: str = "<string>") -> tuple[AideReport, 
             diagnostics.warn(f"duplicate '{found.group(1)} entries' line; keeping first value")
             continue
         counts[key] = value
-        lineno = report_text.count("\n", 0, found.start()) + 1
-        diagnostics.note(f"{key} entries={value} (line {lineno})")
+        diagnostics.note(f"{key} entries={value} (line {_line_of(report_text, found.start())})")
     if not counts:
         if _AIDE_NO_CHANGES.search(report_text):
             diagnostics.note("no-differences report; all counts zero")
@@ -266,8 +274,8 @@ def parse_tripwire(
         raise ParseError("SUMMARY_MISSING", "missing " + " and ".join(missing), source)
     objects_scanned = _count(objects_match.group(1).replace(",", ""), "objects scanned", source)
     violations = _count(violations_match.group(1).replace(",", ""), "violations", source)
-    objects_line = report_text.count("\n", 0, objects_match.start()) + 1
-    violations_line = report_text.count("\n", 0, violations_match.start()) + 1
+    objects_line = _line_of(report_text, objects_match.start())
+    violations_line = _line_of(report_text, violations_match.start())
     diagnostics.note(f"objects scanned={objects_scanned} (line {objects_line})")
     diagnostics.note(f"violations={violations} (line {violations_line})")
     if violations > objects_scanned:
@@ -327,6 +335,13 @@ def _first_descriptive_line(output: str) -> str:
     return ""
 
 
+def _severity(cvss: float | None, keyword: Severity | None) -> Severity:
+    """The CVSS band when there is a score, else the keyword's severity, else low."""
+    if cvss is not None:
+        return classify_severity(cvss)
+    return keyword or Severity.LOW
+
+
 def _script_findings(
     script_el: ET.Element, port: int | None, diagnostics: ParseDiagnostics
 ) -> list[VulnFinding]:
@@ -370,25 +385,15 @@ def _script_findings(
         for identifier, cvss in cves.items():
             if cvss is None and len(cves) == 1:
                 cvss = global_cvss
-            if cvss is not None:
-                severity = classify_severity(cvss)
-            else:
-                severity = keyword_severity or Severity.LOW
-            findings.append(
-                VulnFinding(identifier, severity, confirmed, cvss, port, description)
-            )
+            severity = _severity(cvss, keyword_severity)
+            findings.append(VulnFinding(identifier, severity, confirmed, cvss, port, description))
             diagnostics.note(
                 f"finding {identifier} from script {script_id} ({where}), "
                 f"cvss={cvss}, confirmed={confirmed}"
             )
     elif confirmed:
-        if global_cvss is not None:
-            severity = classify_severity(global_cvss)
-        else:
-            severity = keyword_severity or Severity.LOW
-        findings.append(
-            VulnFinding(script_id, severity, True, global_cvss, port, description)
-        )
+        severity = _severity(global_cvss, keyword_severity)
+        findings.append(VulnFinding(script_id, severity, True, global_cvss, port, description))
         diagnostics.note(f"finding {script_id} ({where}), confirmed by state marker")
     return findings
 
@@ -407,10 +412,7 @@ def parse_nmap(
     ``extraports`` count that is not an integer).
     """
     diagnostics = ParseDiagnostics(source, ToolKind.VULN_SCAN)
-    try:
-        root = ET.fromstring(scan_xml)
-    except ET.ParseError as exc:
-        raise ParseError("MALFORMED_XML", str(exc), source) from None
+    root = _xml_root(scan_xml, source)
     # Outermost hosts in document order: one nested in another (nmap writes
     # none) is part of it, so each port counts once, in linear time.
     hosts, stack = [], [root]

@@ -11,8 +11,8 @@ from __future__ import annotations
 import json
 from typing import Sequence
 
-from .analysis import TrendTable
-from .model import CompositeAssessment, DeltaDecomposition, RawToolReport, ToolKind
+from .analysis import TrendTable, decompose_delta, rank_contributions, trend_series
+from .model import CompositeAssessment, DeltaDecomposition, NormalizedScore, RawToolReport, ToolKind
 from .scoring import RAW_SPECS, TOOLS
 from .store import HistoryRecord, record_to_json
 
@@ -49,21 +49,21 @@ def format_assessment_text(assessment: CompositeAssessment, host_label: str | No
     return "\n".join(lines)
 
 
-def format_parse_text(score_tool: ToolKind, source: str, raw: RawToolReport, value: float) -> str:
-    lines = [f"tool: {score_tool.value}", f"source: {source}", *RAW_SPECS[type(raw)].details(raw)]
-    lines.append(f"score: {value:.2f}")
+def format_parse_text(score: NormalizedScore, source: str) -> str:
+    lines = [f"tool: {score.tool.value}", f"source: {source}"]
+    lines += [*RAW_SPECS[type(score.raw)].details(score.raw), f"score: {score.value:.2f}"]
     return "\n".join(lines)
 
 
-def format_compare_text(
-    decomposition: DeltaDecomposition,
-    ranked: Sequence[tuple[ToolKind, float, float | None]],
-) -> str:
+def _share_text(share: float | None) -> str:
+    return "-" if share is None else f"{share * 100.0:.1f}%"
+
+
+def format_compare_text(decomposition: DeltaDecomposition) -> str:
     lines = [f"delta decomposition: {decomposition.from_label} -> {decomposition.to_label}"]
     lines.append(f"{'rank':<5} {'tool':<20} {'weighted delta':>14} {'share':>8}")
-    for position, (tool, delta, share) in enumerate(ranked, start=1):
-        share_text = "-" if share is None else f"{share * 100.0:.1f}%"
-        lines.append(f"{position:<5} {tool.value:<20} {delta:>+14.2f} {share_text:>8}")
+    for position, (tool, delta, share) in enumerate(rank_contributions(decomposition), start=1):
+        lines.append(f"{position:<5} {tool.value:<20} {delta:>+14.2f} {_share_text(share):>8}")
     lines.append(f"total delta: {decomposition.total_delta:+.2f}")
     if decomposition.dominant_share is None:
         lines.append("dominant: none (total delta is zero)")
@@ -76,10 +76,7 @@ def format_compare_text(
     return "\n".join(lines)
 
 
-def compare_to_dict(
-    decomposition: DeltaDecomposition,
-    ranked: Sequence[tuple[ToolKind, float, float | None]],
-) -> dict:
+def compare_to_dict(decomposition: DeltaDecomposition) -> dict:
     return {
         "from": decomposition.from_label,
         "to": decomposition.to_label,
@@ -91,7 +88,7 @@ def compare_to_dict(
         "dominant_share": decomposition.dominant_share,
         "ranked": [
             {"tool": tool.value, "delta": delta, "share": share}
-            for tool, delta, share in ranked
+            for tool, delta, share in rank_contributions(decomposition)
         ],
     }
 
@@ -101,18 +98,15 @@ def _score_matrix(records: Sequence[HistoryRecord]) -> list[list[str]]:
     assessments = [record.assessment for record in records]
     multi = len(assessments) > 1
     header = ["Tool"] + [a.label for a in assessments] + (["Change"] if multi else [])
+    series = [
+        (TOOLS[tool].display_name, [a.scores[tool].value for a in assessments])
+        for tool in ToolKind
+    ]
+    series.append(("Composite", [a.composite for a in assessments]))
     rows = [header]
-    for tool in ToolKind:
-        values = [a.scores[tool].value for a in assessments]
-        row = [TOOLS[tool].display_name] + [f"{v:.2f}" for v in values]
-        if multi:
-            row.append(change_cell(values[0], values[-1]))
-        rows.append(row)
-    composites = [a.composite for a in assessments]
-    total_row = ["Composite"] + [f"{c:.2f}" for c in composites]
-    if multi:
-        total_row.append(change_cell(composites[0], composites[-1]))
-    rows.append(total_row)
+    for name, values in series:
+        change = [change_cell(values[0], values[-1])] if multi else []
+        rows.append([name] + [f"{v:.2f}" for v in values] + change)
     return rows
 
 
@@ -136,47 +130,46 @@ def _text_table(rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def render_report_markdown(
+def _analysis(
     records: Sequence[HistoryRecord],
-    trends: TrendTable | None,
-    decomposition: DeltaDecomposition | None,
-    ranked: Sequence[tuple[ToolKind, float, float | None]] | None,
-    with_timestamps: bool = False,
-) -> str:
+) -> tuple[TrendTable | None, DeltaDecomposition | None]:
+    """Trends and the first-to-last decomposition; both ``None`` below two records."""
+    if len(records) < 2:
+        return None, None
+    assessments = [record.assessment for record in records]
+    return trend_series(assessments), decompose_delta(assessments[0], assessments[-1])
+
+
+def _timestamp_lines(records: Sequence[HistoryRecord], bullet: str) -> list[str]:
+    """One line per record with its timestamp and host, then a blank line."""
+    return [
+        f"{bullet}{record.assessment.label}: {record.assessment.timestamp.isoformat()} "
+        f"(host {record.host_label})"
+        for record in records
+    ] + [""]
+
+
+def render_report_markdown(records: Sequence[HistoryRecord], with_timestamps: bool = False) -> str:
+    trends, decomposition = _analysis(records)
     sections = ["# Security posture report", ""]
     if with_timestamps:
-        for record in records:
-            sections.append(
-                f"- {record.assessment.label}: {record.assessment.timestamp.isoformat()} "
-                f"(host {record.host_label})"
-            )
-        sections.append("")
-    sections.append("## Scores")
-    sections.append("")
+        sections.extend(_timestamp_lines(records, "- "))
     *rows, composite_row = _score_matrix(records)
-    sections.append(_markdown_table([*rows, [f"**{cell}**" for cell in composite_row]]))
-    sections.append("")
+    scores_table = _markdown_table([*rows, [f"**{cell}**" for cell in composite_row]])
+    sections += ["## Scores", "", scores_table, ""]
     if trends is not None:
-        sections.append("## Trends")
-        sections.append("")
         trend_rows = [["Tool", "Direction"]]
         for tool in ToolKind:
             trend_rows.append([TOOLS[tool].display_name, trends.directions[tool].value])
         trend_rows.append(["**Composite**", trends.composite_direction.value])
-        sections.append(_markdown_table(trend_rows))
-        sections.append("")
-    if decomposition is not None and ranked is not None:
-        sections.append(
-            f"## Change drivers: {decomposition.from_label} to {decomposition.to_label}"
-        )
-        sections.append("")
+        sections += ["## Trends", "", _markdown_table(trend_rows), ""]
+    if decomposition is not None:
         driver_rows = [["Rank", "Tool", "Weighted delta", "Share"]]
-        for position, (tool, delta, share) in enumerate(ranked, start=1):
-            share_text = "-" if share is None else f"{share * 100.0:.1f}%"
+        for position, (tool, delta, share) in enumerate(rank_contributions(decomposition), start=1):
             name = TOOLS[tool].display_name
-            driver_rows.append([str(position), name, f"{delta:+.2f}", share_text])
-        sections.append(_markdown_table(driver_rows))
-        sections.append("")
+            driver_rows.append([str(position), name, f"{delta:+.2f}", _share_text(share)])
+        heading = f"## Change drivers: {decomposition.from_label} to {decomposition.to_label}"
+        sections += [heading, "", _markdown_table(driver_rows), ""]
         if decomposition.dominant_share is None:
             sections.append("No dominant driver: the composite did not change.")
         else:
@@ -190,21 +183,11 @@ def render_report_markdown(
     return "\n".join(sections)
 
 
-def render_report_text(
-    records: Sequence[HistoryRecord],
-    trends: TrendTable | None,
-    decomposition: DeltaDecomposition | None,
-    ranked: Sequence[tuple[ToolKind, float, float | None]] | None,
-    with_timestamps: bool = False,
-) -> str:
+def render_report_text(records: Sequence[HistoryRecord], with_timestamps: bool = False) -> str:
+    trends, decomposition = _analysis(records)
     sections = ["security posture report", ""]
     if with_timestamps:
-        for record in records:
-            sections.append(
-                f"{record.assessment.label}: {record.assessment.timestamp.isoformat()} "
-                f"(host {record.host_label})"
-            )
-        sections.append("")
+        sections.extend(_timestamp_lines(records, ""))
     sections.append(_text_table(_score_matrix(records)))
     if trends is not None:
         sections.append("")
@@ -212,19 +195,15 @@ def render_report_text(
         for tool in ToolKind:
             sections.append(f"  {tool.value:<20} {trends.directions[tool].value}")
         sections.append(f"  {'composite':<20} {trends.composite_direction.value}")
-    if decomposition is not None and ranked is not None:
+    if decomposition is not None:
         sections.append("")
-        sections.append(format_compare_text(decomposition, ranked))
+        sections.append(format_compare_text(decomposition))
     sections.append("")
     return "\n".join(sections)
 
 
-def render_report_json(
-    records: Sequence[HistoryRecord],
-    trends: TrendTable | None,
-    decomposition: DeltaDecomposition | None,
-    ranked: Sequence[tuple[ToolKind, float, float | None]] | None,
-) -> str:
+def render_report_json(records: Sequence[HistoryRecord]) -> str:
+    trends, decomposition = _analysis(records)
     document = {
         "labels": [record.assessment.label for record in records],
         "records": [json.loads(record_to_json(record)) for record in records],
@@ -240,8 +219,6 @@ def render_report_json(
             "composite": list(trends.composite),
             "composite_direction": trends.composite_direction.value,
         },
-        "decomposition": None
-        if decomposition is None or ranked is None
-        else compare_to_dict(decomposition, ranked),
+        "decomposition": None if decomposition is None else compare_to_dict(decomposition),
     }
     return json.dumps(document, indent=2, sort_keys=False)

@@ -157,29 +157,25 @@ def orchestrate_scan(
             )
         seen.add(invocation.tool)
 
-    results: dict[ToolKind, InvocationResult | RunnerError] = {}
-
-    def _run(invocation: ToolInvocation) -> None:
+    def attempt(invocation: ToolInvocation) -> InvocationResult | RunnerError:
         try:
-            results[invocation.tool] = invoke_tool(invocation, substitutions)
+            return invoke_tool(invocation, substitutions)
         except RunnerError as exc:
-            results[invocation.tool] = exc
+            return exc
 
     if parallel and len(invocations) > 1:
         with ThreadPoolExecutor(max_workers=len(invocations)) as pool:
-            list(pool.map(_run, invocations))
+            results = list(pool.map(attempt, invocations))
     else:
-        for invocation in invocations:
-            _run(invocation)
+        results = list(map(attempt, invocations))
 
+    by_tool = {invocation.tool: result for invocation, result in zip(invocations, results)}
     outcome = ScanOutcome()
     for tool in ToolKind:
-        if tool not in results:
-            continue
-        result = results[tool]
+        result = by_tool.get(tool)
         if isinstance(result, RunnerError):
             outcome.failures[tool] = result
-        else:
+        elif result is not None:
             outcome.reports[tool] = result.report_path
     return outcome
 

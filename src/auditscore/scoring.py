@@ -57,7 +57,7 @@ from .parsers import (
 
 def normalize_lynis(report: LynisReport) -> NormalizedScore:
     """The hardening index is already a 0-100 score; pass it through."""
-    return NormalizedScore(ToolKind.LYNIS, float(report.hardening_index), report)
+    return NormalizedScore(report.tool, float(report.hardening_index), report)
 
 
 def normalize_scap(report: ScapReport) -> NormalizedScore:
@@ -73,7 +73,7 @@ def normalize_scap(report: ScapReport) -> NormalizedScore:
             "EMPTY_RESULT", f"{report.profile.value} report has no pass or fail results"
         )
     value = 100.0 * report.pass_count / evaluated
-    return NormalizedScore(report.profile.tool, value, report)
+    return NormalizedScore(report.tool, value, report)
 
 
 def normalize_aide(report: AideReport) -> NormalizedScore:
@@ -83,7 +83,7 @@ def normalize_aide(report: AideReport) -> NormalizedScore:
         value = 100.0
     else:
         value = max(0.0, 100.0 - 10.0 * math.log10(total))
-    return NormalizedScore(ToolKind.AIDE, value, report)
+    return NormalizedScore(report.tool, value, report)
 
 
 def normalize_tripwire(report: TripwireReport) -> NormalizedScore:
@@ -91,7 +91,7 @@ def normalize_tripwire(report: TripwireReport) -> NormalizedScore:
     if report.objects_scanned == 0:
         raise ScoringError("EMPTY_DATABASE", "tripwire report scanned zero objects")
     value = 100.0 * (report.objects_scanned - report.violations) / report.objects_scanned
-    return NormalizedScore(ToolKind.TRIPWIRE, value, report)
+    return NormalizedScore(report.tool, value, report)
 
 
 def vuln_penalty(report: VulnReport, profile: WeightProfile) -> float:
@@ -124,7 +124,7 @@ def normalize_vuln(report: VulnReport, profile: WeightProfile) -> NormalizedScor
     else:
         effective = raw_penalty
     value = min(100.0, max(0.0, 100.0 - effective))
-    return NormalizedScore(ToolKind.VULN_SCAN, value, report)
+    return NormalizedScore(report.tool, value, report)
 
 
 @dataclass(frozen=True)

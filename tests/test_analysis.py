@@ -77,6 +77,32 @@ def test_self_comparison_has_no_dominant_share(three_levels):
     assert decomposition.dominant_tool is ToolKind.LYNIS  # declaration-order tie break
 
 
+# Per-tool deltas that cancel to a rounding residue: +20 and -20 plus a
+# subnormal (1.5e-322) or a 1e-12-sized remainder. Composites are only
+# defined to 1e-9, so the total counts as zero and no share is computed.
+_NEAR_ZERO_PAIRS = {
+    "subnormal": ([0, 50, 50, 50, 100, 0], [100, 50, 50, 50, 0, 1e-321]),
+    "residue-1e-12": ([0, 50, 50, 50, 100, 0], [100, 50, 50, 50, 0, 1e-11]),
+}
+
+
+@pytest.mark.parametrize("before, after", _NEAR_ZERO_PAIRS.values(), ids=_NEAR_ZERO_PAIRS)
+def test_near_zero_total_has_no_dominant_share(before, after):
+    decomposition = decompose_delta(_assessment("before", before), _assessment("after", after))
+    assert 0.0 < abs(decomposition.total_delta) <= 1e-9
+    assert decomposition.dominant_tool is ToolKind.LYNIS
+    assert decomposition.dominant_share is None
+
+
+@pytest.mark.parametrize("before, after", _NEAR_ZERO_PAIRS.values(), ids=_NEAR_ZERO_PAIRS)
+def test_near_zero_total_ranks_without_shares(before, after):
+    ranked = rank_contributions(
+        decompose_delta(_assessment("before", before), _assessment("after", after))
+    )
+    assert [tool for tool, _, _ in ranked][0] is ToolKind.LYNIS
+    assert all(share is None for _, _, share in ranked)
+
+
 def test_single_tool_change_is_linear():
     before = _assessment("before", [50] * 6)
     values = [50] * 6

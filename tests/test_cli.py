@@ -25,6 +25,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _alias_bomb(levels=5, width=9):
+    """Nested lists that YAML writes with aliases: a few hundred bytes of file
+    for ``width ** levels`` leaves once loaded."""
+    value = "lol"
+    for _ in range(levels):
+        value = [value] * width
+    return value
+
+
 # ---------------------------------------------------------------------------
 # parse
 # ---------------------------------------------------------------------------
@@ -258,6 +267,8 @@ def _literal_manifest(tmp_path, vuln_entry):
         {"score": True},
         {"path": str(DATA_DIR / "nmap-baseline.xml"), "firewall": "maybe"},
         {"path": str(DATA_DIR / "nmap-baseline.xml"), "firewall": 1},
+        {"path": ["a", "b"]},
+        {"path": _alias_bomb()},
     ],
     ids=[
         "score-text",
@@ -268,6 +279,8 @@ def _literal_manifest(tmp_path, vuln_entry):
         "score-bool",
         "firewall-text",
         "firewall-int",
+        "path-list",
+        "path-alias-bomb",
     ],
 )
 def test_manifest_bad_score_or_firewall_exits_2(capsys, tmp_path, vuln_entry):
@@ -323,7 +336,9 @@ def _manifest_with(tmp_path, key, value):
 
 @pytest.mark.parametrize("key", ["label", "host"])
 @pytest.mark.parametrize(
-    "value", [[1, 2], [], {"a": 1}, {"a"}], ids=["list", "empty-list", "mapping", "set"]
+    "value",
+    [[1, 2], [], {"a": 1}, {"a"}, _alias_bomb()],
+    ids=["list", "empty-list", "mapping", "set", "alias-bomb"],
 )
 def test_manifest_non_scalar_label_or_host_exits_2(capsys, tmp_path, key, value):
     path = _manifest_with(tmp_path, key, value)
@@ -343,6 +358,67 @@ def test_manifest_scalar_label_or_host_is_stringified(capsys, tmp_path, key, val
     assert code == 0
     record = json.loads(out)
     assert (record["host_label"] if key == "host" else record["assessment"]["label"]) == stored
+
+
+@pytest.mark.parametrize(
+    "option, text",
+    [
+        ("--manifest", yaml.safe_dump({"label": _alias_bomb(), "reports": {}})),
+        ("--manifest", yaml.safe_dump({"reports": {"aide": {"path": _alias_bomb()}}})),
+        ("--manifest", yaml.safe_dump({"reports": {"aide": {"score": _alias_bomb()}}})),
+        ("--config", yaml.safe_dump({"history": _alias_bomb()})),
+        ("--config", yaml.safe_dump({"runner": {"tools": {"aide": {"command": _alias_bomb()}}}})),
+        ("--weights", yaml.safe_dump({"port_penalty": _alias_bomb()})),
+    ],
+    ids=["label", "report-path", "score", "history", "tool-command", "penalty"],
+)
+def test_yaml_alias_values_print_short_errors(capsys, data_dir, tmp_path, option, text):
+    """Five levels of nine aliases load as 59,049 leaves; the error stays short."""
+    path = tmp_path / "aliases.yaml"
+    path.write_text(text)
+    assert len(text) < 1024
+    manifest = data_dir / "manifest-baseline-literal.yaml"
+    # A repeated --manifest takes the last value.
+    code, out, err = run_cli(capsys, "score", "--manifest", str(manifest), option, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error[") and "[...]" in err
+    assert len(err.encode()) < 1024
+
+
+@pytest.mark.parametrize(
+    "option, text, names",
+    [
+        (
+            "--manifest",
+            "reports:\n  vuln_scan: {score: 0}\n  vuln-scan: {score: 99}\n",
+            "'vuln_scan' and 'vuln-scan' both name vuln_scan",
+        ),
+        (
+            "--config",
+            "runner:\n  tools:\n    openscap-cis: {timeout: 5}\n    openscap_cis: {}\n",
+            "'openscap-cis' and 'openscap_cis' both name openscap_cis",
+        ),
+        (
+            "--weights",
+            "tool_weights:\n  vuln_scan: 0.15\n  vuln-scan: 0.15\n",
+            "'vuln_scan' and 'vuln-scan' both name vuln_scan",
+        ),
+        (
+            "--weights",
+            "severity_weights:\n  High: 8\n  high: 80\n",
+            "'High' and 'high' both name high",
+        ),
+    ],
+    ids=["manifest-reports", "runner-tools", "tool-weights", "severity-weights"],
+)
+def test_section_key_named_twice_exits_2(capsys, data_dir, tmp_path, option, text, names):
+    path = tmp_path / "twice.yaml"
+    path.write_text(text)
+    manifest = data_dir / "manifest-baseline-literal.yaml"
+    code, out, err = run_cli(capsys, "score", "--manifest", str(manifest), option, str(path))
+    assert (code, out) == (2, "")
+    error_code = "MANIFEST_INVALID" if option == "--manifest" else "CONFIG_INVALID"
+    assert err.startswith(f"error[{error_code}]") and names in err
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +636,31 @@ def test_compare_identical_assessments(capsys, populated_history):
     assert code == 0
     assert "total delta: +0.00" in out
     assert "dominant: none" in out
+
+
+def test_compare_near_zero_total_prints_no_share(capsys, tmp_path):
+    """+20 and -20 that leave a subnormal total: no share, never ``inf%``."""
+    history = tmp_path / "history.jsonl"
+    for label, scores in (
+        ("before", [0, 50, 50, 50, 100, 0]),
+        ("after", [100, 50, 50, 50, 0, 1e-321]),
+    ):
+        manifest = tmp_path / f"{label}.yaml"
+        reports = {tool.value: {"score": score} for tool, score in zip(ToolKind, scores)}
+        manifest.write_text(yaml.safe_dump({"label": label, "reports": reports}))
+        assert main(["score", "--manifest", str(manifest), "--history", str(history)]) == 0
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, "compare", "before", "after", "--history", str(history))
+    assert code == 0
+    assert "inf" not in out
+    assert out.splitlines()[2].split() == ["1", "lynis", "+20.00", "-"]
+    assert "dominant: none (total delta is zero)" in out
+    code, out, _ = run_cli(
+        capsys, "compare", "before", "after", "--history", str(history), "--json"
+    )
+    document = json.loads(out)
+    assert document["dominant_share"] is None
+    assert [entry["share"] for entry in document["ranked"]] == [None] * 6
 
 
 def test_compare_unknown_label_exits_2(capsys, populated_history):
@@ -836,6 +937,15 @@ def test_invalid_config_exits_2(capsys, data_dir, tmp_path):
         "weights: " + "[" * 1000 + "]" * 1000 + "\n",
         "runner:\n  tools:\n    lynis:\n      timeout: 1.0e+7\n",
         "weights:\n  port_penalty: 2001-13-45\n",
+        "history: [a, b]\n",
+        yaml.safe_dump({"history": _alias_bomb()}),
+        "runner:\n  output_dir: {a: 1}\n",
+        "runner:\n  target: [a]\n",
+        "runner:\n  datastream: [a]\n",
+        "runner:\n  tools:\n    lynis:\n      command: [lynis, audit]\n",
+        "runner:\n  tools:\n    lynis:\n      output: {a: 1}\n",
+        "runner:\n  init:\n    aide:\n      command: [aide, --init]\n",
+        "runner:\n  init:\n    aide:\n      database: [a]\n",
     ],
     ids=[
         "timeout-text",
@@ -853,6 +963,15 @@ def test_invalid_config_exits_2(capsys, data_dir, tmp_path):
         "nested-too-deep",
         "timeout-too-large",
         "not-a-date",
+        "history-list",
+        "history-alias-bomb",
+        "output-dir-mapping",
+        "target-list",
+        "datastream-list",
+        "tool-command-list",
+        "tool-output-mapping",
+        "init-command-list",
+        "init-database-list",
     ],
 )
 def test_config_bad_values_exit_2(capsys, data_dir, tmp_path, config_text):

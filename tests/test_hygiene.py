@@ -1,0 +1,40 @@
+"""Source hygiene checks that need no linter: only the standard library's ``ast``."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "auditscore"
+
+# (module, name) pairs a module imports only so that callers can import them from it.
+RE_EXPORTS = {("scoring", "classify_severity")}
+
+
+def _imported_and_read(path: Path) -> tuple[list[str], set[str]]:
+    """The names ``path`` binds by import, anywhere in it, and the names it reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported, read
+
+
+@pytest.mark.parametrize(
+    "module", sorted(path.stem for path in SRC.glob("*.py") if path.name != "__init__.py")
+)
+def test_module_has_no_unused_imports(module):
+    imported, read = _imported_and_read(SRC / f"{module}.py")
+    unused = [name for name in imported if name not in read and (module, name) not in RE_EXPORTS]
+    assert unused == []
+
+
+def test_declared_re_exports_are_imported_and_not_read():
+    """A stale ``RE_EXPORTS`` entry would let a real unused import through."""
+    for module, name in RE_EXPORTS:
+        imported, read = _imported_and_read(SRC / f"{module}.py")
+        assert name in imported and name not in read

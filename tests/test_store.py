@@ -138,6 +138,23 @@ def test_valid_json_with_broken_invariants_is_corrupt(tmp_path):
             {"lynis": float("inf"), "openscap_standard": float("-inf"), "aide": 0.0,
              "tripwire": 0.0, "openscap_cis": 0.0, "vuln_scan": 0.0},
         ),
+        # Stored fields are checked, never coerced: bool("no") is true and
+        # true passes for the number 1.
+        (("assessment", "scores", "vuln_scan", "raw", "findings", 0, "confirmed"), "yes"),
+        (("assessment", "scores", "vuln_scan", "raw", "firewall_active"), "no"),
+        (("assessment", "scores", "lynis", "raw", "hardening_index"), 59.0),
+        (("assessment", "scores", "lynis", "raw", "hardening_index"), True),
+        (("assessment", "scores", "vuln_scan", "raw", "findings", 0, "port"), 22.0),
+        (("assessment", "scores", "vuln_scan", "raw", "findings", 0, "port"), True),
+        (("assessment", "scores", "lynis", "value"), True),
+        (("assessment", "weights", "port_penalty"), True),
+        (("assessment", "weights", "severity_weights", "high"), True),
+        (("assessment", "scores", "vuln_scan", "raw", "findings", 0, "identifier"), 7),
+        (("assessment", "scores", "vuln_scan", "raw", "findings", 5, "cvss"), True),
+        (("assessment", "scores", "vuln_scan", "raw", "findings", 5, "description"), 7),
+        # A score's raw report must be one of its own tool.
+        (("assessment", "scores", "aide", "raw"), {"kind": "lynis", "hardening_index": 59}),
+        (("assessment", "scores", "openscap_cis", "raw", "profile"), "standard"),
     ],
 )
 def test_wrong_shape_records_are_skipped(tmp_path, data_dir, path, value):
