@@ -15,7 +15,6 @@ import argparse
 import json
 import math
 import os
-import socket
 import sys
 from pathlib import Path
 
@@ -132,7 +131,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     profile = _profile_for(args, config)
     manifest = load_manifest(args.manifest)
     label = args.label or manifest.label or "assessment"
-    host = args.host or manifest.host or socket.gethostname()
+    host = args.host or manifest.host or os.uname().nodename
     scores: dict[ToolKind, NormalizedScore] = {}
     for tool, entry in manifest.entries.items():
         if entry.score is not None:
@@ -160,10 +159,9 @@ def cmd_score(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_history(
-    path: Path, host_filter: str | None = None, labels: set[str] | None = None
-) -> HistoryLoad:
-    loaded = load_history(path, host_filter=host_filter, labels=labels)
+def _load_history(path: Path, **options) -> HistoryLoad:
+    """``load_history(path, **options)``, warning of any skipped line."""
+    loaded = load_history(path, **options)
     if loaded.skipped:
         print(f"warning: skipped {loaded.skipped} corrupt line(s)", file=sys.stderr)
     return loaded
@@ -174,7 +172,7 @@ def _latest_by_label(history_path: Path, labels: list[str]) -> list[HistoryRecor
 
     The first label with no record raises ``UNKNOWN_LABEL``.
     """
-    loaded = _load_history(history_path, labels=set(labels))
+    loaded = _load_history(history_path, labels=set(labels), latest=True)
     latest = {record.assessment.label: record for record in loaded.records}
     for label in labels:
         if label not in latest:

@@ -10,16 +10,14 @@ schema.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import reprlib
-import socket
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
-
-import yaml
 
 from .errors import ValidationError
 from .model import PENALTY_FIELDS, Severity, ToolKind, WeightProfile
@@ -118,8 +116,10 @@ def _entries(
 
 
 def _text(value: Any, context: str, code: str = "CONFIG_INVALID") -> str:
-    """A string setting: any scalar, kept as its string form; a list, mapping
-    or set raises ``code``."""
+    """A string setting: any scalar, kept as its string form; an empty value
+    (YAML null), a list, a mapping or a set raises ``code``."""
+    if value is None:
+        raise ValidationError(code, f"{context} must not be empty")
     if isinstance(value, (Mapping, list, set)):
         raise ValidationError(code, f"{context} must be a scalar, got {_show(value)}")
     return str(value)
@@ -163,13 +163,57 @@ def load_weight_profile(path: Path | str) -> WeightProfile:
     return weights_from_mapping(data, context=str(path))
 
 
+@functools.cache
+def _unique_key_loader():
+    """PyYAML's safe loader, refusing a key given twice in one mapping.
+
+    A plain YAML load keeps the last of two equal keys, so a repeated tool
+    entry would silently replace the first. A key taken in through a ``<<``
+    merge may still be overridden.
+    """
+    import yaml
+
+    class UniqueKeyLoader(yaml.SafeLoader):
+        def __init__(self, stream):
+            super().__init__(stream)
+            self._checked = set()
+
+        def flatten_mapping(self, node):
+            # Every mapping is flattened before it is built, and flattening
+            # adds the merged keys to its own, so the check runs first.
+            if node not in self._checked:
+                self._checked.add(node)
+                seen = set()
+                for key_node, _ in node.value:
+                    if key_node.tag == "tag:yaml.org,2002:merge":
+                        continue
+                    key = self.construct_object(key_node)
+                    try:
+                        repeated = key in seen
+                        seen.add(key)
+                    except TypeError:  # unhashable: the base loader reports it
+                        continue
+                    if repeated:
+                        line = key_node.start_mark.line + 1
+                        raise yaml.constructor.ConstructorError(
+                            problem=f"repeated key {_show(key)} on line {line}"
+                        )
+            super().flatten_mapping(node)
+
+    return UniqueKeyLoader
+
+
 def _load_yaml(path: Path, code: str = "CONFIG_INVALID") -> Any:
+    # Imported here: it costs about 20 ms, and most history commands read
+    # no YAML file.
+    import yaml
+
     try:
         text = path.read_text(encoding="utf-8", errors="replace")
     except OSError as exc:
         raise ValidationError(code, f"cannot read {path}: {exc}") from exc
     try:
-        return yaml.safe_load(text) or {}
+        return yaml.load(text, Loader=_unique_key_loader()) or {}
     # A bad date or an integer of too many digits raises ValueError.
     except (yaml.YAMLError, ValueError) as exc:
         raise ValidationError(code, f"{path}: {exc}") from exc
@@ -213,7 +257,7 @@ def _runner_from_mapping(data: Mapping) -> RunnerSettings:
         )
     # An init logs next to the reports, accepts only exit 0 and gets the
     # time its check command gets.
-    hostname = socket.gethostname()
+    hostname = os.uname().nodename
     inits = {
         tool: (
             ToolInvocation(

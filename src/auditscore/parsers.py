@@ -16,9 +16,9 @@ auditable at debug verbosity.
 from __future__ import annotations
 
 import re
-import xml.etree.ElementTree as ET
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import ParseError
 from .model import (
@@ -33,6 +33,9 @@ from .model import (
     VulnReport,
     classify_severity,
 )
+
+if TYPE_CHECKING:
+    import xml.etree.ElementTree as ET
 
 # Any host filtering at least this many ports is treated as firewalled;
 # observed scans show either ~0 or tens of thousands of filtered ports,
@@ -138,6 +141,10 @@ def _localname(tag: str) -> str:
 
 
 def _xml_root(text: str, source: str) -> ET.Element:
+    # Imported here: only the two XML parsers use it, and every history
+    # command would pay for loading it.
+    import xml.etree.ElementTree as ET
+
     try:
         return ET.fromstring(text)
     except ET.ParseError as exc:

@@ -20,9 +20,6 @@ present unless forced.
 
 from __future__ import annotations
 
-import shlex
-import subprocess
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -64,6 +61,11 @@ class ScanOutcome:
 
 
 def _render_command(invocation: ToolInvocation, substitutions: Mapping[str, str]) -> list[str]:
+    # shlex, subprocess and the thread pool are imported where they are
+    # used: only ``run`` and ``init-integrity-db`` start processes, and
+    # every other command would pay for loading them.
+    import shlex
+
     values = {"output": str(invocation.output_path), **substitutions}
     try:
         # ``{output.x}`` and ``{output[x]}`` fail as lookups, an open quote in shlex.
@@ -90,6 +92,8 @@ def invoke_tool(
     ``TIMEOUT_EXCEEDED`` (partial output discarded),
     ``UNEXPECTED_EXIT_CODE`` or ``OUTPUT_MISSING``.
     """
+    import subprocess
+
     argv = _render_command(invocation, substitutions or {})
     output_path = invocation.output_path
     output_path.parent.mkdir(parents=True, exist_ok=True)
@@ -164,6 +168,8 @@ def orchestrate_scan(
             return exc
 
     if parallel and len(invocations) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=len(invocations)) as pool:
             results = list(pool.map(attempt, invocations))
     else:

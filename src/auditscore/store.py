@@ -261,32 +261,53 @@ def _line_spans(data: bytes, start: int):
         start = end + 1
 
 
-def _scan(data: bytes, index: _LineIndex, wanted) -> tuple[HistoryLoad, _LineIndex]:
+def _scan(
+    data: bytes, index: _LineIndex, wanted, latest: bool = False
+) -> tuple[HistoryLoad, _LineIndex]:
     """The records ``wanted(host_label, label)`` keeps, and the index of ``data``.
 
     Lines of the indexed prefix are decoded only when wanted; the rest of
-    ``data`` is scanned. Raises :class:`_StaleIndex` when an indexed line
-    does not pass the checks or keys its entry claims.
+    ``data`` is scanned. With ``latest``, wanted lines are decoded newest
+    first until each label has a record, and older lines are not decoded.
+    Raises :class:`_StaleIndex` when a decoded indexed line does not pass
+    the checks or keys its entry claims.
     """
     result = HistoryLoad(skipped=index.skipped)
     grown = _LineIndex(data.rfind(b"\n") + 1, index.skipped, list(index.lines))
 
-    def keep(payload, keys: tuple[int, str, str]) -> None:
-        try:
-            result.records.append(_record_from_payload(payload, keys))
-        except _CORRUPT:
-            result.skipped += 1
+    def decode(start: int, host_label: str, label: str, parsed=None) -> bool:
+        """Add the record of a wanted line, or count the line as skipped.
 
-    for start, host_label, label in index.lines:
-        if wanted(host_label, label):
+        ``parsed`` is the payload and keys of a line just scanned. Any other
+        line is parsed here and must have the labels noted for it, which for
+        an indexed line are its entry's.
+        """
+        if parsed is None:
+            end = data.find(b"\n", start)
             try:
-                payload = _parse_line(data[start : data.index(b"\n", start)])
+                payload = _parse_line(data[start : end if end >= 0 else len(data)])
                 keys = _line_keys(payload)
             except _CORRUPT as exc:
                 raise _StaleIndex(start) from exc
             if keys[1:] != (host_label, label):
                 raise _StaleIndex(start)
-            keep(payload, keys)
+            parsed = payload, keys
+        try:
+            result.records.append(_record_from_payload(*parsed))
+        except _CORRUPT:
+            result.skipped += 1
+            return False
+        return True
+
+    # With ``latest``, the wanted lines are only noted here, as
+    # ``(start, host_label, label)``, and decoded newest first below.
+    noted = []
+    for entry in index.lines:
+        if wanted(*entry[1:]):
+            if latest:
+                noted.append(entry)
+            else:
+                decode(*entry)
     for start, end in _line_spans(data, index.covered):
         complete = end < grown.covered  # a final line with no b"\n" may still grow
         try:
@@ -301,7 +322,16 @@ def _scan(data: bytes, index: _LineIndex, wanted) -> tuple[HistoryLoad, _LineInd
         if complete:
             grown.lines.append([start, *keys[1:]])
         if wanted(*keys[1:]):
-            keep(payload, keys)
+            if latest:
+                noted.append((start, *keys[1:]))
+            else:
+                decode(start, *keys[1:], (payload, keys))
+    if latest:
+        done = set()
+        for start, host_label, label in reversed(noted):
+            if label not in done and decode(start, host_label, label):
+                done.add(label)
+        result.records.reverse()
     return result, grown
 
 
@@ -309,6 +339,8 @@ def load_history(
     path: Path | str,
     host_filter: str | None = None,
     labels: Collection[str] | None = None,
+    *,
+    latest: bool = False,
 ) -> HistoryLoad:
     """Read records in file order, optionally filtered by host and label.
 
@@ -320,11 +352,17 @@ def load_history(
     shape, broken invariants) is also skipped and counted, so an unfiltered
     read counts every corrupt line. An empty file yields an empty result.
 
+    With ``latest``, only the newest record of each label is kept: the
+    lines that pass the filters are decoded newest first, one that fails
+    is skipped and counted and the next older line of its label is tried.
+    Lines older than a label's newest record are not decoded, so one of
+    them that would fail is not counted either.
+
     A filtered read of a regular file takes the checked lines of an
     unchanged prefix from the ``<history>.idx`` index, scans only the rest
     and extends the index; an unfiltered read scans the whole file and
-    leaves the index alone. An index entry that does not match its line
-    drops the index for a full scan.
+    leaves the index alone. An index entry that does not match its line,
+    found when the line is decoded, drops the index for a full scan.
     """
     path = Path(path)
     try:
@@ -348,10 +386,10 @@ def load_history(
         index_path = path.with_name(path.name + ".idx")
     index = (index_path and _read_index(index_path, data, info.st_uid)) or _LineIndex()
     try:
-        result, grown = _scan(data, index, wanted)
+        result, grown = _scan(data, index, wanted, latest)
     except _StaleIndex:
         index = _LineIndex()
-        result, grown = _scan(data, index, wanted)
+        result, grown = _scan(data, index, wanted, latest)
     if index_path and grown.covered > index.covered:
         _write_index(index_path, data, index, grown, stat.S_IMODE(info.st_mode) & 0o666)
     return result

@@ -269,6 +269,7 @@ def _literal_manifest(tmp_path, vuln_entry):
         {"path": str(DATA_DIR / "nmap-baseline.xml"), "firewall": 1},
         {"path": ["a", "b"]},
         {"path": _alias_bomb()},
+        {"path": None},
     ],
     ids=[
         "score-text",
@@ -281,6 +282,7 @@ def _literal_manifest(tmp_path, vuln_entry):
         "firewall-int",
         "path-list",
         "path-alias-bomb",
+        "path-empty",
     ],
 )
 def test_manifest_bad_score_or_firewall_exits_2(capsys, tmp_path, vuln_entry):
@@ -408,8 +410,37 @@ def test_yaml_alias_values_print_short_errors(capsys, data_dir, tmp_path, option
             "severity_weights:\n  High: 8\n  high: 80\n",
             "'High' and 'high' both name high",
         ),
+        (
+            "--manifest",
+            "reports:\n  lynis: {score: 0}\n  lynis: {score: 99}\n",
+            "repeated key 'lynis' on line 3",
+        ),
+        (
+            "--manifest",
+            "label: a\nreports: {}\nlabel: b\n",
+            "repeated key 'label' on line 3",
+        ),
+        (
+            "--config",
+            "runner:\n  target: a\n  datastream: b\n  target: c\n",
+            "repeated key 'target' on line 4",
+        ),
+        (
+            "--weights",
+            "port_penalty: 1\ntool_weights: {lynis: 0.2, lynis: 0.3}\n",
+            "repeated key 'lynis' on line 2",
+        ),
     ],
-    ids=["manifest-reports", "runner-tools", "tool-weights", "severity-weights"],
+    ids=[
+        "manifest-reports",
+        "runner-tools",
+        "tool-weights",
+        "severity-weights",
+        "repeated-report",
+        "repeated-label",
+        "repeated-target",
+        "repeated-weight",
+    ],
 )
 def test_section_key_named_twice_exits_2(capsys, data_dir, tmp_path, option, text, names):
     path = tmp_path / "twice.yaml"
@@ -419,6 +450,23 @@ def test_section_key_named_twice_exits_2(capsys, data_dir, tmp_path, option, tex
     assert (code, out) == (2, "")
     error_code = "MANIFEST_INVALID" if option == "--manifest" else "CONFIG_INVALID"
     assert err.startswith(f"error[{error_code}]") and names in err
+
+
+def test_yaml_merge_key_may_be_overridden(capsys, tmp_path):
+    manifest = tmp_path / "merged.yaml"
+    manifest.write_text(
+        "reports:\n  lynis: &base {score: 10}\n  aide: {<<: *base, score: 20}\n"
+        "  tripwire: {<<: *base}\n  openscap_standard: {score: 30}\n"
+        "  openscap_cis: {score: 40}\n  vuln_scan: {score: 50}\n"
+    )
+    code, out, err = run_cli(capsys, "score", "--manifest", str(manifest), "--json")
+    assert (code, err) == (0, "")
+    scores = json.loads(out)["assessment"]["scores"]
+    assert {tool: scores[tool]["value"] for tool in ("lynis", "aide", "tripwire")} == {
+        "lynis": 10.0,
+        "aide": 20.0,
+        "tripwire": 10.0,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +578,19 @@ def test_label_readers_fall_back_past_deep_invalid_latest_record(capsys, populat
     assert code == 0
     assert out == expected
     assert err == "warning: skipped 1 corrupt line(s)\n"
+
+
+@pytest.mark.parametrize("argv", _LABEL_READERS)
+def test_label_readers_do_not_decode_lines_older_than_the_latest_record(
+    capsys, populated_history, argv
+):
+    history = ["--history", str(populated_history)]
+    _, expected, _ = run_cli(capsys, *argv, *history)
+    full = populated_history.read_text().splitlines()[2]
+    _append_deep_invalid(populated_history, "full")
+    with open(populated_history, "a") as handle:
+        handle.write(full + "\n")
+    assert run_cli(capsys, *argv, *history) == (0, expected, "")
 
 
 @pytest.mark.parametrize(
@@ -946,6 +1007,11 @@ def test_invalid_config_exits_2(capsys, data_dir, tmp_path):
         "runner:\n  tools:\n    lynis:\n      output: {a: 1}\n",
         "runner:\n  init:\n    aide:\n      command: [aide, --init]\n",
         "runner:\n  init:\n    aide:\n      database: [a]\n",
+        "history:\n",
+        "runner:\n  target:\n",
+        "runner:\n  output_dir:\n",
+        "runner:\n  tools:\n    lynis:\n      command:\n",
+        "runner:\n  init:\n    aide:\n      database:\n",
     ],
     ids=[
         "timeout-text",
@@ -972,6 +1038,11 @@ def test_invalid_config_exits_2(capsys, data_dir, tmp_path):
         "tool-output-mapping",
         "init-command-list",
         "init-database-list",
+        "history-empty",
+        "target-empty",
+        "output-dir-empty",
+        "tool-command-empty",
+        "init-database-empty",
     ],
 )
 def test_config_bad_values_exit_2(capsys, data_dir, tmp_path, config_text):
@@ -1187,3 +1258,41 @@ def test_subcommand_takes_only_the_options_it_reads(capsys, command, option, kep
     assert exited.value.code == 2
     assert "unrecognized arguments: " + " ".join(_SHARED_OPTION_ARGS[option]) in err
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# cold start: what importing the CLI loads
+# ---------------------------------------------------------------------------
+
+# Only ``parse``, ``score``, ``run``, ``init-integrity-db`` or a YAML file
+# need these; every history query is a fresh process and would pay for them.
+_DEFERRED_MODULES = (
+    "yaml",
+    "subprocess",
+    "shlex",
+    "concurrent.futures",
+    "xml.etree.ElementTree",
+    "socket",
+)
+# The layers whose functions perfbench/tracing.py wraps right after
+# importing the CLI: the package keeps importing them eagerly.
+_LAYER_MODULES = tuple(
+    f"auditscore.{name}"
+    for name in ("cli", "config", "parsers", "scoring", "store", "analysis", "render")
+)
+
+
+def test_cli_import_loads_the_layers_and_defers_what_few_commands_use():
+    # Only what the import adds counts: site may load modules of its own.
+    probe = (
+        "import sys; before = set(sys.modules); import auditscore.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(auditscore.__file__).parents[1]))
+    completed = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (completed.returncode, completed.stderr) == (0, "")
+    loaded = set(completed.stdout.split())
+    assert [name for name in _DEFERRED_MODULES if name in loaded] == []
+    assert [name for name in _LAYER_MODULES if name not in loaded] == []

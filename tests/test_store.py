@@ -296,6 +296,24 @@ def test_filtered_load_equals_unfiltered_load_then_filtered(
         kind not in ("valid", "blank") and (not kind.startswith("deep") or kept(label, host))
         for kind, label, host in lines
     )
+    # A newest-only read keeps the last record of each label; of the lines
+    # the filters keep, it decodes each label's newest first, down to the
+    # first that is valid, so only deep-invalid lines newer than it count.
+    newest = load_history(path, host_filter=host_filter, labels=labels, latest=True)
+    last = {record.assessment.label: at for at, record in enumerate(filtered.records)}
+    assert newest.records == [
+        record for at, record in enumerate(filtered.records) if last[record.assessment.label] == at
+    ]
+    found, deep_newer = set(), 0
+    for kind, label, host in reversed(lines):
+        if kept(label, host) and label not in found:
+            if kind == "valid":
+                found.add(label)
+            deep_newer += kind.startswith("deep")
+    shallow = sum(
+        kind not in ("valid", "blank") and not kind.startswith("deep") for kind, _, _ in lines
+    )
+    assert newest.skipped == shallow + deep_newer
 
 
 def test_unicode_line_separator_inside_a_string_is_kept(tmp_path):
@@ -315,8 +333,9 @@ def test_unicode_line_separator_inside_a_string_is_kept(tmp_path):
 _CORRUPT = (ValueError, KeyError, TypeError, AttributeError, RecursionError, AuditError)
 
 
-def _plain_load(path, host_filter=None, labels=None):
+def _plain_load(path, host_filter=None, labels=None, latest=False):
     result = HistoryLoad()
+    decoded = []  # (label, record or None if it fails) of each line the filters keep
     for line in path.read_bytes().split(b"\n"):
         try:
             text = line.decode("utf-8")
@@ -337,18 +356,37 @@ def _plain_load(path, host_filter=None, labels=None):
             continue
         if (host_filter is None or host == host_filter) and (labels is None or label in labels):
             try:
-                result.records.append(record_from_json(text))
+                decoded.append((label, record_from_json(text)))
             except _CORRUPT:
+                decoded.append((label, None))
+    if latest:
+        # Newest first: lines older than a label's newest record are not decoded.
+        newest = {}
+        for label, record in reversed(decoded):
+            if label in newest:
+                continue
+            if record is None:
                 result.skipped += 1
+            else:
+                newest[label] = record
+        result.records = list(newest.values())[::-1]
+    else:
+        result.records = [record for _, record in decoded if record is not None]
+        result.skipped += len(decoded) - len(result.records)
     return result
 
 
+# (host_filter, labels, latest) of each read. A newest-only read checks
+# only the index entries of the lines it decodes, so a forged entry for an
+# older line can hide a record from it; it comes right after a read of the
+# same host and labels, which checks every entry that claims them.
 _READS = (
-    (None, None),
-    ("alpha", None),
-    ("gamma", None),
-    (None, frozenset({"baseline"})),
-    ("beta", frozenset({"partial", "full"})),
+    (None, None, False),
+    ("alpha", None, False),
+    ("gamma", None, False),
+    (None, frozenset({"baseline"}), False),
+    ("beta", frozenset({"partial", "full"}), False),
+    ("beta", frozenset({"partial", "full"}), True),
 )
 _BYTE_LINES = {
     "not-utf8": b'\xff\xfe{"x":1}',
@@ -468,6 +506,7 @@ def _edit_index(path, index, edit, sign):
 @example(steps=[("damage", "forged-corrupt")])
 @example(steps=[("damage", "tampered")])
 @example(steps=[("read", True), ("edit", 3)])
+@example(steps=[("append", ("valid", "full", "beta"), False)])
 @settings(max_examples=100, deadline=None)
 def test_indexed_reads_equal_a_plain_reader(tmp_path_factory, steps):
     directory = tmp_path_factory.mktemp("store")
@@ -537,15 +576,25 @@ def test_indexed_reads_equal_a_plain_reader(tmp_path_factory, steps):
             _drop_index(index)
             index.symlink_to(target)
         before = _index_state(index)
-        for host_filter, labels in _READS:
-            loaded = load_history(path, host_filter=host_filter, labels=labels)
-            expected = _plain_load(path, host_filter, labels)
+        for host_filter, labels, latest in _READS:
+            loaded = load_history(path, host_filter=host_filter, labels=labels, latest=latest)
+            expected = _plain_load(path, host_filter, labels, latest)
             assert (loaded.records, loaded.skipped) == (expected.records, expected.skipped)
             if host_filter is None and labels is None:
                 # An unfiltered read neither writes nor replaces the index.
                 assert _index_state(index) == before
         if index.is_file() and not index.is_symlink():
             snapshots.append(index.read_bytes())
+
+
+def test_newest_only_read_checks_each_index_entry_it_decodes(tmp_path):
+    path = tmp_path / "history.jsonl"
+    path.write_text("".join(_LINES["valid", "full", host] + "\n" for host in ("alpha", "beta")))
+    # Each entry claims the host of the other line.
+    _edit_index(path, tmp_path / "history.jsonl.idx", _reverse_keys, True)
+    loaded = load_history(path, host_filter="beta", labels={"full"}, latest=True)
+    assert [record.host_label for record in loaded.records] == ["beta"]
+    assert loaded == _plain_load(path, "beta", {"full"}, latest=True)
 
 
 def _history(tmp_path, count=3):
