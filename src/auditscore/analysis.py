@@ -13,13 +13,7 @@ from enum import Enum
 from typing import Sequence
 
 from .errors import AnalysisError
-from .model import (
-    COMPOSITE_TOLERANCE,
-    CompositeAssessment,
-    DeltaDecomposition,
-    ToolKind,
-    tool_weights_match,
-)
+from .model import CompositeAssessment, DeltaDecomposition, ToolKind, tool_weights_match
 
 # Scores are conventionally reported to one decimal; endpoint moves
 # inside this band are noise, not a trend.
@@ -52,26 +46,10 @@ def _require_same_weights(reference: CompositeAssessment, other: CompositeAssess
         )
 
 
-def _share(delta: float, total: float) -> float | None:
-    """``delta`` as a fraction of ``total``, or ``None`` when the total is zero.
-
-    Composites are only defined to within ``COMPOSITE_TOLERANCE``, so a total
-    inside it is zero: dividing by the rounding residue left when per-tool
-    deltas cancel would print shares of 10^14 % or ``inf%``.
-    """
-    return None if abs(total) <= COMPOSITE_TOLERANCE else delta / total
-
-
 def decompose_delta(
     from_assessment: CompositeAssessment, to_assessment: CompositeAssessment
 ) -> DeltaDecomposition:
-    """Per-tool weighted score change between two assessments.
-
-    The dominant tool is the one with the largest absolute weighted
-    delta, ties broken by canonical tool order; its share of the total
-    delta is undefined (``None``) when the total is zero within
-    ``COMPOSITE_TOLERANCE``.
-    """
+    """Per-tool weighted score change between two assessments."""
     _require_same_weights(from_assessment, to_assessment)
     weights = to_assessment.weights.tool_weights
     per_tool = {
@@ -79,16 +57,7 @@ def decompose_delta(
         * (to_assessment.scores[tool].value - from_assessment.scores[tool].value)
         for tool in ToolKind
     }
-    total = sum(per_tool.values())
-    dominant = max(ToolKind, key=lambda tool: abs(per_tool[tool]))
-    return DeltaDecomposition(
-        from_label=from_assessment.label,
-        to_label=to_assessment.label,
-        per_tool_delta=per_tool,
-        total_delta=total,
-        dominant_tool=dominant,
-        dominant_share=_share(per_tool[dominant], total),
-    )
+    return DeltaDecomposition(from_assessment.label, to_assessment.label, per_tool)
 
 
 def _direction(first: float, last: float) -> Trend:
@@ -138,6 +107,4 @@ def rank_contributions(
     """
     deltas = decomposition.per_tool_delta
     ordered = sorted(ToolKind, key=lambda tool: -deltas[tool])
-    return [
-        (tool, deltas[tool], _share(deltas[tool], decomposition.total_delta)) for tool in ordered
-    ]
+    return [(tool, deltas[tool], decomposition.share(tool)) for tool in ordered]

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
+from types import MappingProxyType
 from typing import Callable, Mapping, Union
 
 from .errors import ScoringError, ValidationError
@@ -274,8 +275,6 @@ class WeightProfile:
     firewall_discount: float = 10.0
 
     def __post_init__(self):
-        from types import MappingProxyType
-
         object.__setattr__(self, "tool_weights", MappingProxyType(dict(self.tool_weights)))
         object.__setattr__(self, "severity_weights", MappingProxyType(dict(self.severity_weights)))
         validate_weights(self)
@@ -402,25 +401,35 @@ class CompositeAssessment:
 class DeltaDecomposition:
     """Per-tool weighted score change between two assessments.
 
-    ``dominant_share`` is the dominant tool's fraction of the total delta
-    and is ``None`` when the total delta is zero within
-    ``COMPOSITE_TOLERANCE``.
+    The total, the dominant tool (largest absolute delta, ties broken by
+    canonical tool order) and its share all follow from the per-tool deltas.
     """
 
     from_label: str
     to_label: str
     per_tool_delta: Mapping[ToolKind, float]
-    total_delta: float
-    dominant_tool: ToolKind
-    dominant_share: float | None
 
-    def __post_init__(self):
-        total = sum(self.per_tool_delta[tool] for tool in _TOOL_KINDS)
-        if abs(self.total_delta - total) > COMPOSITE_TOLERANCE:
-            raise ValidationError(
-                "COMPOSITE_MISMATCH",
-                f"total_delta {self.total_delta!r} != sum of per-tool deltas {total!r}",
-            )
+    @property
+    def total_delta(self) -> float:
+        return sum(self.per_tool_delta[tool] for tool in _TOOL_KINDS)
+
+    @property
+    def dominant_tool(self) -> ToolKind:
+        return max(_TOOL_KINDS, key=lambda tool: abs(self.per_tool_delta[tool]))
+
+    @property
+    def dominant_share(self) -> float | None:
+        return self.share(self.dominant_tool)
+
+    def share(self, tool: ToolKind) -> float | None:
+        """``tool``'s fraction of the total delta, or ``None`` when the total is zero.
+
+        Composites are only defined to within ``COMPOSITE_TOLERANCE``, so a total
+        inside it is zero: dividing by the rounding residue left when per-tool
+        deltas cancel would print shares of 10^14 % or ``inf%``.
+        """
+        total = self.total_delta
+        return None if abs(total) <= COMPOSITE_TOLERANCE else self.per_tool_delta[tool] / total
 
 
 # ---------------------------------------------------------------------------

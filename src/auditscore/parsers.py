@@ -27,7 +27,6 @@ from .model import (
     ScapProfile,
     ScapReport,
     Severity,
-    ToolKind,
     TripwireReport,
     VulnFinding,
     VulnReport,
@@ -54,10 +53,8 @@ _XCCDF_EXCLUDED = frozenset(
 
 @dataclass
 class ParseDiagnostics:
-    """Where a parse ran and what it noticed along the way."""
+    """What a parse noticed along the way."""
 
-    source_path: str
-    tool: ToolKind
     warnings: list[str] = field(default_factory=list)
     trace: list[str] = field(default_factory=list)
     excluded_results: dict[str, int] = field(default_factory=dict)
@@ -83,7 +80,7 @@ def parse_lynis(report_text: str, source: str = "<string>") -> tuple[LynisReport
     ``hardening_index`` line exists, ``VALUE_NOT_INTEGER`` or
     ``VALUE_OUT_OF_RANGE`` when the value is unusable.
     """
-    diagnostics = ParseDiagnostics(source, ToolKind.LYNIS)
+    diagnostics = ParseDiagnostics()
     matches: list[tuple[int, str]] = []
     for lineno, line in enumerate(report_text.splitlines(), start=1):
         stripped = line.strip()
@@ -169,7 +166,7 @@ def parse_xccdf(
     scored by the last in document order, with a warning naming how many
     were ignored. Namespace-agnostic: any XCCDF version parses.
     """
-    diagnostics = ParseDiagnostics(source, profile.tool)
+    diagnostics = ParseDiagnostics()
     root = _xml_root(result_xml, source)
     rule_results, test_results = [], 0
     for el in root.iter():  # document order: each TestResult starts afresh
@@ -232,7 +229,7 @@ def parse_aide(report_text: str, source: str = "<string>") -> tuple[AideReport, 
     when neither is present. Section headers like ``Added entries:``
     without a count do not match the counter pattern.
     """
-    diagnostics = ParseDiagnostics(source, ToolKind.AIDE)
+    diagnostics = ParseDiagnostics()
     counts: dict[str, int] = {}
     for found in _AIDE_COUNT.finditer(report_text):
         key = found.group(1).lower()
@@ -269,7 +266,7 @@ def parse_tripwire(
     either total is absent and ``VIOLATIONS_EXCEED_OBJECTS`` when the
     counts are inconsistent.
     """
-    diagnostics = ParseDiagnostics(source, ToolKind.TRIPWIRE)
+    diagnostics = ParseDiagnostics()
     objects_match = _TRIPWIRE_OBJECTS.search(report_text)
     violations_match = _TRIPWIRE_VIOLATIONS.search(report_text)
     if objects_match is None or violations_match is None:
@@ -322,7 +319,7 @@ _MARKER_PREFIXES = (
 )
 
 
-def detect_firewall(open_ports: int, filtered_ports: int, override: bool | None = None) -> bool:
+def detect_firewall(filtered_ports: int, override: bool | None = None) -> bool:
     """Heuristic firewall detection, overridable for hosts where it is wrong."""
     if override is not None:
         return override
@@ -418,7 +415,7 @@ def parse_nmap(
     ``MALFORMED_XML``, ``NO_HOST`` or ``VALUE_NOT_INTEGER`` (an
     ``extraports`` count that is not an integer).
     """
-    diagnostics = ParseDiagnostics(source, ToolKind.VULN_SCAN)
+    diagnostics = ParseDiagnostics()
     root = _xml_root(scan_xml, source)
     # Outermost hosts in document order: one nested in another (nmap writes
     # none) is part of it, so each port counts once, in linear time.
@@ -463,7 +460,7 @@ def parse_nmap(
                 findings.extend(_script_findings(script_el, None, diagnostics))
 
     confirmed_count = sum(1 for f in findings if f.confirmed)
-    firewall = detect_firewall(open_ports, filtered_ports, firewall_override)
+    firewall = detect_firewall(filtered_ports, firewall_override)
     report = VulnReport(
         open_ports=open_ports,
         filtered_ports=filtered_ports,

@@ -47,7 +47,6 @@ class ToolInvocation:
 
 @dataclass(frozen=True)
 class InvocationResult:
-    tool: ToolKind
     report_path: Path
     exit_code: int
 
@@ -68,14 +67,16 @@ def _render_command(invocation: ToolInvocation, substitutions: Mapping[str, str]
 
     values = {"output": str(invocation.output_path), **substitutions}
     try:
-        # ``{output.x}`` and ``{output[x]}`` fail as lookups, an open quote in shlex.
-        argv = shlex.split(invocation.command_template.format(**values))
+        # Split before filling in, so that each placeholder fills exactly one
+        # argument. ``{output.x}`` and ``{output[x]}`` fail as lookups, an open
+        # quote in shlex.
+        argv = [token.format(**values) for token in shlex.split(invocation.command_template)]
     except (KeyError, IndexError, ValueError, AttributeError, TypeError) as exc:
         raise RunnerError(
             "TEMPLATE_INVALID",
             f"{invocation.tool.value}: cannot render command template: {exc}",
         ) from exc
-    if not argv:
+    if not argv or not argv[0]:
         raise RunnerError("TEMPLATE_INVALID", f"{invocation.tool.value}: empty command")
     return argv
 
@@ -88,15 +89,21 @@ def invoke_tool(
     The template may reference ``{output}`` plus any supplied
     substitution (``{target}``, ``{datastream}``, ...). When the tool
     prints its report to stdout instead of writing ``{output}``, the
-    captured stdout is written there. Raises ``TOOL_NOT_FOUND``,
-    ``TIMEOUT_EXCEEDED`` (partial output discarded),
-    ``UNEXPECTED_EXIT_CODE`` or ``OUTPUT_MISSING``.
+    captured stdout is written there. A report left at ``{output}`` by an
+    earlier run is removed before the tool starts. Raises
+    ``TOOL_NOT_FOUND``, ``TIMEOUT_EXCEEDED`` (partial output discarded),
+    ``UNEXPECTED_EXIT_CODE``, ``OUTPUT_MISSING`` or ``IO_FAILURE`` (the
+    report cannot be removed or written).
     """
     import subprocess
 
     argv = _render_command(invocation, substitutions or {})
     output_path = invocation.output_path
-    output_path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        output_path.parent.mkdir(parents=True, exist_ok=True)
+        output_path.unlink(missing_ok=True)
+    except OSError as exc:
+        raise RunnerError("IO_FAILURE", f"{invocation.tool.value}: {exc}") from None
     try:
         completed = subprocess.run(
             argv,
@@ -129,15 +136,17 @@ def invoke_tool(
             f"{sorted(invocation.exit_code_policy)}{detail}",
         )
     if not output_path.exists():
-        if completed.stdout:
-            output_path.write_text(completed.stdout, encoding="utf-8")
-        else:
+        if not completed.stdout:
             raise RunnerError(
                 "OUTPUT_MISSING",
                 f"{invocation.tool.value}: {output_path} was not written and the "
                 "command produced no stdout",
             )
-    return InvocationResult(invocation.tool, output_path, completed.returncode)
+        try:
+            output_path.write_text(completed.stdout, encoding="utf-8")
+        except OSError as exc:
+            raise RunnerError("IO_FAILURE", f"{invocation.tool.value}: {exc}") from None
+    return InvocationResult(output_path, completed.returncode)
 
 
 def orchestrate_scan(

@@ -52,7 +52,6 @@ _CORRUPT = (ValueError, KeyError, TypeError, AttributeError, RecursionError, Aud
 class HistoryRecord:
     assessment: CompositeAssessment
     host_label: str
-    schema_version: int = SCHEMA_VERSION
 
 
 @dataclass
@@ -66,7 +65,7 @@ class HistoryLoad:
 def record_to_json(record: HistoryRecord) -> str:
     """One-line JSON form; floats keep full precision via repr round-trip."""
     payload = {
-        "schema_version": record.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "host_label": record.host_label,
         "assessment": assessment_to_dict(record.assessment),
     }
@@ -78,7 +77,7 @@ def record_from_json(line: str) -> HistoryRecord:
     return _record_from_payload(payload, _line_keys(payload))
 
 
-def _line_keys(payload) -> tuple[int, str, str]:
+def _line_keys(payload) -> tuple[str, str]:
     """Check one parsed line's schema version, host label and assessment label.
 
     These are the checks every reader runs on every line; the rest of the
@@ -95,21 +94,21 @@ def _line_keys(payload) -> tuple[int, str, str]:
     host_label = payload["host_label"]
     if not isinstance(host_label, str):
         raise StoreError("HOST_LABEL_INVALID", f"host_label must be a string, got {host_label!r}")
-    return version, host_label, assessment_label(payload["assessment"])
+    return host_label, assessment_label(payload["assessment"])
 
 
-def _record_from_payload(payload, keys: tuple[int, str, str]) -> HistoryRecord:
+def _record_from_payload(payload, keys: tuple[str, str]) -> HistoryRecord:
     """Decode a parsed line; ``keys`` is what :func:`_line_keys` returned for it."""
-    version, host_label, _ = keys
-    return HistoryRecord(
-        assessment=assessment_from_dict(payload["assessment"]),
-        host_label=host_label,
-        schema_version=version,
-    )
+    host_label, _ = keys
+    return HistoryRecord(assessment_from_dict(payload["assessment"]), host_label)
 
 
 def append_record(path: Path | str, record: HistoryRecord) -> None:
-    """Append one record as a single flushed line; prior lines untouched."""
+    """Append one record as a single flushed line; prior bytes untouched.
+
+    A regular file whose last line has no ``\\n`` (an interrupted write) gets
+    one first, so the record does not join that line and get lost with it.
+    """
     try:
         line = record_to_json(record)
     except (TypeError, ValueError) as exc:
@@ -117,7 +116,11 @@ def append_record(path: Path | str, record: HistoryRecord) -> None:
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "a", encoding="utf-8") as handle:
+        with open(path, "a+", encoding="utf-8") as handle:
+            info = os.fstat(handle.fileno())
+            if stat.S_ISREG(info.st_mode) and info.st_size:
+                if os.pread(handle.fileno(), 1, info.st_size - 1) != b"\n":
+                    line = "\n" + line
             handle.write(line + "\n")
             handle.flush()
             os.fsync(handle.fileno())
@@ -289,7 +292,7 @@ def _scan(
                 keys = _line_keys(payload)
             except _CORRUPT as exc:
                 raise _StaleIndex(start) from exc
-            if keys[1:] != (host_label, label):
+            if keys != (host_label, label):
                 raise _StaleIndex(start)
             parsed = payload, keys
         try:
@@ -320,12 +323,12 @@ def _scan(
             grown.skipped += complete
             continue
         if complete:
-            grown.lines.append([start, *keys[1:]])
-        if wanted(*keys[1:]):
+            grown.lines.append([start, *keys])
+        if wanted(*keys):
             if latest:
-                noted.append((start, *keys[1:]))
+                noted.append((start, *keys))
             else:
-                decode(start, *keys[1:], (payload, keys))
+                decode(start, *keys, (payload, keys))
     if latest:
         done = set()
         for start, host_label, label in reversed(noted):

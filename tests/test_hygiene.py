@@ -33,6 +33,36 @@ def test_module_has_no_unused_imports(module):
     assert unused == []
 
 
+@pytest.mark.parametrize("module", sorted(path.stem for path in SRC.glob("*.py")))
+def test_functions_read_every_parameter(module):
+    """A parameter the body never reads makes every caller pass a value for nothing.
+
+    Dunder methods keep the signatures Python calls them with, and lambdas
+    (the per-tool adapter tables) may ignore arguments on purpose.
+    """
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        args = node.args
+        parameters = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        read = {
+            name.id
+            for statement in node.body
+            for name in ast.walk(statement)
+            if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)
+        }
+        unused += [
+            f"{node.name}({parameter.arg})"
+            for parameter in parameters
+            if parameter is not None and parameter.arg not in read
+        ]
+    assert unused == []
+
+
 def test_declared_re_exports_are_imported_and_not_read():
     """A stale ``RE_EXPORTS`` entry would let a real unused import through."""
     for module, name in RE_EXPORTS:

@@ -350,7 +350,7 @@ def test_nmap_firewall_override_wins():
     ],
 )
 def test_detect_firewall_threshold_and_override(open_ports, filtered, override, expected):
-    assert detect_firewall(open_ports, filtered, override) is expected
+    assert detect_firewall(filtered, override) is expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import os
 import stat
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -133,6 +135,29 @@ def test_template_substitutions(tmp_path, out_dir):
     assert "10.10.1.1" in result.report_path.read_text()
 
 
+def test_each_substituted_value_is_one_argument(tmp_path):
+    exe = _fake_tool(tmp_path, "fake-args", 'printf "%s\\n" "$#" "$@" > "$1"\n')
+    invocation = ToolInvocation(
+        tool=ToolKind.VULN_SCAN,
+        command_template=f"{exe} {{output}} {{target}}",
+        output_path=tmp_path / "scan reports" / "scan.xml",
+    )
+    result = invoke_tool(invocation, {"target": "host one"})
+    assert result.report_path.read_text().splitlines() == [
+        "2", str(invocation.output_path), "host one"
+    ]
+
+
+def test_stale_report_is_not_passed_off_as_this_run(tmp_path, out_dir):
+    exe = _fake_tool(tmp_path, "fake-aide", 'cat "$0.out"\n')
+    invocation = ToolInvocation(
+        tool=ToolKind.AIDE, command_template=exe, output_path=out_dir / "aide-check.txt"
+    )
+    for text in ("first", "second"):
+        Path(exe + ".out").write_text(text + "\n")
+        assert invoke_tool(invocation).report_path.read_text() == text + "\n"
+
+
 def test_unknown_placeholder_is_template_error(out_dir):
     # Also a bad attribute or index lookup, an unclosed quote and a NUL.
     for template in ("echo {nonexistent}", "echo {output.x}", "echo {output[a]}",
@@ -207,6 +232,16 @@ def test_partial_failure_does_not_abort(tmp_path, out_dir):
     assert set(outcome.reports) == {ToolKind.LYNIS, ToolKind.AIDE}
     assert set(outcome.failures) == {ToolKind.TRIPWIRE}
     assert outcome.failures[ToolKind.TRIPWIRE].code == "TOOL_NOT_FOUND"
+
+
+def test_unusable_output_path_fails_only_its_tool(tmp_path, out_dir):
+    invocations = _two_invocations(tmp_path, out_dir)
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("file, not dir")
+    invocations[1] = replace(invocations[1], output_path=blocker / "aide.txt")
+    outcome = orchestrate_scan(invocations)
+    assert set(outcome.reports) == {ToolKind.LYNIS}
+    assert outcome.failures[ToolKind.AIDE].code == "IO_FAILURE"
 
 
 def test_duplicate_tool_rejected(tmp_path, out_dir):

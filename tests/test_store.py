@@ -94,6 +94,18 @@ def test_torn_final_line_skipped(tmp_path):
     assert loaded.skipped == 1
 
 
+def test_append_after_torn_final_line_keeps_new_record(tmp_path):
+    path = tmp_path / "history.jsonl"
+    append_record(path, _record())
+    full_line = record_to_json(_record("partial"))
+    with open(path, "a") as handle:
+        handle.write(full_line[: len(full_line) // 2])  # simulated torn write
+    append_record(path, _record("full"))
+    loaded = load_history(path)
+    assert [r.assessment.label for r in loaded.records] == ["baseline", "full"]
+    assert loaded.skipped == 1
+
+
 def test_newer_schema_records_are_skipped(tmp_path):
     path = tmp_path / "history.jsonl"
     payload = json.loads(record_to_json(_record()))
