@@ -13,7 +13,7 @@ from enum import Enum
 from typing import Sequence
 
 from .errors import AnalysisError
-from .model import CompositeAssessment, DeltaDecomposition, ToolKind, tool_weights_match
+from .model import WEIGHT_SUM_TOLERANCE, CompositeAssessment, DeltaDecomposition, ToolKind
 
 # Scores are conventionally reported to one decimal; endpoint moves
 # inside this band are noise, not a trend.
@@ -38,7 +38,9 @@ class TrendTable:
 
 
 def _require_same_weights(reference: CompositeAssessment, other: CompositeAssessment) -> None:
-    if not tool_weights_match(reference.weights, other.weights):
+    """Raise unless both carry the same six tool weights within tolerance."""
+    weights, others = reference.weights.tool_weights, other.weights.tool_weights
+    if any(abs(weights[tool] - others[tool]) > WEIGHT_SUM_TOLERANCE for tool in ToolKind):
         raise AnalysisError(
             "WEIGHT_MISMATCH",
             f"assessments {reference.label!r} and {other.label!r} use different "

@@ -74,9 +74,14 @@ def _score_report(
     tool: ToolKind, path: Path, firewall: bool | None, profile: WeightProfile, verbose: bool
 ) -> tuple[NormalizedScore, list[str]]:
     """Read, parse and normalize one report, printing its diagnostics first;
-    returns the score (``raw`` is the parsed report) and the warnings."""
+    returns the score (``raw`` is the parsed report) and the warnings. A
+    model check that fails on what the parser read names the report."""
     source = str(path)
-    report, diagnostics = TOOLS[tool].parse(_read_text(path), source, firewall)
+    text = _read_text(path)
+    try:
+        report, diagnostics = TOOLS[tool].parse(text, source, firewall)
+    except ValidationError as exc:
+        raise ParseError(exc.code, str(exc), source) from exc
     for warning in diagnostics.warnings:
         print(f"warning: {source}: {warning}", file=sys.stderr)
     if verbose:
@@ -96,8 +101,7 @@ def _profile_for(args: argparse.Namespace, config: AppConfig) -> WeightProfile:
 # ---------------------------------------------------------------------------
 
 
-def cmd_parse(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+def cmd_parse(args: argparse.Namespace, config: AppConfig) -> int:
     profile = _profile_for(args, config)
     override = {"auto": None, "active": True, "inactive": False}[args.firewall]
     score, warnings = _score_report(
@@ -121,13 +125,12 @@ def cmd_parse(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_score(args: argparse.Namespace) -> int:
+def cmd_score(args: argparse.Namespace, config: AppConfig) -> int:
     if args.min_score is not None and not math.isfinite(args.min_score):
         # A NaN bound would pass every composite.
         raise ValidationError(
             "VALUE_OUT_OF_RANGE", f"--min-score must be finite, got {args.min_score}"
         )
-    config = load_config(args.config)
     profile = _profile_for(args, config)
     manifest = load_manifest(args.manifest)
     label = args.label or manifest.label or "assessment"
@@ -189,8 +192,7 @@ def _last_in_file(reference: str) -> CompositeAssessment:
     return loaded.records[-1].assessment
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+def cmd_compare(args: argparse.Namespace, config: AppConfig) -> int:
     history_path = args.history or config.history_path
     # A reference names a record file when one exists there, else a stored
     # label; the history is read once, and only for labels.
@@ -210,8 +212,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_history(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+def cmd_history(args: argparse.Namespace, config: AppConfig) -> int:
     history_path = args.history or config.history_path
     loaded = _load_history(history_path, host_filter=args.host)
     if args.json:
@@ -227,8 +228,7 @@ def cmd_history(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+def cmd_report(args: argparse.Namespace, config: AppConfig) -> int:
     records = _latest_by_label(args.history or config.history_path, args.labels)
     if args.format == "json":
         _out(render_report_json(records))
@@ -239,13 +239,12 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    settings = load_config(args.config).runner
+def cmd_run(args: argparse.Namespace, config: AppConfig) -> int:
     tools = [_CLI_TOOL_NAMES[name] for name in args.tools] if args.tools else list(ToolKind)
     outcome = orchestrate_scan(
-        [settings.checks[tool] for tool in tools],
+        [config.checks[tool] for tool in tools],
         parallel=args.parallel,
-        substitutions=settings.substitutions,
+        substitutions=config.substitutions,
     )
     for tool in ToolKind:
         if tool in outcome.reports:
@@ -256,12 +255,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 2 if outcome.failures else 0
 
 
-def cmd_init_integrity_db(args: argparse.Namespace) -> int:
-    settings = load_config(args.config).runner
+def cmd_init_integrity_db(args: argparse.Namespace, config: AppConfig) -> int:
     tool = _CLI_TOOL_NAMES[args.tool]  # a choice, so it has an init invocation
-    invocation, database = settings.inits[tool]
+    invocation, database = config.inits[tool]
     result = init_integrity_database(
-        invocation, database, force=args.force, substitutions=settings.substitutions
+        invocation, database, force=args.force, substitutions=config.substitutions
     )
     _out(f"{tool.value}: initialized (log: {result.report_path})")
     return 0
@@ -385,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exited:  # after --help, --version or a usage error
             code = exited.code
         else:
-            code = args.func(args)
+            code = args.func(args, load_config(args.config))
         # Flush here, not at interpreter exit, so that a stdout that cannot
         # be written is reported like any other I/O failure.
         _flush_stdout()

@@ -37,22 +37,17 @@ MAX_TIMEOUT = 7 * 24 * 3600.0
 
 
 @dataclass(frozen=True)
-class RunnerSettings:
-    """Finished scan invocations: the defaults in ``TOOLS`` with the
-    ``runner`` config section applied."""
+class AppConfig:
+    """Settings of one command; the scan invocations are the defaults in
+    ``TOOLS`` with the ``runner`` config section applied."""
 
+    weights: WeightProfile
+    history_path: Path
     checks: Mapping[ToolKind, ToolInvocation]
     # Integrity checkers only: the init invocation and the database whose
     # presence blocks a re-init.
     inits: Mapping[ToolKind, tuple[ToolInvocation, Path]]
     substitutions: Mapping[str, str]
-
-
-@dataclass(frozen=True)
-class AppConfig:
-    weights: WeightProfile
-    history_path: Path
-    runner: RunnerSettings
 
 
 # YAML values appear in messages through ``_show``: a short scalar exactly as
@@ -65,76 +60,76 @@ _SHORT.maxstring = _SHORT.maxlong = _SHORT.maxother = 60
 _show = _SHORT.repr
 
 
-def _require_mapping(value: Any, context: str, code: str = "CONFIG_INVALID") -> Mapping:
+def _invalid(message: str) -> ValidationError:
+    """The error of every reader below; ``load_manifest`` recodes it."""
+    return ValidationError("CONFIG_INVALID", message)
+
+
+def _require_mapping(value: Any, context: str) -> Mapping:
     if not isinstance(value, Mapping):
-        raise ValidationError(code, f"{context} must be a mapping")
+        raise _invalid(f"{context} must be a mapping")
     return value
 
 
-def _reject_unknown(
-    data: Mapping, allowed: set[str], context: str, code: str = "CONFIG_INVALID"
-) -> None:
+def _reject_unknown(data: Mapping, allowed: set[str], context: str) -> None:
     unknown = sorted(str(key) for key in set(data) - allowed)
     if unknown:
-        raise ValidationError(code, f"{context}: unknown key(s) {', '.join(unknown)}")
+        raise _invalid(f"{context}: unknown key(s) {', '.join(unknown)}")
 
 
-def _tool_by_name(name: Any, context: str, code: str = "CONFIG_INVALID") -> ToolKind:
+def _tool_by_name(name: Any, context: str) -> ToolKind:
     """The tool a config or manifest key names; ``-`` may stand for ``_``."""
     try:
         return ToolKind(str(name).replace("-", "_"))
     except ValueError:
-        raise ValidationError(code, f"{context}: unknown tool {_show(name)}") from None
+        raise _invalid(f"{context}: unknown tool {_show(name)}") from None
 
 
-def _severity_by_name(name: Any, context: str, code: str = "CONFIG_INVALID") -> Severity:
+def _severity_by_name(name: Any, context: str) -> Severity:
     """The severity a ``severity_weights`` key names, in any case."""
     try:
         return Severity(str(name).lower())
     except ValueError:
-        raise ValidationError(code, f"{context}: unknown severity {_show(name)}") from None
+        raise _invalid(f"{context}: unknown severity {_show(name)}") from None
 
 
 def _entries(
-    section: Mapping,
-    key_of: Callable[[Any, str, str], Enum],
-    context: str,
-    code: str = "CONFIG_INVALID",
+    section: Mapping, key_of: Callable[[Any, str], Enum], context: str
 ) -> Iterator[tuple[Enum, Any, Any]]:
     """``(key, name, value)`` for each entry of a section keyed by tool or
-    severity, ``key`` being ``key_of(name, context, code)``. Two names of one
-    key (``vuln_scan`` and ``vuln-scan``) raise ``code``; neither wins."""
+    severity, ``key`` being ``key_of(name, context)``. Two names of one key
+    (``vuln_scan`` and ``vuln-scan``) are invalid; neither wins."""
     seen: dict[Enum, Any] = {}
     for name, value in section.items():
-        key = key_of(name, context, code)
+        key = key_of(name, context)
         if key in seen:
-            raise ValidationError(
-                code, f"{context}: {_show(seen[key])} and {_show(name)} both name {key.value}"
+            raise _invalid(
+                f"{context}: {_show(seen[key])} and {_show(name)} both name {key.value}"
             )
         seen[key] = name
         yield key, name, value
 
 
-def _text(value: Any, context: str, code: str = "CONFIG_INVALID") -> str:
+def _text(value: Any, context: str) -> str:
     """A string setting: any scalar, kept as its string form; an empty value
-    (YAML null), a list, a mapping or a set raises ``code``."""
+    (YAML null), a list, a mapping or a set is invalid."""
     if value is None:
-        raise ValidationError(code, f"{context} must not be empty")
+        raise _invalid(f"{context} must not be empty")
     if isinstance(value, (Mapping, list, set)):
-        raise ValidationError(code, f"{context} must be a scalar, got {_show(value)}")
+        raise _invalid(f"{context} must be a scalar, got {_show(value)}")
     return str(value)
 
 
-def _number(value: Any, kind: type, context: str, code: str = "CONFIG_INVALID") -> Any:
+def _number(value: Any, kind: type, context: str) -> Any:
     """``kind(value)`` for a user-supplied number that is finite, is not a
-    bool and, for ``int``, loses no fraction; anything else raises ``code``."""
+    bool and, for ``int``, loses no fraction; anything else is invalid."""
     try:
         number = kind(value)
         if not isinstance(value, bool) and math.isfinite(number) and number == float(value):
             return number
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ValidationError(code, f"{context} must be a finite {kind.__name__}, got {_show(value)}")
+    raise _invalid(f"{context} must be a finite {kind.__name__}, got {_show(value)}")
 
 
 def weights_from_mapping(data: Any, context: str = "weights") -> WeightProfile:
@@ -203,7 +198,7 @@ def _unique_key_loader():
     return UniqueKeyLoader
 
 
-def _load_yaml(path: Path, code: str = "CONFIG_INVALID") -> Any:
+def _load_yaml(path: Path) -> Any:
     # Imported here: it costs about 20 ms, and most history commands read
     # no YAML file.
     import yaml
@@ -211,17 +206,19 @@ def _load_yaml(path: Path, code: str = "CONFIG_INVALID") -> Any:
     try:
         text = path.read_text(encoding="utf-8", errors="replace")
     except OSError as exc:
-        raise ValidationError(code, f"cannot read {path}: {exc}") from exc
+        raise _invalid(f"cannot read {path}: {exc}") from exc
     try:
         return yaml.load(text, Loader=_unique_key_loader()) or {}
     # A bad date or an integer of too many digits raises ValueError.
     except (yaml.YAMLError, ValueError) as exc:
-        raise ValidationError(code, f"{path}: {exc}") from exc
+        raise _invalid(f"{path}: {exc}") from exc
     except RecursionError:
-        raise ValidationError(code, f"{path}: nested too deeply") from None
+        raise _invalid(f"{path}: nested too deeply") from None
 
 
-def _runner_from_mapping(data: Mapping) -> RunnerSettings:
+def _runner_from_mapping(data: Any) -> tuple[Mapping, Mapping, Mapping]:
+    """``AppConfig``'s ``checks``, ``inits`` and ``substitutions``."""
+    data = _require_mapping(data, "runner")
     _reject_unknown(data, {"output_dir", "target", "datastream", "tools", "init"}, "runner")
     output_dir = Path(_text(data.get("output_dir", DEFAULT_OUTPUT_DIR), "runner.output_dir"))
     checks = {
@@ -238,13 +235,12 @@ def _runner_from_mapping(data: Mapping) -> RunnerSettings:
         base = checks[tool]
         exit_codes = entry.get("exit_codes", base.exit_code_policy)
         if not isinstance(exit_codes, (list, frozenset)):
-            raise ValidationError("CONFIG_INVALID", f"{context}.exit_codes must be a list")
+            raise _invalid(f"{context}.exit_codes must be a list")
         timeout = _number(entry.get("timeout", base.timeout), float, f"{context}.timeout")
         if not 0 < timeout <= MAX_TIMEOUT:
-            raise ValidationError(
-                "CONFIG_INVALID",
+            raise _invalid(
                 f"{context}.timeout must be greater than 0 and at most {MAX_TIMEOUT:g}, "
-                f"got {timeout:g}",
+                f"got {timeout:g}"
             )
         checks[tool] = ToolInvocation(
             tool,
@@ -276,9 +272,7 @@ def _runner_from_mapping(data: Mapping) -> RunnerSettings:
     for tool, name, entry in _entries(init, _tool_by_name, "runner.init"):
         context = f"runner.init.{name}"
         if tool not in inits:
-            raise ValidationError(
-                "CONFIG_INVALID", f"{context}: {tool.value} has no integrity database"
-            )
+            raise _invalid(f"{context}: {tool.value} has no integrity database")
         entry = _require_mapping(entry, context)
         _reject_unknown(entry, {"command", "database"}, context)
         invocation, database = inits[tool]
@@ -291,7 +285,7 @@ def _runner_from_mapping(data: Mapping) -> RunnerSettings:
         "target": _text(data.get("target", DEFAULT_TARGET), "runner.target"),
         "datastream": _text(data.get("datastream", DEFAULT_DATASTREAM), "runner.datastream"),
     }
-    return RunnerSettings(checks=checks, inits=inits, substitutions=substitutions)
+    return checks, inits, substitutions
 
 
 def load_config(path: Path | str | None = None) -> AppConfig:
@@ -305,9 +299,9 @@ def load_config(path: Path | str | None = None) -> AppConfig:
     data = {} if path is None else _require_mapping(_load_yaml(Path(path)), str(path))
     _reject_unknown(data, {"weights", "history", "runner"}, str(path))
     weights = weights_from_mapping(data.get("weights", {}))
-    runner = _runner_from_mapping(_require_mapping(data.get("runner", {}), "runner"))
+    checks, inits, substitutions = _runner_from_mapping(data.get("runner", {}))
     history = Path(_text(data.get("history", DEFAULT_HISTORY_PATH), "history"))
-    return AppConfig(weights=weights, history_path=history, runner=runner)
+    return AppConfig(weights, history, checks, inits, substitutions)
 
 
 # ---------------------------------------------------------------------------
@@ -336,38 +330,41 @@ def load_manifest(path: Path) -> Manifest:
     a firewall override that is not a bool, or a label or host that is a
     list or mapping, raises ``MANIFEST_INVALID``.
     """
-    invalid = "MANIFEST_INVALID"
-    data = _require_mapping(_load_yaml(path, invalid), f"{path}: manifest", invalid)
-    _reject_unknown(data, {"label", "host", "reports"}, str(path), invalid)
-    reports = _require_mapping(data.get("reports", {}), f"{path}: 'reports'", invalid)
+    try:
+        return _manifest_from_file(path)
+    except ValidationError as exc:
+        raise ValidationError("MANIFEST_INVALID", str(exc)) from exc
+
+
+def _manifest_from_file(path: Path) -> Manifest:
+    """``load_manifest`` but for the error code."""
+    data = _require_mapping(_load_yaml(path), f"{path}: manifest")
+    _reject_unknown(data, {"label", "host", "reports"}, str(path))
+    reports = _require_mapping(data.get("reports", {}), f"{path}: 'reports'")
     base = path.parent
     entries: dict[ToolKind, ManifestEntry] = {}
-    for tool, name, value in _entries(reports, _tool_by_name, str(path), invalid):
+    for tool, name, value in _entries(reports, _tool_by_name, str(path)):
         context = f"{path}: {name}"
         if isinstance(value, str):
             entries[tool] = ManifestEntry(path=base / value)
             continue
         if not isinstance(value, Mapping):
-            raise ValidationError(invalid, f"{context}: entry must be a path string or a mapping")
-        _reject_unknown(value, {"path", "score", "firewall"}, context, invalid)
+            raise _invalid(f"{context}: entry must be a path string or a mapping")
+        _reject_unknown(value, {"path", "score", "firewall"}, context)
         has_path = "path" in value
         if has_path == ("score" in value):
-            raise ValidationError(
-                invalid, f"{context}: exactly one of 'path' or 'score' is required"
-            )
+            raise _invalid(f"{context}: exactly one of 'path' or 'score' is required")
         firewall = value.get("firewall")
         if firewall is not None and not isinstance(firewall, bool):
-            raise ValidationError(
-                invalid, f"{context}: firewall must be true or false, got {_show(firewall)}"
-            )
+            raise _invalid(f"{context}: firewall must be true or false, got {_show(firewall)}")
         if has_path:
-            report = _text(value["path"], f"{context}: path", invalid)
+            report = _text(value["path"], f"{context}: path")
             entries[tool] = ManifestEntry(path=base / report, firewall=firewall)
         else:
-            score = _number(value["score"], float, f"{context}: score", invalid)
+            score = _number(value["score"], float, f"{context}: score")
             entries[tool] = ManifestEntry(score=score, firewall=firewall)
     label, host = (
-        None if data.get(key) is None else _text(data[key], f"{path}: {key}", invalid)
+        None if data.get(key) is None else _text(data[key], f"{path}: {key}")
         for key in ("label", "host")
     )
     return Manifest(label=label, host=host, entries=entries)

@@ -22,11 +22,14 @@ from typing import Callable, Mapping, Union
 
 from .errors import ScoringError, ValidationError
 
-# Absolute tolerance for weight-sum and composite/contribution equality.
-# Weights come from decimal config files, so exact float equality is too
-# strict; anything beyond this is a real configuration error.
+# Absolute tolerance for the weight sum. Weights come from decimal config
+# files, so exact float equality is too strict; anything beyond this is a
+# real configuration error.
 WEIGHT_SUM_TOLERANCE = 1e-9
-COMPOSITE_TOLERANCE = 1e-9
+# Absolute tolerance for composite/contribution equality. Six weights that
+# sum to 1 + WEIGHT_SUM_TOLERANCE put scores of 100 at 100 * (1 + 1e-9),
+# which ``aggregate`` clamps to 100; the float sums add a few ulps more.
+COMPOSITE_TOLERANCE = 100 * WEIGHT_SUM_TOLERANCE + 1e-12
 
 
 class ToolKind(Enum):
@@ -322,14 +325,6 @@ def validate_weights(profile: WeightProfile) -> WeightProfile:
     return profile
 
 
-def tool_weights_match(a: WeightProfile, b: WeightProfile) -> bool:
-    """True when both profiles carry the same six tool weights within tolerance."""
-    return all(
-        abs(a.tool_weights[tool] - b.tool_weights[tool]) <= WEIGHT_SUM_TOLERANCE
-        for tool in _TOOL_KINDS
-    )
-
-
 @dataclass(frozen=True)
 class NormalizedScore:
     """A tool identity plus its 0-100 score and the raw metrics behind it.
@@ -424,9 +419,11 @@ class DeltaDecomposition:
     def share(self, tool: ToolKind) -> float | None:
         """``tool``'s fraction of the total delta, or ``None`` when the total is zero.
 
-        Composites are only defined to within ``COMPOSITE_TOLERANCE``, so a total
-        inside it is zero: dividing by the rounding residue left when per-tool
-        deltas cancel would print shares of 10^14 % or ``inf%``.
+        Composites are only defined to within ``COMPOSITE_TOLERANCE`` (about
+        1e-7 points, the clamp a weight sum at the edge of its tolerance can
+        need), so a total inside it is zero: dividing by the rounding residue
+        left when per-tool deltas cancel would print shares of 10^14 % or
+        ``inf%``.
         """
         total = self.total_delta
         return None if abs(total) <= COMPOSITE_TOLERANCE else self.per_tool_delta[tool] / total

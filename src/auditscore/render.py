@@ -13,14 +13,14 @@ from typing import Sequence
 
 from .analysis import TrendTable, decompose_delta, rank_contributions, trend_series
 from .model import CompositeAssessment, DeltaDecomposition, NormalizedScore, RawToolReport, ToolKind
-from .scoring import RAW_SPECS, TOOLS
+from .scoring import TOOLS
 from .store import HistoryRecord, record_to_json
 
 
 def raw_summary(raw: RawToolReport | None) -> str:
     if raw is None:
         return "(score supplied directly)"
-    return RAW_SPECS[type(raw)].summary(raw)
+    return TOOLS[raw.tool].summary(raw)
 
 
 def change_cell(first: float, last: float) -> str:
@@ -51,7 +51,7 @@ def format_assessment_text(assessment: CompositeAssessment, host_label: str | No
 
 def format_parse_text(score: NormalizedScore, source: str) -> str:
     lines = [f"tool: {score.tool.value}", f"source: {source}"]
-    lines += [*RAW_SPECS[type(score.raw)].details(score.raw), f"score: {score.value:.2f}"]
+    lines += [*TOOLS[score.tool].details(score.raw), f"score: {score.value:.2f}"]
     return "\n".join(lines)
 
 

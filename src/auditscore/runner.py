@@ -91,7 +91,8 @@ def invoke_tool(
     prints its report to stdout instead of writing ``{output}``, the
     captured stdout is written there. A report left at ``{output}`` by an
     earlier run is removed before the tool starts. Raises
-    ``TOOL_NOT_FOUND``, ``TIMEOUT_EXCEEDED`` (partial output discarded),
+    ``TOOL_NOT_FOUND``, ``TOOL_NOT_EXECUTABLE`` (the command exists but
+    cannot be started), ``TIMEOUT_EXCEEDED`` (partial output discarded),
     ``UNEXPECTED_EXIT_CODE``, ``OUTPUT_MISSING`` or ``IO_FAILURE`` (the
     report cannot be removed or written).
     """
@@ -115,6 +116,11 @@ def invoke_tool(
     except FileNotFoundError:
         raise RunnerError(
             "TOOL_NOT_FOUND", f"{invocation.tool.value}: executable {argv[0]!r} not found"
+        ) from None
+    except OSError as exc:  # no execute permission, not a program, ...
+        raise RunnerError(
+            "TOOL_NOT_EXECUTABLE",
+            f"{invocation.tool.value}: cannot execute {argv[0]!r}: {exc.strerror}",
         ) from None
     except ValueError as exc:  # a NUL character in the command
         raise RunnerError(

@@ -16,9 +16,9 @@ The composite is the convex combination of the six scores under a weight
 profile, valid once built. Intermediate arithmetic stays in full double
 precision; rounding for display happens only in the reporting layer.
 
-:data:`TOOLS` (per tool) and :data:`RAW_SPECS` (per raw report type) hold
-every per-tool fact: a seventh scanner is one new ``TOOLS`` entry plus its
-parser and normalizer.
+:data:`TOOLS` holds every per-tool fact: a seventh scanner is one new
+``TOOLS`` entry plus its parser and normalizer and, for a new raw report
+type, its stored form in ``model``.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ def normalize_vuln(report: VulnReport, profile: WeightProfile) -> NormalizedScor
 
 @dataclass(frozen=True)
 class ToolSpec:
-    """One scanner: how it is shown, parsed and run by default.
+    """One scanner: how it is parsed, scored, shown and run by default.
 
     Table entries call parsers and normalizers through their module-global
     names at call time, so rebinding a name (a tracer's wrapper, a test's
@@ -140,8 +140,11 @@ class ToolSpec:
     # (report text, source path, firewall override) -> raw report
     parse: Callable[[str, str, bool | None], tuple[RawToolReport, ParseDiagnostics]]
     command: str
-    exit_codes: frozenset[int]
     output_name: str
+    normalize: Callable[[Any, WeightProfile], NormalizedScore]
+    summary: Callable[[Any], str]  # one line of a score table
+    details: Callable[[Any], list[str]]  # the body of ``parse`` text output
+    exit_codes: frozenset[int]
     init_command: str | None = None
     # Integrity database path; ``{hostname}`` is substituted.
     database: str | None = None
@@ -150,83 +153,42 @@ class ToolSpec:
 # File integrity checkers return a bitmask of change classes (1 added,
 # 2 removed, 4 changed); the SCAP evaluator returns 2 when any rule
 # fails; the system auditor may return 78 when it has warnings to show.
+# The two SCAP profiles share a report type, and so how it is scored,
+# shown and judged.
+_SCAP = dict(
+    normalize=lambda raw, profile: normalize_scap(raw),
+    summary=lambda raw: f"pass={raw.pass_count} fail={raw.fail_count}",
+    details=lambda raw: [
+        f"profile: {raw.profile.value}",
+        f"pass: {raw.pass_count}",
+        f"fail: {raw.fail_count}",
+    ],
+    exit_codes=frozenset({0, 2}),
+)
 TOOLS: Mapping[ToolKind, ToolSpec] = {
     ToolKind.LYNIS: ToolSpec(
         "Lynis",
         lambda text, source, firewall: parse_lynis(text, source),
         "lynis audit system --quiet --report-file {output}",
-        frozenset({0, 78}),
         "lynis-report.dat",
+        lambda raw, profile: normalize_lynis(raw),
+        lambda raw: f"hardening_index={raw.hardening_index}",
+        lambda raw: [f"hardening_index: {raw.hardening_index}"],
+        frozenset({0, 78}),
     ),
     ToolKind.OPENSCAP_STANDARD: ToolSpec(
         "OpenSCAP Standard",
         lambda text, source, firewall: parse_xccdf(text, ScapProfile.STANDARD, source),
         "oscap xccdf eval --profile xccdf_org.ssgproject.content_profile_standard "
         "--results {output} {datastream}",
-        frozenset({0, 2}),
         "openscap-standard.xml",
+        **_SCAP,
     ),
     ToolKind.AIDE: ToolSpec(
         "AIDE",
         lambda text, source, firewall: parse_aide(text, source),
         "aide --check",
-        frozenset(range(8)),
         "aide-check.txt",
-        init_command="aide --init",
-        database="/var/lib/aide/aide.db",
-    ),
-    ToolKind.TRIPWIRE: ToolSpec(
-        "Tripwire",
-        lambda text, source, firewall: parse_tripwire(text, source),
-        "tripwire --check",
-        frozenset(range(8)),
-        "tripwire-check.txt",
-        init_command="tripwire --init",
-        database="/var/lib/tripwire/{hostname}.twd",
-    ),
-    ToolKind.OPENSCAP_CIS: ToolSpec(
-        "OpenSCAP CIS",
-        lambda text, source, firewall: parse_xccdf(text, ScapProfile.CIS, source),
-        "oscap xccdf eval --profile xccdf_org.ssgproject.content_profile_cis_level1_server "
-        "--results {output} {datastream}",
-        frozenset({0, 2}),
-        "openscap-cis.xml",
-    ),
-    ToolKind.VULN_SCAN: ToolSpec(
-        "Vulnerability",
-        lambda text, source, firewall: parse_nmap(text, source, firewall),
-        "nmap -sV --script vuln -oX {output} {target}",
-        frozenset({0}),
-        "nmap-scan.xml",
-    ),
-}
-
-
-@dataclass(frozen=True)
-class RawSpec:
-    """One raw report type: its normalizer and its two text forms."""
-
-    normalize: Callable[[Any, WeightProfile], NormalizedScore]
-    summary: Callable[[Any], str]  # one line of a score table
-    details: Callable[[Any], list[str]]  # the body of ``parse`` text output
-
-
-RAW_SPECS: Mapping[type, RawSpec] = {
-    LynisReport: RawSpec(
-        lambda raw, profile: normalize_lynis(raw),
-        lambda raw: f"hardening_index={raw.hardening_index}",
-        lambda raw: [f"hardening_index: {raw.hardening_index}"],
-    ),
-    ScapReport: RawSpec(
-        lambda raw, profile: normalize_scap(raw),
-        lambda raw: f"pass={raw.pass_count} fail={raw.fail_count}",
-        lambda raw: [
-            f"profile: {raw.profile.value}",
-            f"pass: {raw.pass_count}",
-            f"fail: {raw.fail_count}",
-        ],
-    ),
-    AideReport: RawSpec(
         lambda raw, profile: normalize_aide(raw),
         lambda raw: (
             f"added={raw.added} removed={raw.removed} changed={raw.changed} "
@@ -238,13 +200,35 @@ RAW_SPECS: Mapping[type, RawSpec] = {
             f"changed: {raw.changed}",
             f"total_changes: {raw.total_changes}",
         ],
+        frozenset(range(8)),
+        init_command="aide --init",
+        database="/var/lib/aide/aide.db",
     ),
-    TripwireReport: RawSpec(
+    ToolKind.TRIPWIRE: ToolSpec(
+        "Tripwire",
+        lambda text, source, firewall: parse_tripwire(text, source),
+        "tripwire --check",
+        "tripwire-check.txt",
         lambda raw, profile: normalize_tripwire(raw),
         lambda raw: f"objects={raw.objects_scanned} violations={raw.violations}",
         lambda raw: [f"objects_scanned: {raw.objects_scanned}", f"violations: {raw.violations}"],
+        frozenset(range(8)),
+        init_command="tripwire --init",
+        database="/var/lib/tripwire/{hostname}.twd",
     ),
-    VulnReport: RawSpec(
+    ToolKind.OPENSCAP_CIS: ToolSpec(
+        "OpenSCAP CIS",
+        lambda text, source, firewall: parse_xccdf(text, ScapProfile.CIS, source),
+        "oscap xccdf eval --profile xccdf_org.ssgproject.content_profile_cis_level1_server "
+        "--results {output} {datastream}",
+        "openscap-cis.xml",
+        **_SCAP,
+    ),
+    ToolKind.VULN_SCAN: ToolSpec(
+        "Vulnerability",
+        lambda text, source, firewall: parse_nmap(text, source, firewall),
+        "nmap -sV --script vuln -oX {output} {target}",
+        "nmap-scan.xml",
         lambda raw, profile: normalize_vuln(raw, profile),
         lambda raw: (
             f"open={raw.open_ports} filtered={raw.filtered_ports} "
@@ -258,6 +242,7 @@ RAW_SPECS: Mapping[type, RawSpec] = {
             f"findings: {len(raw.findings)}",
             f"confirmed: {raw.confirmed_count}",
         ],
+        frozenset({0}),
     ),
 }
 
@@ -266,7 +251,7 @@ def normalize_report(
     report: RawToolReport, profile: WeightProfile | None = None
 ) -> NormalizedScore:
     """Normalize a raw report of any type (profile only matters for vuln)."""
-    spec = RAW_SPECS[type(report)]
+    spec = TOOLS[report.tool]
     return spec.normalize(report, profile if profile is not None else WeightProfile())
 
 

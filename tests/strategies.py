@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from datetime import datetime, timezone
 
 import hypothesis.strategies as st
 
 from auditscore.model import (
+    WEIGHT_SUM_TOLERANCE,
     AideReport,
     LynisReport,
     NormalizedScore,
@@ -130,6 +132,20 @@ def weight_profiles(draw):
     return WeightProfile(
         tool_weights={tool: share / total for tool, share in zip(ToolKind, shares)}
     )
+
+
+@st.composite
+def edge_weight_profiles(draw):
+    """Profiles whose tool weights sum anywhere within ``WEIGHT_SUM_TOLERANCE``
+    of 1, both edges included; ``weight_profiles`` sums to 1 up to rounding."""
+    weights = dict(draw(weight_profiles()).tool_weights)
+    offset = draw(st.sampled_from([-1.0, 1.0]) | st.floats(-1.0, 1.0)) * WEIGHT_SUM_TOLERANCE
+    heaviest = max(weights, key=weights.get)
+    weights[heaviest] += 1.0 + offset - sum(weights.values())
+    # Step back an ulp at a time until the sum, taken as validation takes it, passes.
+    while abs(total := sum(weights[tool] for tool in ToolKind) - 1.0) > WEIGHT_SUM_TOLERANCE:
+        weights[heaviest] = math.nextafter(weights[heaviest], -math.inf if total > 0 else math.inf)
+    return WeightProfile(tool_weights=weights)
 
 
 def six_scores(values) -> dict[ToolKind, NormalizedScore]:

@@ -98,6 +98,34 @@ def test_parse_nmap_bad_extraports_count_exits_2(capsys, tmp_path):
     assert err.startswith(f"error[VALUE_NOT_INTEGER] {scan}:")
 
 
+_PORT_OUT_OF_RANGE = (
+    '<nmaprun><host><ports><port protocol="tcp" portid="70000">'
+    '<state state="open"/><service name="http"/>'
+    '<script id="vulners" output="CVE-2021-1234 9.8 https://vulners.com/cve/CVE-2021-1234"/>'
+    "</port></ports></host></nmaprun>"
+)
+
+
+def test_model_check_failing_in_a_parse_names_the_report(capsys, tmp_path):
+    scan = tmp_path / "scan.xml"
+    scan.write_text(_PORT_OUT_OF_RANGE)
+    manifest = tmp_path / "manifest.yaml"
+    manifest.write_text(
+        "reports:\n  vuln_scan: scan.xml\n"
+        + "".join(
+            f"  {name}: {{score: 50}}\n"
+            for name in ("lynis", "openscap_standard", "aide", "tripwire", "openscap_cis")
+        )
+    )
+    for argv in (["parse", "--tool", "vuln-scan", str(scan)], ["score", "--manifest", str(manifest)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error[VALUE_OUT_OF_RANGE] {scan}: port must be in [1, 65535], got 70000\n"
+        )
+
+
 def test_parse_vuln_scan_firewall_override(capsys, data_dir):
     code, out, _ = run_cli(
         capsys,
@@ -203,6 +231,36 @@ def test_score_saves_history(capsys, data_dir, tmp_path):
     )
     assert code == 0
     assert len(load_history(history).records) == 1
+
+
+def test_score_accepts_a_weight_sum_at_its_tolerance(capsys, tmp_path):
+    """Weights summing to 1 + 5e-10 pass validation, so six scores of 100,
+    which sum to 100.00000005, score a clamped 100 rather than failing."""
+    config = tmp_path / "config.yaml"
+    config.write_text("weights: {tool_weights: {lynis: 0.2000000005}}\n")
+    manifest = tmp_path / "manifest.yaml"
+    manifest.write_text(
+        "reports:\n" + "".join(f"  {tool.value}: {{score: 100}}\n" for tool in ToolKind)
+    )
+    history = tmp_path / "history.jsonl"
+    code, out, err = run_cli(
+        capsys,
+        "score",
+        "--config",
+        str(config),
+        "--manifest",
+        str(manifest),
+        "--history",
+        str(history),
+    )
+    assert (code, err) == (0, "")
+    assert "composite: 100.00" in out.splitlines()
+    loaded = load_history(history)
+    assert loaded.skipped == 0
+    assert [record.assessment.composite for record in loaded.records] == [100.0]
+    code, out, err = run_cli(capsys, "history", "--config", str(config), "--history", str(history))
+    assert (code, err) == (0, "")
+    assert "composite=100.00" in out
 
 
 def test_score_rejects_out_of_range_literal(capsys, tmp_path):
@@ -1140,6 +1198,34 @@ def test_run_reports_partial_failure_with_exit_2(capsys, tmp_path):
     assert code == 2
     assert "lynis:" in out
     assert "TOOL_NOT_FOUND" in err
+
+
+@pytest.mark.parametrize(
+    "content, mode",
+    [(b"#!/bin/sh\nexit 0\n", 0o644), (b"\x00\x01 not a program", 0o755)],
+    ids=["no-execute-bit", "not-a-program"],
+)
+def test_run_lists_every_tool_when_one_cannot_be_executed(capsys, tmp_path, content, mode):
+    broken = tmp_path / "broken-lynis"
+    broken.write_bytes(content)
+    broken.chmod(mode)
+    aide = _fake_tool(tmp_path, "fake-aide", 'echo "Added entries: 3"\n')
+    config = tmp_path / "config.yaml"
+    config.write_text(
+        f"runner:\n"
+        f"  output_dir: {tmp_path / 'reports'}\n"
+        f"  tools:\n"
+        f"    lynis:\n"
+        f"      command: '{broken} {{output}}'\n"
+        f"    aide:\n"
+        f"      command: '{aide}'\n"
+    )
+    code, out, err = run_cli(capsys, "run", "--config", str(config), "--tools", "lynis", "aide")
+    assert code == 2
+    assert out == f"aide: {tmp_path / 'reports' / 'aide-check.txt'}\n"
+    assert err.startswith(
+        f"lynis: FAILED [TOOL_NOT_EXECUTABLE] lynis: cannot execute '{broken}': "
+    )
 
 
 def test_init_integrity_db_refuses_then_forces(capsys, tmp_path):

@@ -234,6 +234,29 @@ def test_partial_failure_does_not_abort(tmp_path, out_dir):
     assert outcome.failures[ToolKind.TRIPWIRE].code == "TOOL_NOT_FOUND"
 
 
+@pytest.mark.parametrize(
+    "content, mode, reason",
+    [
+        (b"#!/bin/sh\nexit 0\n", 0o644, "Permission denied"),
+        (b"\x00\x01 not a program", 0o755, "Exec format error"),
+    ],
+    ids=["no-execute-bit", "not-a-program"],
+)
+def test_command_that_cannot_be_executed_fails_only_its_tool(
+    tmp_path, out_dir, content, mode, reason
+):
+    broken = tmp_path / "broken-tool"
+    broken.write_bytes(content)
+    broken.chmod(mode)
+    invocations = _two_invocations(tmp_path, out_dir)
+    invocations[0] = replace(invocations[0], command_template=f"{broken} {{output}}")
+    outcome = orchestrate_scan(invocations)
+    assert set(outcome.reports) == {ToolKind.AIDE}
+    error = outcome.failures[ToolKind.LYNIS]
+    assert error.code == "TOOL_NOT_EXECUTABLE"
+    assert str(error) == f"lynis: cannot execute '{broken}': {reason}"
+
+
 def test_unusable_output_path_fails_only_its_tool(tmp_path, out_dir):
     invocations = _two_invocations(tmp_path, out_dir)
     blocker = tmp_path / "not-a-directory"

@@ -32,6 +32,7 @@ from auditscore.scoring import (
 from .strategies import (
     FIXED_TIMESTAMP,
     aide_reports,
+    edge_weight_profiles,
     score_values,
     six_scores,
     tripwire_reports,
@@ -337,3 +338,15 @@ def test_aggregate_linearity_per_tool(profile, values, tool, delta):
     moved = aggregate(six_scores(shifted), profile, "b", FIXED_TIMESTAMP)
     expected = profile.tool_weights[tool] * delta
     assert moved.composite - base.composite == pytest.approx(expected, abs=1e-9)
+
+
+@given(
+    profile=edge_weight_profiles(),
+    values=st.lists(st.just(100.0) | score_values, min_size=6, max_size=6),
+)
+@settings(max_examples=300)
+def test_aggregate_accepts_every_valid_weight_sum(profile, values):
+    """A profile that passes validation scores any six scores: at a weight sum
+    of 1 + WEIGHT_SUM_TOLERANCE, six scores of 100 sum to just over 100."""
+    assessment = aggregate(six_scores(values), profile, "edge", FIXED_TIMESTAMP)
+    assert 0.0 <= assessment.composite <= 100.0
