@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -73,20 +74,20 @@ def _read_text(path: Path) -> str:
 def _score_report(
     tool: ToolKind, path: Path, firewall: bool | None, profile: WeightProfile, verbose: bool
 ) -> tuple[NormalizedScore, list[str]]:
-    """Read, parse and normalize one report, printing its diagnostics first;
-    returns the score (``raw`` is the parsed report) and the warnings. A
-    model check that fails on what the parser read names the report."""
+    """Read, parse and normalize one report, printing its diagnostics first
+    (trace notes only when ``verbose``, and only then built); returns the
+    score (``raw`` is the parsed report) and the warnings. A model check
+    that fails on what the parser read names the report."""
     source = str(path)
     text = _read_text(path)
     try:
-        report, diagnostics = TOOLS[tool].parse(text, source, firewall)
+        report, diagnostics = TOOLS[tool].parse(text, source, firewall, verbose)
     except ValidationError as exc:
         raise ParseError(exc.code, str(exc), source) from exc
     for warning in diagnostics.warnings:
         print(f"warning: {source}: {warning}", file=sys.stderr)
-    if verbose:
-        for note in diagnostics.trace:
-            print(f"debug: {source}: {note}", file=sys.stderr)
+    for note in diagnostics.trace:
+        print(f"debug: {source}: {note}", file=sys.stderr)
     return normalize_report(report, profile), diagnostics.warnings
 
 
@@ -148,10 +149,9 @@ def cmd_score(args: argparse.Namespace, config: AppConfig) -> int:
     else:
         _out(format_assessment_text(assessment, host))
     if args.save or args.history:
-        history_path = args.history or config.history_path
-        append_record(history_path, record)
+        append_record(config.history_path, record)
         if not args.json:
-            _out(f"appended to {history_path}")
+            _out(f"appended to {config.history_path}")
     if args.min_score is not None and assessment.composite < args.min_score:
         print(
             f"composite {assessment.composite:.2f} below required minimum "
@@ -193,13 +193,12 @@ def _last_in_file(reference: str) -> CompositeAssessment:
 
 
 def cmd_compare(args: argparse.Namespace, config: AppConfig) -> int:
-    history_path = args.history or config.history_path
     # A reference names a record file when one exists there, else a stored
     # label; the history is read once, and only for labels.
     references = (args.from_ref, args.to_ref)
     is_file = [Path(reference).is_file() for reference in references]
     labels = [reference for reference, file in zip(references, is_file) if not file]
-    labeled = iter(_latest_by_label(history_path, labels) if labels else ())
+    labeled = iter(_latest_by_label(config.history_path, labels) if labels else ())
     from_assessment, to_assessment = (
         _last_in_file(reference) if file else next(labeled).assessment
         for reference, file in zip(references, is_file)
@@ -213,8 +212,7 @@ def cmd_compare(args: argparse.Namespace, config: AppConfig) -> int:
 
 
 def cmd_history(args: argparse.Namespace, config: AppConfig) -> int:
-    history_path = args.history or config.history_path
-    loaded = _load_history(history_path, host_filter=args.host)
+    loaded = _load_history(config.history_path, host_filter=args.host)
     if args.json:
         for record in loaded.records:
             _out(record_to_json(record))
@@ -229,7 +227,7 @@ def cmd_history(args: argparse.Namespace, config: AppConfig) -> int:
 
 
 def cmd_report(args: argparse.Namespace, config: AppConfig) -> int:
-    records = _latest_by_label(args.history or config.history_path, args.labels)
+    records = _latest_by_label(config.history_path, args.labels)
     if args.format == "json":
         _out(render_report_json(records))
     elif args.format == "text":
@@ -383,7 +381,10 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exited:  # after --help, --version or a usage error
             code = exited.code
         else:
-            code = args.func(args, load_config(args.config))
+            config = load_config(args.config)
+            if getattr(args, "history", None) is not None:  # ``--history`` wins
+                config = replace(config, history_path=args.history)
+            code = args.func(args, config)
         # Flush here, not at interpreter exit, so that a stdout that cannot
         # be written is reported like any other I/O failure.
         _flush_stdout()

@@ -21,7 +21,7 @@ from typing import Any, Callable, Iterator, Mapping
 
 from .errors import ValidationError
 from .model import PENALTY_FIELDS, Severity, ToolKind, WeightProfile
-from .runner import ToolInvocation
+from .runner import MAX_TIMEOUT, ToolInvocation
 from .scoring import TOOLS
 
 CONFIG_ENV_VAR = "AUDITSCORE_CONFIG"
@@ -32,8 +32,6 @@ DEFAULT_TARGET = "127.0.0.1"
 DEFAULT_DATASTREAM = "/usr/share/xml/scap/ssg/content/ssg-ubuntu2204-ds.xml"
 
 DEFAULT_TIMEOUT = 3600.0
-# One week; poll(2) takes an int of milliseconds, which ends at 24.8 days.
-MAX_TIMEOUT = 7 * 24 * 3600.0
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,11 @@ network scanner emits its own XML with NSE script output embedded.
 Each parser is a pure function from report text to a raw-metrics record
 plus a :class:`ParseDiagnostics`. Diagnostics never alter extracted
 values: a parse either succeeds with a complete record or raises a
-:class:`~auditscore.errors.ParseError`. Every extracted number is traced
-to its source line or element in ``diagnostics.trace`` so reports stay
-auditable at debug verbosity.
+:class:`~auditscore.errors.ParseError`. With ``trace=True``, the default,
+every extracted number is traced to its source line or element in
+``diagnostics.trace`` so reports stay auditable at debug verbosity; the
+CLI asks for the notes only under ``--verbose``, since a large XCCDF
+result carries one per rule. Warnings are always kept.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ _XCCDF_FAIL = frozenset({"fail", "error"})
 _XCCDF_EXCLUDED = frozenset(
     {"notapplicable", "notchecked", "notselected", "informational", "unknown"}
 )
+_XCCDF_KNOWN = _XCCDF_PASS | _XCCDF_FAIL | _XCCDF_EXCLUDED
 
 
 @dataclass
@@ -73,7 +76,9 @@ class ParseDiagnostics:
 _HARDENING_INDEX = re.compile(r"^\s*hardening_index\s*=\s*(.*?)\s*$")
 
 
-def parse_lynis(report_text: str, source: str = "<string>") -> tuple[LynisReport, ParseDiagnostics]:
+def parse_lynis(
+    report_text: str, source: str = "<string>", *, trace: bool = True
+) -> tuple[LynisReport, ParseDiagnostics]:
     """Extract the 0-100 hardening index from ``key=value`` report data.
 
     Lines starting with ``#`` are comments. Raises ``KEY_MISSING`` when no
@@ -106,7 +111,8 @@ def parse_lynis(report_text: str, source: str = "<string>") -> tuple[LynisReport
         raise ParseError(
             "VALUE_OUT_OF_RANGE", f"hardening_index {value} outside [0, 100]", source, lineno
         )
-    diagnostics.note(f"hardening_index={value} (line {lineno})")
+    if trace:
+        diagnostics.note(f"hardening_index={value} (line {lineno})")
     return LynisReport(value), diagnostics
 
 
@@ -137,6 +143,14 @@ def _localname(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
+class _LocalNames(dict):
+    """Tag -> local name, each tag split on its first lookup."""
+
+    def __missing__(self, tag: str) -> str:
+        name = self[tag] = _localname(tag)
+        return name
+
+
 def _xml_root(text: str, source: str) -> ET.Element:
     # Imported here: only the two XML parsers use it, and every history
     # command would pay for loading it.
@@ -154,7 +168,7 @@ def _line_of(text: str, pos: int) -> int:
 
 
 def parse_xccdf(
-    result_xml: str, profile: ScapProfile, source: str = "<string>"
+    result_xml: str, profile: ScapProfile, source: str = "<string>", *, trace: bool = True
 ) -> tuple[ScapReport, ParseDiagnostics]:
     """Count rule results in an XCCDF TestResult document.
 
@@ -168,11 +182,14 @@ def parse_xccdf(
     """
     diagnostics = ParseDiagnostics()
     root = _xml_root(result_xml, source)
+    # Real results run to tens of thousands of rules but a few dozen
+    # distinct tags, so each tag is split once.
+    names = _LocalNames()
     rule_results, test_results = [], 0
-    for el in root.iter():  # document order: each TestResult starts afresh
-        name = _localname(el.tag)
+    for element in root.iter():  # document order: each TestResult starts afresh
+        name = names[element.tag]
         if name == "rule-result":
-            rule_results.append(el)
+            rule_results.append(element)
         elif name == "TestResult":
             rule_results, test_results = [], test_results + 1
     if test_results > 1:
@@ -182,30 +199,40 @@ def parse_xccdf(
         )
     if not rule_results:
         raise ParseError("NO_TEST_RESULT", "document contains no rule-result elements", source)
-    pass_count = 0
-    fail_count = 0
-    excluded: Counter[str] = Counter()
+    values = []  # per rule-result: its first direct ``result`` child's text, stripped
     for element in rule_results:
-        idref = element.get("idref", "<no idref>")
-        result_el = next((c for c in element if _localname(c.tag) == "result"), None)
-        value = (result_el.text or "").strip() if result_el is not None else ""
-        if not value:
-            diagnostics.warn(f"rule-result {idref} has no result value; ignored")
-            continue
-        if value in _XCCDF_PASS:
-            pass_count += 1
-            diagnostics.note(f"{idref}: {value} -> pass")
-        elif value in _XCCDF_FAIL:
-            fail_count += 1
-            diagnostics.note(f"{idref}: {value} -> fail")
+        for child in element:
+            if names[child.tag] == "result":
+                values.append((child.text or "").strip())
+                break
         else:
-            if value not in _XCCDF_EXCLUDED:
-                diagnostics.warn(f"rule-result {idref} has unknown result {value!r}; excluded")
-            excluded[value] += 1
-    diagnostics.excluded_results = dict(excluded)
-    if excluded:
-        tallies = ", ".join(f"{name}={count}" for name, count in sorted(excluded.items()))
-        diagnostics.note(f"excluded result tallies: {tallies}")
+            values.append("")
+    tally = Counter(values)
+    if not tally.keys() <= _XCCDF_KNOWN:  # a blank or unknown value: warn of each
+        for element, value in zip(rule_results, values):
+            if value not in _XCCDF_KNOWN:
+                idref = element.get("idref", "<no idref>")
+                diagnostics.warn(
+                    f"rule-result {idref} has unknown result {value!r}; excluded"
+                    if value
+                    else f"rule-result {idref} has no result value; ignored"
+                )
+    excluded = {
+        value: count
+        for value, count in tally.items()  # first-seen order
+        if value and value not in _XCCDF_PASS and value not in _XCCDF_FAIL
+    }
+    diagnostics.excluded_results = excluded
+    if trace:
+        for element, value in zip(rule_results, values):
+            if value in _XCCDF_PASS or value in _XCCDF_FAIL:
+                outcome = "pass" if value in _XCCDF_PASS else "fail"
+                diagnostics.note(f"{element.get('idref', '<no idref>')}: {value} -> {outcome}")
+        if excluded:
+            tallies = ", ".join(f"{name}={count}" for name, count in sorted(excluded.items()))
+            diagnostics.note(f"excluded result tallies: {tallies}")
+    pass_count = sum(tally[value] for value in _XCCDF_PASS)
+    fail_count = sum(tally[value] for value in _XCCDF_FAIL)
     return ScapReport(profile, pass_count, fail_count), diagnostics
 
 
@@ -221,7 +248,9 @@ _AIDE_NO_CHANGES = re.compile(
 )
 
 
-def parse_aide(report_text: str, source: str = "<string>") -> tuple[AideReport, ParseDiagnostics]:
+def parse_aide(
+    report_text: str, source: str = "<string>", *, trace: bool = True
+) -> tuple[AideReport, ParseDiagnostics]:
     """Extract added/removed/changed counts from a check report.
 
     Recognizes the summary counter lines and the "no differences" form of
@@ -238,10 +267,13 @@ def parse_aide(report_text: str, source: str = "<string>") -> tuple[AideReport, 
             diagnostics.warn(f"duplicate '{found.group(1)} entries' line; keeping first value")
             continue
         counts[key] = value
-        diagnostics.note(f"{key} entries={value} (line {_line_of(report_text, found.start())})")
+        if trace:
+            line = _line_of(report_text, found.start())
+            diagnostics.note(f"{key} entries={value} (line {line})")
     if not counts:
         if _AIDE_NO_CHANGES.search(report_text):
-            diagnostics.note("no-differences report; all counts zero")
+            if trace:
+                diagnostics.note("no-differences report; all counts zero")
             return AideReport(0, 0, 0), diagnostics
         raise ParseError(
             "SUMMARY_MISSING", "no summary counter lines and no no-differences marker", source
@@ -258,7 +290,7 @@ _TRIPWIRE_VIOLATIONS = re.compile(r"Total violations found:\s*([\d,]+)", re.IGNO
 
 
 def parse_tripwire(
-    report_text: str, source: str = "<string>"
+    report_text: str, source: str = "<string>", *, trace: bool = True
 ) -> tuple[TripwireReport, ParseDiagnostics]:
     """Extract object and violation totals from an integrity check report.
 
@@ -278,10 +310,11 @@ def parse_tripwire(
         raise ParseError("SUMMARY_MISSING", "missing " + " and ".join(missing), source)
     objects_scanned = _count(objects_match.group(1).replace(",", ""), "objects scanned", source)
     violations = _count(violations_match.group(1).replace(",", ""), "violations", source)
-    objects_line = _line_of(report_text, objects_match.start())
-    violations_line = _line_of(report_text, violations_match.start())
-    diagnostics.note(f"objects scanned={objects_scanned} (line {objects_line})")
-    diagnostics.note(f"violations={violations} (line {violations_line})")
+    if trace:
+        objects_line = _line_of(report_text, objects_match.start())
+        violations_line = _line_of(report_text, violations_match.start())
+        diagnostics.note(f"objects scanned={objects_scanned} (line {objects_line})")
+        diagnostics.note(f"violations={violations} (line {violations_line})")
     if violations > objects_scanned:
         raise ParseError(
             "VIOLATIONS_EXCEED_OBJECTS",
@@ -347,7 +380,7 @@ def _severity(cvss: float | None, keyword: Severity | None) -> Severity:
 
 
 def _script_findings(
-    script_el: ET.Element, port: int | None, diagnostics: ParseDiagnostics
+    script_el: ET.Element, port: int | None, diagnostics: ParseDiagnostics, trace: bool
 ) -> list[VulnFinding]:
     script_id = script_el.get("id", "script")
     output = script_el.get("output") or ""
@@ -391,19 +424,25 @@ def _script_findings(
                 cvss = global_cvss
             severity = _severity(cvss, keyword_severity)
             findings.append(VulnFinding(identifier, severity, confirmed, cvss, port, description))
-            diagnostics.note(
-                f"finding {identifier} from script {script_id} ({where}), "
-                f"cvss={cvss}, confirmed={confirmed}"
-            )
+            if trace:
+                diagnostics.note(
+                    f"finding {identifier} from script {script_id} ({where}), "
+                    f"cvss={cvss}, confirmed={confirmed}"
+                )
     elif confirmed:
         severity = _severity(global_cvss, keyword_severity)
         findings.append(VulnFinding(script_id, severity, True, global_cvss, port, description))
-        diagnostics.note(f"finding {script_id} ({where}), confirmed by state marker")
+        if trace:
+            diagnostics.note(f"finding {script_id} ({where}), confirmed by state marker")
     return findings
 
 
 def parse_nmap(
-    scan_xml: str, source: str = "<string>", firewall_override: bool | None = None
+    scan_xml: str,
+    source: str = "<string>",
+    firewall_override: bool | None = None,
+    *,
+    trace: bool = True,
 ) -> tuple[VulnReport, ParseDiagnostics]:
     """Extract port exposure and vulnerability findings from scan XML.
 
@@ -442,22 +481,25 @@ def parse_nmap(
             state = state_el.get("state", "") if state_el is not None else ""
             if state == "open":
                 open_ports += 1
-                diagnostics.note(f"open port {portid_raw}/{port_el.get('protocol', '?')}")
+                if trace:
+                    diagnostics.note(f"open port {portid_raw}/{port_el.get('protocol', '?')}")
             elif state == "filtered":
                 filtered_ports += 1
-                diagnostics.note(f"filtered port {portid_raw}")
-            elif state:
+                if trace:
+                    diagnostics.note(f"filtered port {portid_raw}")
+            elif state and trace:
                 diagnostics.note(f"port {portid_raw} state {state!r} not counted")
             for script_el in (c for c in port_el if _localname(c.tag) == "script"):
-                findings.extend(_script_findings(script_el, portid, diagnostics))
+                findings.extend(_script_findings(script_el, portid, diagnostics, trace))
         for extra_el in (el for el in host.iter() if _localname(el.tag) == "extraports"):
             if extra_el.get("state") == "filtered":
                 count = _count(extra_el.get("count", "0"), "extraports count", source)
                 filtered_ports += count
-                diagnostics.note(f"extraports: {count} filtered")
+                if trace:
+                    diagnostics.note(f"extraports: {count} filtered")
         for hostscript in (el for el in host.iter() if _localname(el.tag) == "hostscript"):
             for script_el in (c for c in hostscript if _localname(c.tag) == "script"):
-                findings.extend(_script_findings(script_el, None, diagnostics))
+                findings.extend(_script_findings(script_el, None, diagnostics, trace))
 
     confirmed_count = sum(1 for f in findings if f.confirmed)
     firewall = detect_firewall(filtered_ports, firewall_override)

@@ -27,6 +27,9 @@ from typing import Mapping, Sequence
 from .errors import RunnerError, ValidationError
 from .model import ToolKind
 
+# One week; poll(2) takes an int of milliseconds, which ends at 24.8 days.
+MAX_TIMEOUT = 7 * 24 * 3600.0
+
 
 @dataclass(frozen=True)
 class ToolInvocation:
@@ -39,8 +42,12 @@ class ToolInvocation:
     exit_code_policy: frozenset[int] = frozenset({0})
 
     def __post_init__(self):
-        if self.timeout <= 0:
-            raise ValidationError("VALUE_OUT_OF_RANGE", f"timeout must be > 0, got {self.timeout}")
+        # NaN fails the comparison too.
+        if not 0 < self.timeout <= MAX_TIMEOUT:
+            raise ValidationError(
+                "VALUE_OUT_OF_RANGE",
+                f"timeout must be greater than 0 and at most {MAX_TIMEOUT:g}, got {self.timeout}",
+            )
         object.__setattr__(self, "output_path", Path(self.output_path))
         object.__setattr__(self, "exit_code_policy", frozenset(self.exit_code_policy))
 

@@ -137,8 +137,9 @@ class ToolSpec:
     """
 
     display_name: str
-    # (report text, source path, firewall override) -> raw report
-    parse: Callable[[str, str, bool | None], tuple[RawToolReport, ParseDiagnostics]]
+    # (report text, source path, firewall override, trace) -> raw report;
+    # trace notes are built only when asked for.
+    parse: Callable[[str, str, bool | None, bool], tuple[RawToolReport, ParseDiagnostics]]
     command: str
     output_name: str
     normalize: Callable[[Any, WeightProfile], NormalizedScore]
@@ -168,7 +169,7 @@ _SCAP = dict(
 TOOLS: Mapping[ToolKind, ToolSpec] = {
     ToolKind.LYNIS: ToolSpec(
         "Lynis",
-        lambda text, source, firewall: parse_lynis(text, source),
+        lambda text, source, firewall, trace: parse_lynis(text, source, trace=trace),
         "lynis audit system --quiet --report-file {output}",
         "lynis-report.dat",
         lambda raw, profile: normalize_lynis(raw),
@@ -178,7 +179,9 @@ TOOLS: Mapping[ToolKind, ToolSpec] = {
     ),
     ToolKind.OPENSCAP_STANDARD: ToolSpec(
         "OpenSCAP Standard",
-        lambda text, source, firewall: parse_xccdf(text, ScapProfile.STANDARD, source),
+        lambda text, source, firewall, trace: parse_xccdf(
+            text, ScapProfile.STANDARD, source, trace=trace
+        ),
         "oscap xccdf eval --profile xccdf_org.ssgproject.content_profile_standard "
         "--results {output} {datastream}",
         "openscap-standard.xml",
@@ -186,7 +189,7 @@ TOOLS: Mapping[ToolKind, ToolSpec] = {
     ),
     ToolKind.AIDE: ToolSpec(
         "AIDE",
-        lambda text, source, firewall: parse_aide(text, source),
+        lambda text, source, firewall, trace: parse_aide(text, source, trace=trace),
         "aide --check",
         "aide-check.txt",
         lambda raw, profile: normalize_aide(raw),
@@ -206,7 +209,7 @@ TOOLS: Mapping[ToolKind, ToolSpec] = {
     ),
     ToolKind.TRIPWIRE: ToolSpec(
         "Tripwire",
-        lambda text, source, firewall: parse_tripwire(text, source),
+        lambda text, source, firewall, trace: parse_tripwire(text, source, trace=trace),
         "tripwire --check",
         "tripwire-check.txt",
         lambda raw, profile: normalize_tripwire(raw),
@@ -218,7 +221,9 @@ TOOLS: Mapping[ToolKind, ToolSpec] = {
     ),
     ToolKind.OPENSCAP_CIS: ToolSpec(
         "OpenSCAP CIS",
-        lambda text, source, firewall: parse_xccdf(text, ScapProfile.CIS, source),
+        lambda text, source, firewall, trace: parse_xccdf(
+            text, ScapProfile.CIS, source, trace=trace
+        ),
         "oscap xccdf eval --profile xccdf_org.ssgproject.content_profile_cis_level1_server "
         "--results {output} {datastream}",
         "openscap-cis.xml",
@@ -226,7 +231,7 @@ TOOLS: Mapping[ToolKind, ToolSpec] = {
     ),
     ToolKind.VULN_SCAN: ToolSpec(
         "Vulnerability",
-        lambda text, source, firewall: parse_nmap(text, source, firewall),
+        lambda text, source, firewall, trace: parse_nmap(text, source, firewall, trace=trace),
         "nmap -sV --script vuln -oX {output} {target}",
         "nmap-scan.xml",
         lambda raw, profile: normalize_vuln(raw, profile),

@@ -61,6 +61,37 @@ def test_parse_output_matches_golden(capsys, monkeypatch, data_dir, fixture):
         assert out == expected[key]
 
 
+# Per fixture, the stderr of ``parse --verbose``, one line per entry.
+_VERBOSE_GOLDEN = json.loads((DATA_DIR / "expected-verbose.json").read_text())
+
+
+def _golden_stderr(fixture, verbose):
+    lines = _VERBOSE_GOLDEN[fixture]["stderr"]
+    return "".join(f"{line}\n" for line in lines if verbose or line.startswith("warning: "))
+
+
+@pytest.mark.parametrize("verbose", [True, False], ids=["verbose", "quiet"])
+@pytest.mark.parametrize("fixture", sorted(_VERBOSE_GOLDEN))
+def test_parse_stderr_matches_golden(capsys, monkeypatch, data_dir, fixture, verbose):
+    """Byte-exact ``warning:`` and, under ``--verbose``, ``debug:`` lines."""
+    monkeypatch.chdir(data_dir)
+    tool = _VERBOSE_GOLDEN[fixture]["tool"]
+    code, _, err = run_cli(capsys, "parse", "--tool", tool, fixture, *(["--verbose"] * verbose))
+    assert code == 0
+    assert err == _golden_stderr(fixture, verbose)
+
+
+@pytest.mark.parametrize("verbose", [True, False], ids=["verbose", "quiet"])
+@pytest.mark.parametrize("manifest", ["manifest-baseline.yaml", "manifest-warnings.yaml"])
+def test_score_stderr_matches_golden(capsys, monkeypatch, data_dir, manifest, verbose):
+    """``score`` prints each report's golden ``parse`` stderr, in manifest order."""
+    monkeypatch.chdir(data_dir)
+    reports = yaml.safe_load((data_dir / manifest).read_text())["reports"].values()
+    code, _, err = run_cli(capsys, "score", "--manifest", manifest, *(["--verbose"] * verbose))
+    assert code == 0
+    assert err == "".join(_golden_stderr(report, verbose) for report in reports)
+
+
 def test_parse_lynis_key_missing_exits_2(capsys, tmp_path):
     bad = tmp_path / "missing.dat"
     bad.write_text("os=Linux\n")

@@ -9,6 +9,7 @@ from auditscore.errors import RunnerError, ValidationError
 from auditscore.model import ToolKind
 from auditscore.parsers import parse_lynis
 from auditscore.runner import (
+    MAX_TIMEOUT,
     ToolInvocation,
     init_integrity_database,
     invoke_tool,
@@ -177,6 +178,16 @@ def test_invalid_timeout_rejected(out_dir):
         ToolInvocation(
             tool=ToolKind.LYNIS, command_template="x", output_path=out_dir / "x", timeout=0
         )
+
+
+@pytest.mark.parametrize("timeout", [1e10, float("inf"), float("nan")])
+def test_timeout_outside_the_configurable_range_is_value_out_of_range(out_dir, timeout):
+    """Past ``MAX_TIMEOUT`` the wait would overflow poll's range, and NaN is
+    not ``<= 0``, so a check for a positive value alone lets all three by."""
+    with pytest.raises(ValidationError) as excinfo:
+        invoke_tool(ToolInvocation(ToolKind.LYNIS, "true {output}", out_dir / "x", timeout=timeout))
+    assert excinfo.value.code == "VALUE_OUT_OF_RANGE"
+    assert ToolInvocation(ToolKind.LYNIS, "true", out_dir / "x", timeout=MAX_TIMEOUT)
 
 
 # ---------------------------------------------------------------------------
