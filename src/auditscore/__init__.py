@@ -4,68 +4,9 @@ Parsers turn each scanner's native report into raw metrics, the scoring
 layer normalizes every tool onto a 0-100 scale and combines the six
 scores into a weighted composite, and the analysis layer decomposes
 composite changes and classifies per-tool trends across hardening levels.
+Each name is imported from the module that defines it, for example
+``from auditscore.parsers import parse_aide``; importing the package
+itself loads none of them.
 """
-
-from .analysis import (
-    Trend,
-    TrendTable,
-    decompose_delta,
-    rank_contributions,
-    trend_series,
-)
-from .errors import (
-    AnalysisError,
-    AuditError,
-    ParseError,
-    RunnerError,
-    ScoringError,
-    StoreError,
-    ValidationError,
-)
-from .model import (
-    AideReport,
-    CompositeAssessment,
-    DeltaDecomposition,
-    LynisReport,
-    NormalizedScore,
-    RawToolReport,
-    ScapProfile,
-    ScapReport,
-    Severity,
-    ToolKind,
-    TripwireReport,
-    VulnFinding,
-    VulnReport,
-    WeightProfile,
-    validate_weights,
-)
-from .parsers import (
-    ParseDiagnostics,
-    detect_firewall,
-    parse_aide,
-    parse_lynis,
-    parse_nmap,
-    parse_tripwire,
-    parse_xccdf,
-)
-from .runner import (
-    InvocationResult,
-    ScanOutcome,
-    ToolInvocation,
-    init_integrity_database,
-    invoke_tool,
-    orchestrate_scan,
-)
-from .scoring import (
-    aggregate,
-    classify_severity,
-    normalize_aide,
-    normalize_lynis,
-    normalize_report,
-    normalize_scap,
-    normalize_tripwire,
-    normalize_vuln,
-)
-from .store import HistoryLoad, HistoryRecord, append_record, load_history
 
 __version__ = "0.1.0"

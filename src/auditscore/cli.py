@@ -76,25 +76,14 @@ def _score_report(
 ) -> tuple[NormalizedScore, list[str]]:
     """Read, parse and normalize one report, printing its diagnostics first
     (trace notes only when ``verbose``, and only then built); returns the
-    score (``raw`` is the parsed report) and the warnings. A model check
-    that fails on what the parser read names the report."""
+    score (``raw`` is the parsed report) and the warnings."""
     source = str(path)
-    text = _read_text(path)
-    try:
-        report, diagnostics = TOOLS[tool].parse(text, source, firewall, verbose)
-    except ValidationError as exc:
-        raise ParseError(exc.code, str(exc), source) from exc
+    report, diagnostics = TOOLS[tool].parse(_read_text(path), source, firewall, verbose)
     for warning in diagnostics.warnings:
         print(f"warning: {source}: {warning}", file=sys.stderr)
     for note in diagnostics.trace:
         print(f"debug: {source}: {note}", file=sys.stderr)
     return normalize_report(report, profile), diagnostics.warnings
-
-
-def _profile_for(args: argparse.Namespace, config: AppConfig) -> WeightProfile:
-    if args.weights:
-        return load_weight_profile(args.weights)
-    return config.weights
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +92,9 @@ def _profile_for(args: argparse.Namespace, config: AppConfig) -> WeightProfile:
 
 
 def cmd_parse(args: argparse.Namespace, config: AppConfig) -> int:
-    profile = _profile_for(args, config)
     override = {"auto": None, "active": True, "inactive": False}[args.firewall]
     score, warnings = _score_report(
-        _CLI_TOOL_NAMES[args.tool], args.file, override, profile, args.verbose
+        _CLI_TOOL_NAMES[args.tool], args.file, override, config.weights, args.verbose
     )
     if args.json:
         _out(
@@ -132,7 +120,6 @@ def cmd_score(args: argparse.Namespace, config: AppConfig) -> int:
         raise ValidationError(
             "VALUE_OUT_OF_RANGE", f"--min-score must be finite, got {args.min_score}"
         )
-    profile = _profile_for(args, config)
     manifest = load_manifest(args.manifest)
     label = args.label or manifest.label or "assessment"
     host = args.host or manifest.host or os.uname().nodename
@@ -141,8 +128,10 @@ def cmd_score(args: argparse.Namespace, config: AppConfig) -> int:
         if entry.score is not None:
             scores[tool] = NormalizedScore(tool, entry.score, None)
         else:
-            scores[tool], _ = _score_report(tool, entry.path, entry.firewall, profile, args.verbose)
-    assessment = aggregate(scores, profile, label)
+            scores[tool], _ = _score_report(
+                tool, entry.path, entry.firewall, config.weights, args.verbose
+            )
+    assessment = aggregate(scores, config.weights, label)
     record = HistoryRecord(assessment=assessment, host_label=host)
     if args.json:
         _out(record_to_json(record))
@@ -382,8 +371,11 @@ def main(argv: list[str] | None = None) -> int:
             code = exited.code
         else:
             config = load_config(args.config)
-            if getattr(args, "history", None) is not None:  # ``--history`` wins
+            # ``--history`` and ``--weights`` win over the config.
+            if getattr(args, "history", None) is not None:
                 config = replace(config, history_path=args.history)
+            if getattr(args, "weights", None) is not None:
+                config = replace(config, weights=load_weight_profile(args.weights))
             code = args.func(args, config)
         # Flush here, not at interpreter exit, so that a stdout that cannot
         # be written is reported like any other I/O failure.

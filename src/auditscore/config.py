@@ -21,7 +21,7 @@ from typing import Any, Callable, Iterator, Mapping
 
 from .errors import ValidationError
 from .model import PENALTY_FIELDS, Severity, ToolKind, WeightProfile
-from .runner import MAX_TIMEOUT, ToolInvocation
+from .runner import ToolInvocation
 from .scoring import TOOLS
 
 CONFIG_ENV_VAR = "AUDITSCORE_CONFIG"
@@ -30,8 +30,6 @@ DEFAULT_HISTORY_PATH = Path("auditscore-history.jsonl")
 DEFAULT_OUTPUT_DIR = Path("scan-reports")
 DEFAULT_TARGET = "127.0.0.1"
 DEFAULT_DATASTREAM = "/usr/share/xml/scap/ssg/content/ssg-ubuntu2204-ds.xml"
-
-DEFAULT_TIMEOUT = 3600.0
 
 
 @dataclass(frozen=True)
@@ -221,7 +219,7 @@ def _runner_from_mapping(data: Any) -> tuple[Mapping, Mapping, Mapping]:
     output_dir = Path(_text(data.get("output_dir", DEFAULT_OUTPUT_DIR), "runner.output_dir"))
     checks = {
         tool: ToolInvocation(
-            tool, spec.command, output_dir / spec.output_name, DEFAULT_TIMEOUT, spec.exit_codes
+            tool, spec.command, output_dir / spec.output_name, exit_code_policy=spec.exit_codes
         )
         for tool, spec in TOOLS.items()
     }
@@ -235,18 +233,17 @@ def _runner_from_mapping(data: Any) -> tuple[Mapping, Mapping, Mapping]:
         if not isinstance(exit_codes, (list, frozenset)):
             raise _invalid(f"{context}.exit_codes must be a list")
         timeout = _number(entry.get("timeout", base.timeout), float, f"{context}.timeout")
-        if not 0 < timeout <= MAX_TIMEOUT:
-            raise _invalid(
-                f"{context}.timeout must be greater than 0 and at most {MAX_TIMEOUT:g}, "
-                f"got {timeout:g}"
-            )
+        try:  # ``ToolInvocation`` checks the range
+            base = replace(base, timeout=timeout)
+        except ValidationError as exc:
+            raise _invalid(f"{context}: {exc}") from None
         checks[tool] = ToolInvocation(
             tool,
             _text(entry.get("command", base.command_template), f"{context}.command"),
             output_dir / _text(entry["output"], f"{context}.output")
             if "output" in entry
             else base.output_path,
-            timeout,
+            base.timeout,
             frozenset(_number(code, int, f"{context}.exit_codes") for code in exit_codes),
         )
     # An init logs next to the reports, accepts only exit 0 and gets the

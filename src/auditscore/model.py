@@ -30,6 +30,9 @@ WEIGHT_SUM_TOLERANCE = 1e-9
 # sum to 1 + WEIGHT_SUM_TOLERANCE put scores of 100 at 100 * (1 + 1e-9),
 # which ``aggregate`` clamps to 100; the float sums add a few ulps more.
 COMPOSITE_TOLERANCE = 100 * WEIGHT_SUM_TOLERANCE + 1e-12
+# The largest count a report may hold. No real scan comes near it, and a
+# larger one would overflow the float arithmetic of normalization.
+MAX_COUNT = 10**18
 
 
 class ToolKind(Enum):
@@ -97,10 +100,12 @@ def _require_kind(name: str, value: object, kind: type) -> None:
     raise ValidationError(code, f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
-def _require_non_negative(name: str, value: int) -> None:
+def _require_count(name: str, value: int) -> None:
     _require_kind(name, value, int)
     if value < 0:
         raise ValidationError("VALUE_OUT_OF_RANGE", f"{name} must be non-negative, got {value}")
+    if value > MAX_COUNT:
+        raise ValidationError("VALUE_OUT_OF_RANGE", f"{name} exceeds {MAX_COUNT}")
 
 
 @dataclass(frozen=True)
@@ -132,8 +137,8 @@ class ScapReport:
         return self.profile.tool
 
     def __post_init__(self):
-        _require_non_negative("pass_count", self.pass_count)
-        _require_non_negative("fail_count", self.fail_count)
+        _require_count("pass_count", self.pass_count)
+        _require_count("fail_count", self.fail_count)
 
 
 @dataclass(frozen=True)
@@ -146,9 +151,9 @@ class AideReport:
     tool = ToolKind.AIDE
 
     def __post_init__(self):
-        _require_non_negative("added", self.added)
-        _require_non_negative("removed", self.removed)
-        _require_non_negative("changed", self.changed)
+        _require_count("added", self.added)
+        _require_count("removed", self.removed)
+        _require_count("changed", self.changed)
 
     @property
     def total_changes(self) -> int:
@@ -164,8 +169,8 @@ class TripwireReport:
     tool = ToolKind.TRIPWIRE
 
     def __post_init__(self):
-        _require_non_negative("objects_scanned", self.objects_scanned)
-        _require_non_negative("violations", self.violations)
+        _require_count("objects_scanned", self.objects_scanned)
+        _require_count("violations", self.violations)
         if self.violations > self.objects_scanned:
             raise ValidationError(
                 "VIOLATIONS_EXCEED_OBJECTS",
@@ -224,9 +229,9 @@ class VulnReport:
     def __post_init__(self):
         object.__setattr__(self, "findings", tuple(self.findings))
         _require_kind("firewall_active", self.firewall_active, bool)
-        _require_non_negative("open_ports", self.open_ports)
-        _require_non_negative("filtered_ports", self.filtered_ports)
-        _require_non_negative("confirmed_count", self.confirmed_count)
+        _require_count("open_ports", self.open_ports)
+        _require_count("filtered_ports", self.filtered_ports)
+        _require_count("confirmed_count", self.confirmed_count)
         flagged = sum(1 for f in self.findings if f.confirmed)
         if self.confirmed_count > flagged:
             raise ValidationError(

@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .model import (
+    MAX_COUNT,
     AideReport,
     LynisReport,
     ScapProfile,
@@ -69,6 +71,16 @@ class ParseDiagnostics:
         self.trace.append(message)
 
 
+@contextmanager
+def _as_parse_error(source: str, line: int | None = None) -> Iterator[None]:
+    """Turn a model check that fails on what a parser read into a
+    ``ParseError`` naming the report, so a parser raises nothing else."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ParseError(exc.code, str(exc), source, line) from exc
+
+
 # ---------------------------------------------------------------------------
 # System audit report data (key=value lines)
 # ---------------------------------------------------------------------------
@@ -107,13 +119,10 @@ def parse_lynis(
         raise ParseError(
             "VALUE_NOT_INTEGER", f"hardening_index is {raw_value!r}", source, lineno
         ) from None
-    if not 0 <= value <= 100:
-        raise ParseError(
-            "VALUE_OUT_OF_RANGE", f"hardening_index {value} outside [0, 100]", source, lineno
-        )
     if trace:
         diagnostics.note(f"hardening_index={value} (line {lineno})")
-    return LynisReport(value), diagnostics
+    with _as_parse_error(source, lineno):
+        return LynisReport(value), diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -121,21 +130,16 @@ def parse_lynis(
 # ---------------------------------------------------------------------------
 
 
-# Larger counts come from no real scan, and would overflow the float
-# arithmetic of normalization.
-_MAX_COUNT = 10**18
-
-
 def _count(text: str, what: str, source: str) -> int:
     """An integer count from report text: ``VALUE_NOT_INTEGER`` when ``int``
     cannot read it (past 4,300 digits too), ``VALUE_OUT_OF_RANGE`` above
-    :data:`_MAX_COUNT`."""
+    :data:`~auditscore.model.MAX_COUNT`."""
     try:
         value = int(text)
     except ValueError:
         raise ParseError("VALUE_NOT_INTEGER", f"{what} is {text!r}", source) from None
-    if value > _MAX_COUNT:
-        raise ParseError("VALUE_OUT_OF_RANGE", f"{what} exceeds {_MAX_COUNT}", source)
+    if value > MAX_COUNT:
+        raise ParseError("VALUE_OUT_OF_RANGE", f"{what} exceeds {MAX_COUNT}", source)
     return value
 
 
@@ -315,13 +319,8 @@ def parse_tripwire(
         violations_line = _line_of(report_text, violations_match.start())
         diagnostics.note(f"objects scanned={objects_scanned} (line {objects_line})")
         diagnostics.note(f"violations={violations} (line {violations_line})")
-    if violations > objects_scanned:
-        raise ParseError(
-            "VIOLATIONS_EXCEED_OBJECTS",
-            f"violations ({violations}) exceed objects scanned ({objects_scanned})",
-            source,
-        )
-    return TripwireReport(objects_scanned, violations), diagnostics
+    with _as_parse_error(source):
+        return TripwireReport(objects_scanned, violations), diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +450,9 @@ def parse_nmap(
     CVE token (with CVSS when present on its line), or one per script
     whose output carries a ``VULNERABLE`` state marker. A finding with no
     CVSS and no severity keyword defaults to low severity. Raises
-    ``MALFORMED_XML``, ``NO_HOST`` or ``VALUE_NOT_INTEGER`` (an
-    ``extraports`` count that is not an integer).
+    ``MALFORMED_XML``, ``NO_HOST``, ``VALUE_NOT_INTEGER`` (an ``extraports``
+    count that is not an integer) or ``VALUE_OUT_OF_RANGE`` (a count past
+    ``MAX_COUNT``, or a finding on a port outside 1-65535).
     """
     diagnostics = ParseDiagnostics()
     root = _xml_root(scan_xml, source)
@@ -473,41 +473,42 @@ def parse_nmap(
     open_ports = 0
     filtered_ports = 0
     findings: list[VulnFinding] = []
-    for host in hosts:
-        for port_el in (el for el in host.iter() if _localname(el.tag) == "port"):
-            portid_raw = port_el.get("portid", "")
-            portid = _count(portid_raw, "portid", source) if portid_raw.isdecimal() else None
-            state_el = next((c for c in port_el if _localname(c.tag) == "state"), None)
-            state = state_el.get("state", "") if state_el is not None else ""
-            if state == "open":
-                open_ports += 1
-                if trace:
-                    diagnostics.note(f"open port {portid_raw}/{port_el.get('protocol', '?')}")
-            elif state == "filtered":
-                filtered_ports += 1
-                if trace:
-                    diagnostics.note(f"filtered port {portid_raw}")
-            elif state and trace:
-                diagnostics.note(f"port {portid_raw} state {state!r} not counted")
-            for script_el in (c for c in port_el if _localname(c.tag) == "script"):
-                findings.extend(_script_findings(script_el, portid, diagnostics, trace))
-        for extra_el in (el for el in host.iter() if _localname(el.tag) == "extraports"):
-            if extra_el.get("state") == "filtered":
-                count = _count(extra_el.get("count", "0"), "extraports count", source)
-                filtered_ports += count
-                if trace:
-                    diagnostics.note(f"extraports: {count} filtered")
-        for hostscript in (el for el in host.iter() if _localname(el.tag) == "hostscript"):
-            for script_el in (c for c in hostscript if _localname(c.tag) == "script"):
-                findings.extend(_script_findings(script_el, None, diagnostics, trace))
+    with _as_parse_error(source):
+        for host in hosts:
+            for port_el in (el for el in host.iter() if _localname(el.tag) == "port"):
+                portid_raw = port_el.get("portid", "")
+                portid = _count(portid_raw, "portid", source) if portid_raw.isdecimal() else None
+                state_el = next((c for c in port_el if _localname(c.tag) == "state"), None)
+                state = state_el.get("state", "") if state_el is not None else ""
+                if state == "open":
+                    open_ports += 1
+                    if trace:
+                        diagnostics.note(f"open port {portid_raw}/{port_el.get('protocol', '?')}")
+                elif state == "filtered":
+                    filtered_ports += 1
+                    if trace:
+                        diagnostics.note(f"filtered port {portid_raw}")
+                elif state and trace:
+                    diagnostics.note(f"port {portid_raw} state {state!r} not counted")
+                for script_el in (c for c in port_el if _localname(c.tag) == "script"):
+                    findings.extend(_script_findings(script_el, portid, diagnostics, trace))
+            for extra_el in (el for el in host.iter() if _localname(el.tag) == "extraports"):
+                if extra_el.get("state") == "filtered":
+                    count = _count(extra_el.get("count", "0"), "extraports count", source)
+                    filtered_ports += count
+                    if trace:
+                        diagnostics.note(f"extraports: {count} filtered")
+            for hostscript in (el for el in host.iter() if _localname(el.tag) == "hostscript"):
+                for script_el in (c for c in hostscript if _localname(c.tag) == "script"):
+                    findings.extend(_script_findings(script_el, None, diagnostics, trace))
 
-    confirmed_count = sum(1 for f in findings if f.confirmed)
-    firewall = detect_firewall(filtered_ports, firewall_override)
-    report = VulnReport(
-        open_ports=open_ports,
-        filtered_ports=filtered_ports,
-        firewall_active=firewall,
-        findings=tuple(findings),
-        confirmed_count=confirmed_count,
-    )
-    return report, diagnostics
+        confirmed_count = sum(1 for f in findings if f.confirmed)
+        firewall = detect_firewall(filtered_ports, firewall_override)
+        report = VulnReport(
+            open_ports=open_ports,
+            filtered_ports=filtered_ports,
+            firewall_active=firewall,
+            findings=tuple(findings),
+            confirmed_count=confirmed_count,
+        )
+        return report, diagnostics

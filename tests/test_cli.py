@@ -1399,6 +1399,21 @@ _LAYER_MODULES = tuple(
 )
 
 
+def test_package_import_loads_no_module_of_the_package():
+    probe = (
+        "import sys; before = set(sys.modules); import auditscore; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(auditscore.__file__).parents[1]))
+    completed = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (completed.returncode, completed.stderr) == (0, "")
+    loaded = completed.stdout.split()
+    assert "auditscore" in loaded
+    assert [name for name in loaded if name.startswith("auditscore.")] == []
+
+
 def test_cli_import_loads_the_layers_and_defers_what_few_commands_use():
     # Only what the import adds counts: site may load modules of its own.
     probe = (

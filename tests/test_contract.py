@@ -15,9 +15,10 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from auditscore.cli import main
+from auditscore.errors import ParseError
 from auditscore.model import (
     AideReport,
     LynisReport,
@@ -29,6 +30,7 @@ from auditscore.model import (
     VulnReport,
     WeightProfile,
 )
+from auditscore.parsers import parse_aide, parse_lynis, parse_nmap, parse_tripwire, parse_xccdf
 from auditscore.scoring import aggregate, normalize_report
 from auditscore.store import HistoryRecord, record_to_json
 
@@ -153,6 +155,43 @@ def _reports(draw, tool: str):
         )
         deep = "<nmaprun>" + "<host>" * 50_000 + "</host>" * 50_000 + "</nmaprun>"
     return draw(_bytes_of(deep if kind == "deep" else text))
+
+
+_LIBRARY_PARSERS = {
+    "lynis": parse_lynis,
+    "openscap-standard": lambda text, source, **options: parse_xccdf(
+        text, ScapProfile.STANDARD, source, **options
+    ),
+    "aide": parse_aide,
+    "tripwire": parse_tripwire,
+    "openscap-cis": lambda text, source, **options: parse_xccdf(
+        text, ScapProfile.CIS, source, **options
+    ),
+    "vuln-scan": parse_nmap,
+}
+# A CVE finding on a port the model refuses.
+_PORT_70000 = (
+    b"<nmaprun><host><ports><port protocol='tcp' portid='70000'><state state='open'/>"
+    b"<script id='vulners' output='CVE-2021-1234 9.8'/></port></ports></host></nmaprun>"
+)
+
+
+@given(
+    report=st.sampled_from(sorted(_FIXTURES)).flatmap(
+        lambda tool: st.tuples(st.just(tool), _reports(tool))
+    ),
+    trace=st.booleans(),
+)
+@example(report=("vuln-scan", _PORT_70000), trace=False)
+@_contract
+def test_library_parse_contract(report, trace):
+    """Called directly, as a library caller would, a parser raises nothing but a
+    ``ParseError`` naming the report, whatever report the CLI could be given."""
+    tool, data = report
+    try:
+        _LIBRARY_PARSERS[tool](data.decode("utf-8", errors="replace"), "report", trace=trace)
+    except ParseError as exc:
+        assert exc.source == "report"
 
 
 @st.composite

@@ -3,9 +3,12 @@ from hypothesis import given
 
 from auditscore.errors import ValidationError
 from auditscore.model import (
+    MAX_COUNT,
     AideReport,
     LynisReport,
     NormalizedScore,
+    ScapProfile,
+    ScapReport,
     Severity,
     ToolKind,
     TripwireReport,
@@ -16,7 +19,7 @@ from auditscore.model import (
     assessment_to_dict,
     validate_weights,
 )
-from auditscore.scoring import aggregate
+from auditscore.scoring import aggregate, normalize_report
 
 from .strategies import FIXED_TIMESTAMP, score_values, six_scores, weight_profiles
 
@@ -118,6 +121,35 @@ def test_raw_report_invariants():
         TripwireReport(objects_scanned=100, violations=200)
     assert excinfo.value.code == "VIOLATIONS_EXCEED_OBJECTS"
     assert AideReport(11, 0, 35).total_changes == 46
+
+
+# Each count field of a raw report: a report holding ``n`` there.
+_COUNTS = {
+    "pass_count": lambda n: ScapReport(ScapProfile.CIS, n, 1),
+    "fail_count": lambda n: ScapReport(ScapProfile.STANDARD, 1, n),
+    "added": lambda n: AideReport(n, 0, 0),
+    "removed": lambda n: AideReport(0, n, 0),
+    "changed": lambda n: AideReport(0, 0, n),
+    "objects_scanned": lambda n: TripwireReport(n, 1),
+    "violations": lambda n: TripwireReport(MAX_COUNT, n),
+    "open_ports": lambda n: VulnReport(n, 0, False),
+    "filtered_ports": lambda n: VulnReport(0, n, True),
+    # At the bound it fails the flagged-findings check instead.
+    "confirmed_count": lambda n: VulnReport(0, 0, False, confirmed_count=n),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COUNTS))
+def test_every_count_is_bounded(name):
+    if name != "confirmed_count":
+        score = normalize_report(_COUNTS[name](MAX_COUNT))
+        assert 0.0 <= score.value <= 100.0
+    # Past float range, normalization would raise OverflowError.
+    for count in (MAX_COUNT + 1, 10**400):
+        with pytest.raises(ValidationError) as excinfo:
+            _COUNTS[name](count)
+        assert excinfo.value.code == "VALUE_OUT_OF_RANGE"
+        assert str(excinfo.value) == f"{name} exceeds {MAX_COUNT}"
 
 
 def test_finding_severity_must_match_cvss_band():

@@ -308,6 +308,45 @@ def test_count_past_the_limits_is_a_parse_error():
             assert excinfo.value.code == code, text[:60]
 
 
+def test_model_check_failing_in_a_parse_is_a_parse_error_naming_the_report():
+    port_70000 = (
+        "<nmaprun><host><ports><port protocol='tcp' portid='70000'><state state='open'/>"
+        "<script id='vulners' output='CVE-2021-1234 9.8'/></port></ports></host></nmaprun>"
+    )
+    # Each tally is at the bound, their sum past it.
+    extraports = "<extraports state='filtered' count='1000000000000000000'/>"
+    tallies = f"<nmaprun><host>{extraports}{extraports}</host></nmaprun>"
+    tripwire = "Total objects scanned: 100\nTotal violations found: 200\n"
+    out_of_range = "VALUE_OUT_OF_RANGE"
+    for parse, text, code, message, line in (
+        (parse_nmap, port_70000, out_of_range, "port must be in [1, 65535], got 70000", None),
+        (parse_nmap, tallies, out_of_range, "filtered_ports exceeds 1000000000000000000", None),
+        (
+            parse_lynis,
+            "# audit\nhardening_index=140\n",
+            out_of_range,
+            "hardening_index must be in [0, 100], got 140",
+            2,
+        ),
+        (
+            parse_tripwire,
+            tripwire,
+            "VIOLATIONS_EXCEED_OBJECTS",
+            "violations (200) exceed objects scanned (100)",
+            None,
+        ),
+    ):
+        with pytest.raises(ParseError) as excinfo:
+            parse(text, "report.txt")
+        error = excinfo.value
+        assert (error.code, str(error), error.source, error.line) == (
+            code,
+            message,
+            "report.txt",
+            line,
+        )
+
+
 def test_nmap_host_nested_in_a_host_is_part_of_it():
     port = "<ports><port portid='22'><state state='open'/></port></ports>"
     xml = f"<nmaprun><host>{port}<host>{port}<host>{port}</host></host></host></nmaprun>"

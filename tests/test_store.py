@@ -182,6 +182,20 @@ def test_wrong_shape_records_are_skipped(tmp_path, data_dir, path, value):
     assert loaded.skipped == 1
 
 
+@pytest.mark.parametrize(
+    "tool, key",
+    [("aide", "added"), ("tripwire", "objects_scanned"), ("openscap_cis", "pass_count"),
+     ("vuln_scan", "filtered_ports")],
+)
+def test_stored_count_past_the_model_bound_is_skipped(tmp_path, data_dir, tool, key):
+    payload = json.loads((data_dir / "history-v1.jsonl").read_text().splitlines()[0])
+    payload["assessment"]["scores"][tool]["raw"][key] = 10**18 + 1
+    history = tmp_path / "history.jsonl"
+    history.write_text(json.dumps(payload) + "\n")
+    loaded = load_history(history)
+    assert (loaded.records, loaded.skipped) == ([], 1)
+
+
 def test_history_written_by_earlier_release_reencodes_byte_identically(data_dir):
     lines = (data_dir / "history-v1.jsonl").read_text().splitlines()
     assert load_history(data_dir / "history-v1.jsonl").skipped == 0
