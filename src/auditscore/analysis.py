@@ -8,12 +8,18 @@ decomposition and per-tool trend directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 from .errors import AnalysisError
-from .model import WEIGHT_SUM_TOLERANCE, CompositeAssessment, DeltaDecomposition, ToolKind
+from .model import (
+    TOOL_KINDS,
+    WEIGHT_SUM_TOLERANCE,
+    CompositeAssessment,
+    DeltaDecomposition,
+    Frozen,
+    ToolKind,
+)
 
 # Scores are conventionally reported to one decimal; endpoint moves
 # inside this band are noise, not a trend.
@@ -26,21 +32,30 @@ class Trend(Enum):
     FLAT = "flat"
 
 
-@dataclass(frozen=True)
-class TrendTable:
+class TrendTable(Frozen):
     """Per-tool score sequences with endpoint direction classification."""
 
-    labels: tuple[str, ...]
-    per_tool: dict[ToolKind, tuple[float, ...]]
-    directions: dict[ToolKind, Trend]
-    composite: tuple[float, ...]
-    composite_direction: Trend
+    __slots__ = ("labels", "per_tool", "directions", "composite", "composite_direction")
+
+    def __init__(
+        self,
+        labels: tuple[str, ...],
+        per_tool: dict[ToolKind, tuple[float, ...]],
+        directions: dict[ToolKind, Trend],
+        composite: tuple[float, ...],
+        composite_direction: Trend,
+    ):
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "per_tool", per_tool)
+        object.__setattr__(self, "directions", directions)
+        object.__setattr__(self, "composite", composite)
+        object.__setattr__(self, "composite_direction", composite_direction)
 
 
 def _require_same_weights(reference: CompositeAssessment, other: CompositeAssessment) -> None:
     """Raise unless both carry the same six tool weights within tolerance."""
     weights, others = reference.weights.tool_weights, other.weights.tool_weights
-    if any(abs(weights[tool] - others[tool]) > WEIGHT_SUM_TOLERANCE for tool in ToolKind):
+    if any(abs(weights[tool] - others[tool]) > WEIGHT_SUM_TOLERANCE for tool in TOOL_KINDS):
         raise AnalysisError(
             "WEIGHT_MISMATCH",
             f"assessments {reference.label!r} and {other.label!r} use different "
@@ -57,7 +72,7 @@ def decompose_delta(
     per_tool = {
         tool: weights[tool]
         * (to_assessment.scores[tool].value - from_assessment.scores[tool].value)
-        for tool in ToolKind
+        for tool in TOOL_KINDS
     }
     return DeltaDecomposition(from_assessment.label, to_assessment.label, per_tool)
 
@@ -84,7 +99,7 @@ def trend_series(assessments: Sequence[CompositeAssessment]) -> TrendTable:
     for other in assessments[1:]:
         _require_same_weights(first, other)
     per_tool = {
-        tool: tuple(a.scores[tool].value for a in assessments) for tool in ToolKind
+        tool: tuple(a.scores[tool].value for a in assessments) for tool in TOOL_KINDS
     }
     directions = {
         tool: _direction(series[0], series[-1]) for tool, series in per_tool.items()
@@ -108,5 +123,5 @@ def rank_contributions(
     is zero within ``COMPOSITE_TOLERANCE``.
     """
     deltas = decomposition.per_tool_delta
-    ordered = sorted(ToolKind, key=lambda tool: -deltas[tool])
+    ordered = sorted(TOOL_KINDS, key=lambda tool: -deltas[tool])
     return [(tool, deltas[tool], decomposition.share(tool)) for tool in ordered]

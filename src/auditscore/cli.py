@@ -16,14 +16,20 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .analysis import decompose_delta
 from .config import CONFIG_ENV_VAR, AppConfig, load_config, load_manifest, load_weight_profile
 from .errors import AuditError, ParseError, ValidationError
-from .model import CompositeAssessment, NormalizedScore, ToolKind, WeightProfile, raw_report_to_dict
+from .model import (
+    TOOL_KINDS,
+    CompositeAssessment,
+    NormalizedScore,
+    ToolKind,
+    WeightProfile,
+    raw_report_to_dict,
+)
 from .render import (
     format_assessment_text,
     format_compare_text,
@@ -227,13 +233,13 @@ def cmd_report(args: argparse.Namespace, config: AppConfig) -> int:
 
 
 def cmd_run(args: argparse.Namespace, config: AppConfig) -> int:
-    tools = [_CLI_TOOL_NAMES[name] for name in args.tools] if args.tools else list(ToolKind)
+    tools = [_CLI_TOOL_NAMES[name] for name in args.tools] if args.tools else list(TOOL_KINDS)
     outcome = orchestrate_scan(
         [config.checks[tool] for tool in tools],
         parallel=args.parallel,
         substitutions=config.substitutions,
     )
-    for tool in ToolKind:
+    for tool in TOOL_KINDS:
         if tool in outcome.reports:
             _out(f"{tool.value}: {outcome.reports[tool]}")
         elif tool in outcome.failures:
@@ -373,9 +379,9 @@ def main(argv: list[str] | None = None) -> int:
             config = load_config(args.config)
             # ``--history`` and ``--weights`` win over the config.
             if getattr(args, "history", None) is not None:
-                config = replace(config, history_path=args.history)
+                config = config.replace(history_path=args.history)
             if getattr(args, "weights", None) is not None:
-                config = replace(config, weights=load_weight_profile(args.weights))
+                config = config.replace(weights=load_weight_profile(args.weights))
             code = args.func(args, config)
         # Flush here, not at interpreter exit, so that a stdout that cannot
         # be written is reported like any other I/O failure.

@@ -14,13 +14,12 @@ import functools
 import math
 import os
 import reprlib
-from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
 from .errors import ValidationError
-from .model import PENALTY_FIELDS, Severity, ToolKind, WeightProfile
+from .model import PENALTY_FIELDS, Frozen, Severity, ToolKind, WeightProfile
 from .runner import ToolInvocation
 from .scoring import TOOLS
 
@@ -32,18 +31,27 @@ DEFAULT_TARGET = "127.0.0.1"
 DEFAULT_DATASTREAM = "/usr/share/xml/scap/ssg/content/ssg-ubuntu2204-ds.xml"
 
 
-@dataclass(frozen=True)
-class AppConfig:
+class AppConfig(Frozen):
     """Settings of one command; the scan invocations are the defaults in
     ``TOOLS`` with the ``runner`` config section applied."""
 
-    weights: WeightProfile
-    history_path: Path
-    checks: Mapping[ToolKind, ToolInvocation]
-    # Integrity checkers only: the init invocation and the database whose
-    # presence blocks a re-init.
-    inits: Mapping[ToolKind, tuple[ToolInvocation, Path]]
-    substitutions: Mapping[str, str]
+    __slots__ = ("weights", "history_path", "checks", "inits", "substitutions")
+
+    def __init__(
+        self,
+        weights: WeightProfile,
+        history_path: Path,
+        checks: Mapping[ToolKind, ToolInvocation],
+        # Integrity checkers only: the init invocation and the database whose
+        # presence blocks a re-init.
+        inits: Mapping[ToolKind, tuple[ToolInvocation, Path]],
+        substitutions: Mapping[str, str],
+    ):
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "history_path", history_path)
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "inits", inits)
+        object.__setattr__(self, "substitutions", substitutions)
 
 
 # YAML values appear in messages through ``_show``: a short scalar exactly as
@@ -234,7 +242,7 @@ def _runner_from_mapping(data: Any) -> tuple[Mapping, Mapping, Mapping]:
             raise _invalid(f"{context}.exit_codes must be a list")
         timeout = _number(entry.get("timeout", base.timeout), float, f"{context}.timeout")
         try:  # ``ToolInvocation`` checks the range
-            base = replace(base, timeout=timeout)
+            base = base.replace(timeout=timeout)
         except ValidationError as exc:
             raise _invalid(f"{context}: {exc}") from None
         checks[tool] = ToolInvocation(
@@ -273,7 +281,7 @@ def _runner_from_mapping(data: Any) -> tuple[Mapping, Mapping, Mapping]:
         invocation, database = inits[tool]
         command = _text(entry.get("command", invocation.command_template), f"{context}.command")
         inits[tool] = (
-            replace(invocation, command_template=command),
+            invocation.replace(command_template=command),
             Path(_text(entry.get("database", database), f"{context}.database")),
         )
     substitutions = {
@@ -304,18 +312,26 @@ def load_config(path: Path | str | None = None) -> AppConfig:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
-    path: Path | None = None
-    score: float | None = None
-    firewall: bool | None = None
+class ManifestEntry(Frozen):
+    __slots__ = ("path", "score", "firewall")
+
+    def __init__(
+        self, path: Path | None = None, score: float | None = None, firewall: bool | None = None
+    ):
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "score", score)
+        object.__setattr__(self, "firewall", firewall)
 
 
-@dataclass(frozen=True)
-class Manifest:
-    label: str | None
-    host: str | None
-    entries: Mapping[ToolKind, ManifestEntry]
+class Manifest(Frozen):
+    __slots__ = ("label", "host", "entries")
+
+    def __init__(
+        self, label: str | None, host: str | None, entries: Mapping[ToolKind, ManifestEntry]
+    ):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "host", host)
+        object.__setattr__(self, "entries", entries)
 
 
 def load_manifest(path: Path) -> Manifest:

@@ -6,19 +6,20 @@ integrity checkers, and a network vulnerability scan. Each scan is reduced
 to a small raw-metrics record, normalized to a 0-100 score, and combined
 into a weighted composite assessment.
 
-All types are immutable after construction and safe to share across
-threads. Serialization helpers at the bottom of the module round-trip
-every type through plain JSON-compatible dicts at full float precision.
+The types are plain classes over ``__slots__`` (:class:`Frozen`): each
+constructor checks its arguments, and an instance is read-only, so it is
+safe to share across threads. Serialization helpers at the bottom of the
+module round-trip every type through plain JSON-compatible dicts at full
+float precision.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
 from types import MappingProxyType
-from typing import Callable, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import ScoringError, ValidationError
 
@@ -52,7 +53,7 @@ class ScapProfile(Enum):
 
     @property
     def tool(self) -> ToolKind:
-        return ToolKind(f"openscap_{self.value}")
+        return _SCAP_TOOLS[self]
 
 
 class Severity(Enum):
@@ -62,10 +63,70 @@ class Severity(Enum):
     LOW = "low"
 
 
+_SCAP_TOOLS = {
+    ScapProfile.STANDARD: ToolKind.OPENSCAP_STANDARD,
+    ScapProfile.CIS: ToolKind.OPENSCAP_CIS,
+}
+
 # Canonical orders as tuples: iterating an Enum class costs about 15x more
-# than a tuple, and validation and encoding loop over them per record.
-_TOOL_KINDS = tuple(ToolKind)
-_SEVERITIES = tuple(Severity)
+# than a tuple, and validation, encoding and rendering loop over them per
+# record.
+TOOL_KINDS = tuple(ToolKind)
+SEVERITIES = tuple(Severity)
+# Stored names to members: a dict lookup decodes them, not an ``Enum`` call.
+_TOOLS_BY_VALUE = {tool.value: tool for tool in TOOL_KINDS}
+_SEVERITIES_BY_VALUE = {severity.value: severity for severity in SEVERITIES}
+_PROFILES_BY_VALUE = {profile.value: profile for profile in ScapProfile}
+
+
+class Value:
+    """Base of the value types: equality, ``repr`` and :meth:`replace` over
+    the fields named in ``__slots__``, in constructor order.
+
+    A subclass lists its fields in ``__slots__`` and sets them in its own
+    ``__init__``, which checks them. Its instances are mutable and
+    unhashable; those of :class:`Frozen` are neither.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        # ``copy`` and ``pickle`` rebuild through ``__init__``: they would
+        # otherwise set the slots one by one, which :class:`Frozen` refuses.
+        return self.__class__, self._values()
+
+    def replace(self, **changes):
+        """A copy with ``changes`` applied, built and checked as a new instance is."""
+        return self.__class__(**{name: getattr(self, name) for name in self.__slots__} | changes)
+
+
+class Frozen(Value):
+    """A read-only, hashable :class:`Value`. Its ``__init__`` sets each
+    field through ``object.__setattr__``; any later assignment or deletion
+    raises ``AttributeError``."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def classify_severity(cvss: float) -> Severity:
@@ -108,78 +169,77 @@ def _require_count(name: str, value: int) -> None:
         raise ValidationError("VALUE_OUT_OF_RANGE", f"{name} exceeds {MAX_COUNT}")
 
 
-@dataclass(frozen=True)
-class LynisReport:
+class LynisReport(Frozen):
     """Raw metrics from a system audit: the tool's own 0-100 index."""
 
-    hardening_index: int
+    __slots__ = ("hardening_index",)
     tool = ToolKind.LYNIS  # a class attribute, not a field: whose report this is
 
-    def __post_init__(self):
-        _require_kind("hardening_index", self.hardening_index, int)
-        if not 0 <= self.hardening_index <= 100:
+    def __init__(self, hardening_index: int):
+        _require_kind("hardening_index", hardening_index, int)
+        if not 0 <= hardening_index <= 100:
             raise ValidationError(
                 "VALUE_OUT_OF_RANGE",
-                f"hardening_index must be in [0, 100], got {self.hardening_index}",
+                f"hardening_index must be in [0, 100], got {hardening_index}",
             )
+        object.__setattr__(self, "hardening_index", hardening_index)
 
 
-@dataclass(frozen=True)
-class ScapReport:
+class ScapReport(Frozen):
     """Raw pass/fail rule counts from one SCAP profile evaluation."""
 
-    profile: ScapProfile
-    pass_count: int
-    fail_count: int
+    __slots__ = ("profile", "pass_count", "fail_count")
+
+    def __init__(self, profile: ScapProfile, pass_count: int, fail_count: int):
+        _require_count("pass_count", pass_count)
+        _require_count("fail_count", fail_count)
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "pass_count", pass_count)
+        object.__setattr__(self, "fail_count", fail_count)
 
     @property
     def tool(self) -> ToolKind:
         return self.profile.tool
 
-    def __post_init__(self):
-        _require_count("pass_count", self.pass_count)
-        _require_count("fail_count", self.fail_count)
 
-
-@dataclass(frozen=True)
-class AideReport:
+class AideReport(Frozen):
     """File integrity change counts from a summary-style check report."""
 
-    added: int
-    removed: int
-    changed: int
+    __slots__ = ("added", "removed", "changed")
     tool = ToolKind.AIDE
 
-    def __post_init__(self):
-        _require_count("added", self.added)
-        _require_count("removed", self.removed)
-        _require_count("changed", self.changed)
+    def __init__(self, added: int, removed: int, changed: int):
+        _require_count("added", added)
+        _require_count("removed", removed)
+        _require_count("changed", changed)
+        object.__setattr__(self, "added", added)
+        object.__setattr__(self, "removed", removed)
+        object.__setattr__(self, "changed", changed)
 
     @property
     def total_changes(self) -> int:
         return self.added + self.removed + self.changed
 
 
-@dataclass(frozen=True)
-class TripwireReport:
+class TripwireReport(Frozen):
     """File integrity object/violation counts from an object-scan report."""
 
-    objects_scanned: int
-    violations: int
+    __slots__ = ("objects_scanned", "violations")
     tool = ToolKind.TRIPWIRE
 
-    def __post_init__(self):
-        _require_count("objects_scanned", self.objects_scanned)
-        _require_count("violations", self.violations)
-        if self.violations > self.objects_scanned:
+    def __init__(self, objects_scanned: int, violations: int):
+        _require_count("objects_scanned", objects_scanned)
+        _require_count("violations", violations)
+        if violations > objects_scanned:
             raise ValidationError(
                 "VIOLATIONS_EXCEED_OBJECTS",
-                f"violations ({self.violations}) exceed objects scanned ({self.objects_scanned})",
+                f"violations ({violations}) exceed objects scanned ({objects_scanned})",
             )
+        object.__setattr__(self, "objects_scanned", objects_scanned)
+        object.__setattr__(self, "violations", violations)
 
 
-@dataclass(frozen=True)
-class VulnFinding:
+class VulnFinding(Frozen):
     """One vulnerability finding from the network scan.
 
     When a CVSS value is present the severity must be the band that
@@ -187,58 +247,74 @@ class VulnFinding:
     are stored self-describing so scoring never re-derives severities.
     """
 
-    identifier: str
-    severity: Severity
-    confirmed: bool = False
-    cvss: float | None = None
-    port: int | None = None
-    description: str = ""
+    __slots__ = ("identifier", "severity", "confirmed", "cvss", "port", "description")
 
-    def __post_init__(self):
-        _require_kind("identifier", self.identifier, str)
-        _require_kind("confirmed", self.confirmed, bool)
-        _require_kind("description", self.description, str)
-        if self.cvss is not None:
-            _require_kind("cvss", self.cvss, float)
-            expected = classify_severity(self.cvss)
-            if expected is not self.severity:
+    def __init__(
+        self,
+        identifier: str,
+        severity: Severity,
+        confirmed: bool = False,
+        cvss: float | None = None,
+        port: int | None = None,
+        description: str = "",
+    ):
+        _require_kind("identifier", identifier, str)
+        _require_kind("confirmed", confirmed, bool)
+        _require_kind("description", description, str)
+        if cvss is not None:
+            _require_kind("cvss", cvss, float)
+            expected = classify_severity(cvss)
+            if expected is not severity:
                 raise ValidationError(
                     "SEVERITY_MISMATCH",
-                    f"finding {self.identifier}: cvss {self.cvss} maps to "
-                    f"{expected.value}, not {self.severity.value}",
+                    f"finding {identifier}: cvss {cvss} maps to "
+                    f"{expected.value}, not {severity.value}",
                 )
-        if self.port is not None:
-            _require_kind("port", self.port, int)
-            if not 1 <= self.port <= 65535:
+        if port is not None:
+            _require_kind("port", port, int)
+            if not 1 <= port <= 65535:
                 raise ValidationError(
-                    "VALUE_OUT_OF_RANGE", f"port must be in [1, 65535], got {self.port}"
+                    "VALUE_OUT_OF_RANGE", f"port must be in [1, 65535], got {port}"
                 )
+        object.__setattr__(self, "identifier", identifier)
+        object.__setattr__(self, "severity", severity)
+        object.__setattr__(self, "confirmed", confirmed)
+        object.__setattr__(self, "cvss", cvss)
+        object.__setattr__(self, "port", port)
+        object.__setattr__(self, "description", description)
 
 
-@dataclass(frozen=True)
-class VulnReport:
+class VulnReport(Frozen):
     """Raw metrics from a network vulnerability scan."""
 
-    open_ports: int
-    filtered_ports: int
-    firewall_active: bool
-    findings: tuple[VulnFinding, ...] = ()
-    confirmed_count: int = 0
+    __slots__ = ("open_ports", "filtered_ports", "firewall_active", "findings", "confirmed_count")
     tool = ToolKind.VULN_SCAN
 
-    def __post_init__(self):
-        object.__setattr__(self, "findings", tuple(self.findings))
-        _require_kind("firewall_active", self.firewall_active, bool)
-        _require_count("open_ports", self.open_ports)
-        _require_count("filtered_ports", self.filtered_ports)
-        _require_count("confirmed_count", self.confirmed_count)
-        flagged = sum(1 for f in self.findings if f.confirmed)
-        if self.confirmed_count > flagged:
+    def __init__(
+        self,
+        open_ports: int,
+        filtered_ports: int,
+        firewall_active: bool,
+        findings: tuple[VulnFinding, ...] = (),
+        confirmed_count: int = 0,
+    ):
+        findings = tuple(findings)
+        _require_kind("firewall_active", firewall_active, bool)
+        _require_count("open_ports", open_ports)
+        _require_count("filtered_ports", filtered_ports)
+        _require_count("confirmed_count", confirmed_count)
+        flagged = sum(1 for f in findings if f.confirmed)
+        if confirmed_count > flagged:
             raise ValidationError(
                 "VALUE_OUT_OF_RANGE",
-                f"confirmed_count ({self.confirmed_count}) exceeds findings "
+                f"confirmed_count ({confirmed_count}) exceeds findings "
                 f"flagged confirmed ({flagged})",
             )
+        object.__setattr__(self, "open_ports", open_ports)
+        object.__setattr__(self, "filtered_ports", filtered_ports)
+        object.__setattr__(self, "firewall_active", firewall_active)
+        object.__setattr__(self, "findings", findings)
+        object.__setattr__(self, "confirmed_count", confirmed_count)
 
 
 RawToolReport = Union[LynisReport, ScapReport, AideReport, TripwireReport, VulnReport]
@@ -264,8 +340,7 @@ DEFAULT_SEVERITY_WEIGHTS: Mapping[Severity, float] = {
 PENALTY_FIELDS = ("port_penalty", "confirmed_penalty", "firewall_discount")
 
 
-@dataclass(frozen=True)
-class WeightProfile:
+class WeightProfile(Frozen):
     """Per-tool weights plus the penalty constants of the vulnerability model.
 
     Multi-domain tools carry 0.20, single-domain tools 0.15 by default;
@@ -274,17 +349,21 @@ class WeightProfile:
     that exists is valid and stays so.
     """
 
-    tool_weights: Mapping[ToolKind, float] = field(default_factory=DEFAULT_TOOL_WEIGHTS.copy)
-    severity_weights: Mapping[Severity, float] = field(
-        default_factory=DEFAULT_SEVERITY_WEIGHTS.copy
-    )
-    port_penalty: float = 3.0
-    confirmed_penalty: float = 10.0
-    firewall_discount: float = 10.0
+    __slots__ = ("tool_weights", "severity_weights", *PENALTY_FIELDS)
 
-    def __post_init__(self):
-        object.__setattr__(self, "tool_weights", MappingProxyType(dict(self.tool_weights)))
-        object.__setattr__(self, "severity_weights", MappingProxyType(dict(self.severity_weights)))
+    def __init__(
+        self,
+        tool_weights: Mapping[ToolKind, float] = DEFAULT_TOOL_WEIGHTS,
+        severity_weights: Mapping[Severity, float] = DEFAULT_SEVERITY_WEIGHTS,
+        port_penalty: float = 3.0,
+        confirmed_penalty: float = 10.0,
+        firewall_discount: float = 10.0,
+    ):
+        object.__setattr__(self, "tool_weights", MappingProxyType(dict(tool_weights)))
+        object.__setattr__(self, "severity_weights", MappingProxyType(dict(severity_weights)))
+        object.__setattr__(self, "port_penalty", port_penalty)
+        object.__setattr__(self, "confirmed_penalty", confirmed_penalty)
+        object.__setattr__(self, "firewall_discount", firewall_discount)
         validate_weights(self)
 
 
@@ -309,12 +388,12 @@ def validate_weights(profile: WeightProfile) -> WeightProfile:
     iterates tools in canonical order, so the outcome is independent of
     map insertion order.
     """
-    for tool in _TOOL_KINDS:
+    for tool in TOOL_KINDS:
         if tool not in profile.tool_weights:
             raise ValidationError("TOOL_MISSING", f"tool_weights has no entry for {tool.value}")
-    for tool in _TOOL_KINDS:
+    for tool in TOOL_KINDS:
         _require_weight(profile.tool_weights[tool], "tool_weights", tool)
-    for severity in _SEVERITIES:
+    for severity in SEVERITIES:
         if severity not in profile.severity_weights:
             raise ValidationError(
                 "SEVERITY_MISSING", f"severity_weights has no entry for {severity.value}"
@@ -322,7 +401,7 @@ def validate_weights(profile: WeightProfile) -> WeightProfile:
         _require_weight(profile.severity_weights[severity], "severity_weights", severity)
     for name in PENALTY_FIELDS:
         _require_weight(getattr(profile, name), name)
-    total = sum(profile.tool_weights[tool] for tool in _TOOL_KINDS)
+    total = sum(profile.tool_weights[tool] for tool in TOOL_KINDS)
     if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
         raise ValidationError(
             "WEIGHT_SUM_INVALID", f"tool weights sum to {total:.9f}, expected 1.0"
@@ -330,8 +409,7 @@ def validate_weights(profile: WeightProfile) -> WeightProfile:
     return profile
 
 
-@dataclass(frozen=True)
-class NormalizedScore:
+class NormalizedScore(Frozen):
     """A tool identity plus its 0-100 score and the raw metrics behind it.
 
     ``raw`` is ``None`` for scores supplied out-of-band (manifest entries
@@ -339,83 +417,90 @@ class NormalizedScore:
     a report of ``tool``.
     """
 
-    tool: ToolKind
-    value: float
-    raw: RawToolReport | None = None
+    __slots__ = ("tool", "value", "raw")
 
-    def __post_init__(self):
-        _require_kind("score value", self.value, float)
-        if not 0.0 <= self.value <= 100.0:
+    def __init__(self, tool: ToolKind, value: float, raw: RawToolReport | None = None):
+        _require_kind("score value", value, float)
+        if not 0.0 <= value <= 100.0:
             raise ValidationError(
-                "VALUE_OUT_OF_RANGE",
-                f"{self.tool.value} score must be in [0, 100], got {self.value}",
+                "VALUE_OUT_OF_RANGE", f"{tool.value} score must be in [0, 100], got {value}"
             )
-        if self.raw is not None and self.raw.tool is not self.tool:
+        if raw is not None and raw.tool is not tool:
             raise ValidationError(
-                "TOOL_MISMATCH",
-                f"{self.tool.value} score carries a {self.raw.tool.value} report",
+                "TOOL_MISMATCH", f"{tool.value} score carries a {raw.tool.value} report"
             )
+        object.__setattr__(self, "tool", tool)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "raw", raw)
 
 
-@dataclass(frozen=True)
-class CompositeAssessment:
+class CompositeAssessment(Frozen):
     """A timestamped composite record: six scores, weights, contributions.
 
     The composite is stored redundantly with the per-tool contributions
     for audit-trail readability; construction enforces that they agree.
     """
 
-    label: str
-    timestamp: datetime
-    scores: Mapping[ToolKind, NormalizedScore]
-    weights: WeightProfile
-    composite: float
-    contributions: Mapping[ToolKind, float]
+    __slots__ = ("label", "timestamp", "scores", "weights", "composite", "contributions")
 
-    def __post_init__(self):
-        missing = [tool.value for tool in _TOOL_KINDS if tool not in self.scores]
+    def __init__(
+        self,
+        label: str,
+        timestamp: datetime,
+        scores: Mapping[ToolKind, NormalizedScore],
+        weights: WeightProfile,
+        composite: float,
+        contributions: Mapping[ToolKind, float],
+    ):
+        missing = [tool.value for tool in TOOL_KINDS if tool not in scores]
         if missing:
             raise ValidationError("TOOL_MISSING", "no score for: " + ", ".join(missing))
-        for tool, score in self.scores.items():
+        for tool, score in scores.items():
             if score.tool is not tool:
                 raise ValidationError(
-                    "TOOL_MISMATCH",
-                    f"scores[{tool.value}] carries a {score.tool.value} score",
+                    "TOOL_MISMATCH", f"scores[{tool.value}] carries a {score.tool.value} score"
                 )
-        absent = [tool.value for tool in _TOOL_KINDS if tool not in self.contributions]
+        absent = [tool.value for tool in TOOL_KINDS if tool not in contributions]
         if absent:
             raise ValidationError("TOOL_MISSING", "no contribution for: " + ", ".join(absent))
-        total = sum(self.contributions[tool] for tool in _TOOL_KINDS)
-        if not abs(self.composite - total) <= COMPOSITE_TOLERANCE:  # NaN when inf meets -inf
+        total = sum(contributions[tool] for tool in TOOL_KINDS)
+        if not abs(composite - total) <= COMPOSITE_TOLERANCE:  # NaN when inf meets -inf
             raise ValidationError(
-                "COMPOSITE_MISMATCH",
-                f"composite {self.composite!r} != sum of contributions {total!r}",
+                "COMPOSITE_MISMATCH", f"composite {composite!r} != sum of contributions {total!r}"
             )
-        if not 0.0 <= self.composite <= 100.0:
+        if not 0.0 <= composite <= 100.0:
             raise ValidationError(
-                "VALUE_OUT_OF_RANGE", f"composite must be in [0, 100], got {self.composite}"
+                "VALUE_OUT_OF_RANGE", f"composite must be in [0, 100], got {composite}"
             )
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "timestamp", timestamp)
+        object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "composite", composite)
+        object.__setattr__(self, "contributions", contributions)
 
 
-@dataclass(frozen=True)
-class DeltaDecomposition:
+class DeltaDecomposition(Frozen):
     """Per-tool weighted score change between two assessments.
 
     The total, the dominant tool (largest absolute delta, ties broken by
     canonical tool order) and its share all follow from the per-tool deltas.
     """
 
-    from_label: str
-    to_label: str
-    per_tool_delta: Mapping[ToolKind, float]
+    __slots__ = ("from_label", "to_label", "per_tool_delta")
+
+    def __init__(self, from_label: str, to_label: str, per_tool_delta: Mapping[ToolKind, float]):
+        object.__setattr__(self, "from_label", from_label)
+        object.__setattr__(self, "to_label", to_label)
+        object.__setattr__(self, "per_tool_delta", per_tool_delta)
 
     @property
     def total_delta(self) -> float:
-        return sum(self.per_tool_delta[tool] for tool in _TOOL_KINDS)
+        return sum(self.per_tool_delta[tool] for tool in TOOL_KINDS)
 
     @property
     def dominant_tool(self) -> ToolKind:
-        return max(_TOOL_KINDS, key=lambda tool: abs(self.per_tool_delta[tool]))
+        return max(TOOL_KINDS, key=lambda tool: abs(self.per_tool_delta[tool]))
 
     @property
     def dominant_share(self) -> float | None:
@@ -453,7 +538,7 @@ def finding_to_dict(finding: VulnFinding) -> dict:
 def finding_from_dict(data: Mapping) -> VulnFinding:
     return VulnFinding(
         identifier=data["identifier"],
-        severity=Severity(data["severity"]),
+        severity=_SEVERITIES_BY_VALUE[data["severity"]],
         confirmed=data["confirmed"],
         cvss=data.get("cvss"),
         port=data.get("port"),
@@ -461,36 +546,42 @@ def finding_from_dict(data: Mapping) -> VulnFinding:
     )
 
 
-# How each raw report type is stored: its ``kind`` tag and its keys in
-# stored order, which for a vuln record is not the field order. Keyed by
-# type, since one type can serve several tools (``ScapReport``).
-_RAW_KINDS = {
-    LynisReport: ("lynis", ("hardening_index",)),
-    ScapReport: ("scap", ("profile", "pass_count", "fail_count")),
-    AideReport: ("aide", ("added", "removed", "changed")),
-    TripwireReport: ("tripwire", ("objects_scanned", "violations")),
+# (encode, decode) of a stored field that is not a plain JSON value.
+_PROFILE_CODEC = (lambda profile: profile.value, _PROFILES_BY_VALUE.__getitem__)
+_FINDINGS_CODEC = (
+    lambda findings: [finding_to_dict(f) for f in findings],
+    lambda findings: tuple([finding_from_dict(f) for f in findings]),
+)
+# How each raw report type is stored: its ``kind`` tag, then its field
+# table, one ``(key, codec)`` per field in stored order (for a vuln record
+# not the constructor's order); a field is stored under its own name, and
+# ``codec`` is None for a plain JSON value. Keyed by type, since one type
+# can serve several tools (``ScapReport``).
+_RAW_FORMS = {
+    LynisReport: ("lynis", (("hardening_index", None),)),
+    ScapReport: ("scap", (("profile", _PROFILE_CODEC), ("pass_count", None), ("fail_count", None))),
+    AideReport: ("aide", (("added", None), ("removed", None), ("changed", None))),
+    TripwireReport: ("tripwire", (("objects_scanned", None), ("violations", None))),
     VulnReport: (
         "vuln",
-        ("open_ports", "filtered_ports", "firewall_active", "confirmed_count", "findings"),
+        (
+            ("open_ports", None),
+            ("filtered_ports", None),
+            ("firewall_active", None),
+            ("confirmed_count", None),
+            ("findings", _FINDINGS_CODEC),
+        ),
     ),
 }
-_RAW_TYPES = {kind: (cls, keys) for cls, (kind, keys) in _RAW_KINDS.items()}
-# (encode, decode) for the fields that are not plain JSON values.
-_FIELD_CODECS: Mapping[str, tuple[Callable, Callable]] = {
-    "profile": (lambda profile: profile.value, ScapProfile),
-    "findings": (
-        lambda findings: [finding_to_dict(f) for f in findings],
-        lambda findings: tuple(finding_from_dict(f) for f in findings),
-    ),
-}
+_RAW_TYPES = {kind: (cls, fields) for cls, (kind, fields) in _RAW_FORMS.items()}
 
 
 def raw_report_to_dict(report: RawToolReport) -> dict:
-    kind, keys = _RAW_KINDS[type(report)]
+    kind, fields = _RAW_FORMS[type(report)]
     data = {"kind": kind}
-    for key in keys:
+    for key, codec in fields:
         value = getattr(report, key)
-        data[key] = _FIELD_CODECS[key][0](value) if key in _FIELD_CODECS else value
+        data[key] = value if codec is None else codec[0](value)
     return data
 
 
@@ -498,12 +589,9 @@ def raw_report_from_dict(data: Mapping) -> RawToolReport:
     kind = data["kind"]
     if not isinstance(kind, str) or kind not in _RAW_TYPES:
         raise ValidationError("UNKNOWN_REPORT_KIND", f"unknown raw report kind {kind!r}")
-    cls, keys = _RAW_TYPES[kind]
+    cls, fields = _RAW_TYPES[kind]
     return cls(
-        **{
-            key: _FIELD_CODECS[key][1](data[key]) if key in _FIELD_CODECS else data[key]
-            for key in keys
-        }
+        **{key: data[key] if codec is None else codec[1](data[key]) for key, codec in fields}
     )
 
 
@@ -518,7 +606,7 @@ def score_to_dict(score: NormalizedScore) -> dict:
 def score_from_dict(data: Mapping) -> NormalizedScore:
     raw = data.get("raw")
     return NormalizedScore(
-        tool=ToolKind(data["tool"]),
+        tool=_TOOLS_BY_VALUE[data["tool"]],
         value=data["value"],
         raw=None if raw is None else raw_report_from_dict(raw),
     )
@@ -526,9 +614,9 @@ def score_from_dict(data: Mapping) -> NormalizedScore:
 
 def profile_to_dict(profile: WeightProfile) -> dict:
     return {
-        "tool_weights": {tool.value: profile.tool_weights[tool] for tool in _TOOL_KINDS},
+        "tool_weights": {tool.value: profile.tool_weights[tool] for tool in TOOL_KINDS},
         "severity_weights": {
-            sev.value: profile.severity_weights[sev] for sev in _SEVERITIES
+            sev.value: profile.severity_weights[sev] for sev in SEVERITIES
         },
         "port_penalty": profile.port_penalty,
         "confirmed_penalty": profile.confirmed_penalty,
@@ -539,9 +627,11 @@ def profile_to_dict(profile: WeightProfile) -> dict:
 def profile_from_dict(data: Mapping) -> WeightProfile:
     """Decode a stored profile; one that fails :func:`validate_weights` raises."""
     return WeightProfile(
-        tool_weights={ToolKind(name): value for name, value in data["tool_weights"].items()},
+        tool_weights={
+            _TOOLS_BY_VALUE[name]: value for name, value in data["tool_weights"].items()
+        },
         severity_weights={
-            Severity(name): value for name, value in data["severity_weights"].items()
+            _SEVERITIES_BY_VALUE[name]: value for name, value in data["severity_weights"].items()
         },
         port_penalty=data["port_penalty"],
         confirmed_penalty=data["confirmed_penalty"],
@@ -555,10 +645,10 @@ def assessment_to_dict(assessment: CompositeAssessment) -> dict:
         "timestamp": assessment.timestamp.isoformat(),
         "composite": assessment.composite,
         "scores": {
-            tool.value: score_to_dict(assessment.scores[tool]) for tool in _TOOL_KINDS
+            tool.value: score_to_dict(assessment.scores[tool]) for tool in TOOL_KINDS
         },
         "contributions": {
-            tool.value: assessment.contributions[tool] for tool in _TOOL_KINDS
+            tool.value: assessment.contributions[tool] for tool in TOOL_KINDS
         },
         "weights": profile_to_dict(assessment.weights),
     }
@@ -577,11 +667,11 @@ def assessment_from_dict(data: Mapping) -> CompositeAssessment:
         label=assessment_label(data),
         timestamp=datetime.fromisoformat(data["timestamp"]),
         scores={
-            ToolKind(name): score_from_dict(entry) for name, entry in data["scores"].items()
+            _TOOLS_BY_VALUE[name]: score_from_dict(entry) for name, entry in data["scores"].items()
         },
         weights=profile_from_dict(data["weights"]),
         composite=data["composite"],
         contributions={
-            ToolKind(name): value for name, value in data["contributions"].items()
+            _TOOLS_BY_VALUE[name]: value for name, value in data["contributions"].items()
         },
     )

@@ -20,13 +20,13 @@ from __future__ import annotations
 import re
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import ParseError, ValidationError
 from .model import (
     MAX_COUNT,
     AideReport,
+    Value,
     LynisReport,
     ScapProfile,
     ScapReport,
@@ -56,13 +56,20 @@ _XCCDF_EXCLUDED = frozenset(
 _XCCDF_KNOWN = _XCCDF_PASS | _XCCDF_FAIL | _XCCDF_EXCLUDED
 
 
-@dataclass
-class ParseDiagnostics:
+class ParseDiagnostics(Value):
     """What a parse noticed along the way."""
 
-    warnings: list[str] = field(default_factory=list)
-    trace: list[str] = field(default_factory=list)
-    excluded_results: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("warnings", "trace", "excluded_results")
+
+    def __init__(
+        self,
+        warnings: list[str] | None = None,
+        trace: list[str] | None = None,
+        excluded_results: dict[str, int] | None = None,
+    ):
+        self.warnings = [] if warnings is None else warnings
+        self.trace = [] if trace is None else trace
+        self.excluded_results = {} if excluded_results is None else excluded_results
 
     def warn(self, message: str) -> None:
         self.warnings.append(message)

@@ -12,7 +12,13 @@ import json
 from typing import Sequence
 
 from .analysis import TrendTable, decompose_delta, rank_contributions, trend_series
-from .model import CompositeAssessment, DeltaDecomposition, NormalizedScore, RawToolReport, ToolKind
+from .model import (
+    TOOL_KINDS,
+    CompositeAssessment,
+    DeltaDecomposition,
+    NormalizedScore,
+    RawToolReport,
+)
 from .scoring import TOOLS
 from .store import HistoryRecord, record_to_json
 
@@ -38,7 +44,7 @@ def format_assessment_text(assessment: CompositeAssessment, host_label: str | No
     lines.append(
         f"{'tool':<20} {'score':>8} {'weight':>7} {'contribution':>13}  raw"
     )
-    for tool in ToolKind:
+    for tool in TOOL_KINDS:
         score = assessment.scores[tool]
         lines.append(
             f"{tool.value:<20} {score.value:>8.2f} "
@@ -81,7 +87,7 @@ def compare_to_dict(decomposition: DeltaDecomposition) -> dict:
         "from": decomposition.from_label,
         "to": decomposition.to_label,
         "per_tool_delta": {
-            tool.value: decomposition.per_tool_delta[tool] for tool in ToolKind
+            tool.value: decomposition.per_tool_delta[tool] for tool in TOOL_KINDS
         },
         "total_delta": decomposition.total_delta,
         "dominant_tool": decomposition.dominant_tool.value,
@@ -100,7 +106,7 @@ def _score_matrix(records: Sequence[HistoryRecord]) -> list[list[str]]:
     header = ["Tool"] + [a.label for a in assessments] + (["Change"] if multi else [])
     series = [
         (TOOLS[tool].display_name, [a.scores[tool].value for a in assessments])
-        for tool in ToolKind
+        for tool in TOOL_KINDS
     ]
     series.append(("Composite", [a.composite for a in assessments]))
     rows = [header]
@@ -159,7 +165,7 @@ def render_report_markdown(records: Sequence[HistoryRecord], with_timestamps: bo
     sections += ["## Scores", "", scores_table, ""]
     if trends is not None:
         trend_rows = [["Tool", "Direction"]]
-        for tool in ToolKind:
+        for tool in TOOL_KINDS:
             trend_rows.append([TOOLS[tool].display_name, trends.directions[tool].value])
         trend_rows.append(["**Composite**", trends.composite_direction.value])
         sections += ["## Trends", "", _markdown_table(trend_rows), ""]
@@ -192,7 +198,7 @@ def render_report_text(records: Sequence[HistoryRecord], with_timestamps: bool =
     if trends is not None:
         sections.append("")
         sections.append("trends:")
-        for tool in ToolKind:
+        for tool in TOOL_KINDS:
             sections.append(f"  {tool.value:<20} {trends.directions[tool].value}")
         sections.append(f"  {'composite':<20} {trends.composite_direction.value}")
     if decomposition is not None:
@@ -211,10 +217,10 @@ def render_report_json(records: Sequence[HistoryRecord]) -> str:
         if trends is None
         else {
             "per_tool": {
-                tool.value: list(trends.per_tool[tool]) for tool in ToolKind
+                tool.value: list(trends.per_tool[tool]) for tool in TOOL_KINDS
             },
             "directions": {
-                tool.value: trends.directions[tool].value for tool in ToolKind
+                tool.value: trends.directions[tool].value for tool in TOOL_KINDS
             },
             "composite": list(trends.composite),
             "composite_direction": trends.composite_direction.value,

@@ -20,50 +20,62 @@ present unless forced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import RunnerError, ValidationError
-from .model import ToolKind
+from .model import TOOL_KINDS, Frozen, ToolKind, Value
 
 # One week; poll(2) takes an int of milliseconds, which ends at 24.8 days.
 MAX_TIMEOUT = 7 * 24 * 3600.0
 
 
-@dataclass(frozen=True)
-class ToolInvocation:
+class ToolInvocation(Frozen):
     """One external scan command and how to judge its outcome."""
 
-    tool: ToolKind
-    command_template: str
-    output_path: Path
-    timeout: float = 3600.0
-    exit_code_policy: frozenset[int] = frozenset({0})
+    __slots__ = ("tool", "command_template", "output_path", "timeout", "exit_code_policy")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        tool: ToolKind,
+        command_template: str,
+        output_path: Path,
+        timeout: float = 3600.0,
+        exit_code_policy: frozenset[int] = frozenset({0}),
+    ):
         # NaN fails the comparison too.
-        if not 0 < self.timeout <= MAX_TIMEOUT:
+        if not 0 < timeout <= MAX_TIMEOUT:
             raise ValidationError(
                 "VALUE_OUT_OF_RANGE",
-                f"timeout must be greater than 0 and at most {MAX_TIMEOUT:g}, got {self.timeout}",
+                f"timeout must be greater than 0 and at most {MAX_TIMEOUT:g}, got {timeout}",
             )
-        object.__setattr__(self, "output_path", Path(self.output_path))
-        object.__setattr__(self, "exit_code_policy", frozenset(self.exit_code_policy))
+        object.__setattr__(self, "tool", tool)
+        object.__setattr__(self, "command_template", command_template)
+        object.__setattr__(self, "output_path", Path(output_path))
+        object.__setattr__(self, "timeout", timeout)
+        object.__setattr__(self, "exit_code_policy", frozenset(exit_code_policy))
 
 
-@dataclass(frozen=True)
-class InvocationResult:
-    report_path: Path
-    exit_code: int
+class InvocationResult(Frozen):
+    __slots__ = ("report_path", "exit_code")
+
+    def __init__(self, report_path: Path, exit_code: int):
+        object.__setattr__(self, "report_path", report_path)
+        object.__setattr__(self, "exit_code", exit_code)
 
 
-@dataclass
-class ScanOutcome:
+class ScanOutcome(Value):
     """Partial-failure result: report paths and errors, both by tool."""
 
-    reports: dict[ToolKind, Path] = field(default_factory=dict)
-    failures: dict[ToolKind, RunnerError] = field(default_factory=dict)
+    __slots__ = ("reports", "failures")
+
+    def __init__(
+        self,
+        reports: dict[ToolKind, Path] | None = None,
+        failures: dict[ToolKind, RunnerError] | None = None,
+    ):
+        self.reports = {} if reports is None else reports
+        self.failures = {} if failures is None else failures
 
 
 def _render_command(invocation: ToolInvocation, substitutions: Mapping[str, str]) -> list[str]:
@@ -199,7 +211,7 @@ def orchestrate_scan(
 
     by_tool = {invocation.tool: result for invocation, result in zip(invocations, results)}
     outcome = ScanOutcome()
-    for tool in ToolKind:
+    for tool in TOOL_KINDS:
         result = by_tool.get(tool)
         if isinstance(result, RunnerError):
             outcome.failures[tool] = result

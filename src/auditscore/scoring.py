@@ -26,19 +26,20 @@ from __future__ import annotations
 import math
 from collections import Counter
 from datetime import datetime, timezone
-from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from .errors import ScoringError
 from .model import (
+    SEVERITIES,
+    TOOL_KINDS,
     AideReport,
     CompositeAssessment,
+    Frozen,
     LynisReport,
     NormalizedScore,
     RawToolReport,
     ScapProfile,
     ScapReport,
-    Severity,
     ToolKind,
     TripwireReport,
     VulnReport,
@@ -104,7 +105,7 @@ def vuln_penalty(report: VulnReport, profile: WeightProfile) -> float:
     severity_counts = Counter(f.severity for f in report.findings if not f.confirmed)
     penalty = sum(
         profile.severity_weights[severity] * severity_counts[severity]
-        for severity in Severity
+        for severity in SEVERITIES
     )
     penalty += profile.port_penalty * report.open_ports
     penalty += profile.confirmed_penalty * report.confirmed_count
@@ -127,8 +128,7 @@ def normalize_vuln(report: VulnReport, profile: WeightProfile) -> NormalizedScor
     return NormalizedScore(report.tool, value, report)
 
 
-@dataclass(frozen=True)
-class ToolSpec:
+class ToolSpec(Frozen):
     """One scanner: how it is parsed, scored, shown and run by default.
 
     Table entries call parsers and normalizers through their module-global
@@ -136,19 +136,45 @@ class ToolSpec:
     stub) reaches every caller.
     """
 
-    display_name: str
-    # (report text, source path, firewall override, trace) -> raw report;
-    # trace notes are built only when asked for.
-    parse: Callable[[str, str, bool | None, bool], tuple[RawToolReport, ParseDiagnostics]]
-    command: str
-    output_name: str
-    normalize: Callable[[Any, WeightProfile], NormalizedScore]
-    summary: Callable[[Any], str]  # one line of a score table
-    details: Callable[[Any], list[str]]  # the body of ``parse`` text output
-    exit_codes: frozenset[int]
-    init_command: str | None = None
-    # Integrity database path; ``{hostname}`` is substituted.
-    database: str | None = None
+    __slots__ = (
+        "display_name",
+        "parse",
+        "command",
+        "output_name",
+        "normalize",
+        "summary",
+        "details",
+        "exit_codes",
+        "init_command",
+        "database",
+    )
+
+    def __init__(
+        self,
+        display_name: str,
+        # (report text, source path, firewall override, trace) -> raw report;
+        # trace notes are built only when asked for.
+        parse: Callable[[str, str, bool | None, bool], tuple[RawToolReport, ParseDiagnostics]],
+        command: str,
+        output_name: str,
+        normalize: Callable[[Any, WeightProfile], NormalizedScore],
+        summary: Callable[[Any], str],  # one line of a score table
+        details: Callable[[Any], list[str]],  # the body of ``parse`` text output
+        exit_codes: frozenset[int],
+        init_command: str | None = None,
+        # Integrity database path; ``{hostname}`` is substituted.
+        database: str | None = None,
+    ):
+        object.__setattr__(self, "display_name", display_name)
+        object.__setattr__(self, "parse", parse)
+        object.__setattr__(self, "command", command)
+        object.__setattr__(self, "output_name", output_name)
+        object.__setattr__(self, "normalize", normalize)
+        object.__setattr__(self, "summary", summary)
+        object.__setattr__(self, "details", details)
+        object.__setattr__(self, "exit_codes", exit_codes)
+        object.__setattr__(self, "init_command", init_command)
+        object.__setattr__(self, "database", database)
 
 
 # File integrity checkers return a bitmask of change classes (1 added,
@@ -271,17 +297,17 @@ def aggregate(
     Raises ``TOOL_MISSING`` naming every absent tool. The stored
     composite equals the sum of the per-tool weighted contributions.
     """
-    missing = [tool.value for tool in ToolKind if tool not in scores]
+    missing = [tool.value for tool in TOOL_KINDS if tool not in scores]
     if missing:
         raise ScoringError("TOOL_MISSING", "no score for: " + ", ".join(missing))
     contributions = {
-        tool: profile.tool_weights[tool] * scores[tool].value for tool in ToolKind
+        tool: profile.tool_weights[tool] * scores[tool].value for tool in TOOL_KINDS
     }
     composite = min(100.0, max(0.0, sum(contributions.values())))
     return CompositeAssessment(
         label=label,
         timestamp=timestamp if timestamp is not None else datetime.now(timezone.utc),
-        scores={tool: scores[tool] for tool in ToolKind},
+        scores={tool: scores[tool] for tool in TOOL_KINDS},
         weights=profile,
         composite=composite,
         contributions=contributions,

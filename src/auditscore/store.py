@@ -25,13 +25,14 @@ import json
 import os
 import stat
 import tempfile
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Collection
 
 from .errors import AuditError, StoreError
 from .model import (
     CompositeAssessment,
+    Frozen,
+    Value,
     assessment_from_dict,
     assessment_label,
     assessment_to_dict,
@@ -48,18 +49,22 @@ _INDEX_FORMAT = 2
 _CORRUPT = (ValueError, KeyError, TypeError, AttributeError, RecursionError, AuditError)
 
 
-@dataclass(frozen=True)
-class HistoryRecord:
-    assessment: CompositeAssessment
-    host_label: str
+class HistoryRecord(Frozen):
+    __slots__ = ("assessment", "host_label")
+
+    def __init__(self, assessment: CompositeAssessment, host_label: str):
+        object.__setattr__(self, "assessment", assessment)
+        object.__setattr__(self, "host_label", host_label)
 
 
-@dataclass
-class HistoryLoad:
+class HistoryLoad(Value):
     """Records in file order plus the number of skipped (corrupt) lines."""
 
-    records: list[HistoryRecord] = field(default_factory=list)
-    skipped: int = 0
+    __slots__ = ("records", "skipped")
+
+    def __init__(self, records: list[HistoryRecord] | None = None, skipped: int = 0):
+        self.records = [] if records is None else records
+        self.skipped = skipped
 
 
 def record_to_json(record: HistoryRecord) -> str:
@@ -128,8 +133,7 @@ def append_record(path: Path | str, record: HistoryRecord) -> None:
         raise StoreError("IO_FAILURE", f"cannot append to {path}: {exc}") from exc
 
 
-@dataclass
-class _LineIndex:
+class _LineIndex(Value):
     """The checked lines of a history prefix of ``covered`` bytes.
 
     ``lines`` holds ``[offset, host_label, label]`` for each line that
@@ -137,10 +141,13 @@ class _LineIndex:
     ``digest`` is a sha256 object fed exactly the first ``covered`` bytes.
     """
 
-    covered: int = 0
-    skipped: int = 0
-    lines: list = field(default_factory=list)
-    digest: object = None
+    __slots__ = ("covered", "skipped", "lines", "digest")
+
+    def __init__(self, covered: int = 0, skipped: int = 0, lines: list | None = None, digest=None):
+        self.covered = covered
+        self.skipped = skipped
+        self.lines = [] if lines is None else lines
+        self.digest = digest
 
 
 class _StaleIndex(Exception):

@@ -1383,6 +1383,7 @@ def test_subcommand_takes_only_the_options_it_reads(capsys, command, option, kep
 
 # Only ``parse``, ``score``, ``run``, ``init-integrity-db`` or a YAML file
 # need these; every history query is a fresh process and would pay for them.
+# No command needs ``dataclasses`` or the modules it loads.
 _DEFERRED_MODULES = (
     "yaml",
     "subprocess",
@@ -1390,6 +1391,10 @@ _DEFERRED_MODULES = (
     "concurrent.futures",
     "xml.etree.ElementTree",
     "socket",
+    "dataclasses",
+    "inspect",
+    "ast",
+    "dis",
 )
 # The layers whose functions perfbench/tracing.py wraps right after
 # importing the CLI: the package keeps importing them eagerly.

@@ -63,6 +63,21 @@ def test_functions_read_every_parameter(module):
     assert unused == []
 
 
+@pytest.mark.parametrize("module", sorted(path.stem for path in SRC.glob("*.py")))
+def test_module_does_not_import_dataclasses(module):
+    """The value types are plain classes: ``import dataclasses`` alone loads
+    ``inspect``, ``ast`` and ``dis`` into every process. An import inside a
+    function is found here too, where the import-time test cannot see it."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.append(node.module)
+    assert [name for name in modules if name.split(".")[0] == "dataclasses"] == []
+
+
 def test_declared_re_exports_are_imported_and_not_read():
     """A stale ``RE_EXPORTS`` entry would let a real unused import through."""
     for module, name in RE_EXPORTS:

@@ -1,10 +1,21 @@
+import copy
+import inspect
+import pickle
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 
+from auditscore.analysis import Trend, TrendTable
+from auditscore.config import AppConfig, Manifest, ManifestEntry
 from auditscore.errors import ValidationError
 from auditscore.model import (
+    DEFAULT_SEVERITY_WEIGHTS,
+    DEFAULT_TOOL_WEIGHTS,
     MAX_COUNT,
     AideReport,
+    CompositeAssessment,
+    DeltaDecomposition,
     LynisReport,
     NormalizedScore,
     ScapProfile,
@@ -19,7 +30,10 @@ from auditscore.model import (
     assessment_to_dict,
     validate_weights,
 )
-from auditscore.scoring import aggregate, normalize_report
+from auditscore.parsers import ParseDiagnostics
+from auditscore.runner import InvocationResult, ScanOutcome, ToolInvocation
+from auditscore.scoring import ToolSpec, aggregate, normalize_report
+from auditscore.store import HistoryLoad, HistoryRecord
 
 from .strategies import FIXED_TIMESTAMP, score_values, six_scores, weight_profiles
 
@@ -188,3 +202,105 @@ def test_assessment_dict_round_trip():
         timestamp=FIXED_TIMESTAMP,
     )
     assert assessment_from_dict(assessment_to_dict(assessment)) == assessment
+
+
+def _contract_cases():
+    """(type, arguments of a sample, its parameters, frozen, hashable sample).
+
+    Parameters are ``name`` for a required one and ``(name, default)`` for
+    one with a default, in constructor order. The arguments give every
+    parameter, positionally; the required ones alone build the object that
+    shows the defaults.
+    """
+    finding = VulnFinding("CVE-2024-0001", Severity.HIGH, True, 7.5, 22, "ssh")
+    assessment = aggregate(six_scores([59, 67.4, 83.4, 82.4, 57.8, 0]), WeightProfile(), "a",
+                           timestamp=FIXED_TIMESTAMP)
+    deltas = {tool: 0.5 for tool in ToolKind}
+    return [
+        (LynisReport, (80,), ["hardening_index"], True, True),
+        (ScapReport, (ScapProfile.CIS, 3, 1), ["profile", "pass_count", "fail_count"], True,
+         True),
+        (AideReport, (1, 2, 3), ["added", "removed", "changed"], True, True),
+        (TripwireReport, (10, 1), ["objects_scanned", "violations"], True, True),
+        (VulnFinding, ("CVE-2024-0001", Severity.HIGH, True, 7.5, 22, "ssh"),
+         ["identifier", "severity", ("confirmed", False), ("cvss", None), ("port", None),
+          ("description", "")], True, True),
+        (VulnReport, (3, 0, False, (finding,), 1),
+         ["open_ports", "filtered_ports", "firewall_active", ("findings", ()),
+          ("confirmed_count", 0)], True, True),
+        (WeightProfile, (DEFAULT_TOOL_WEIGHTS, DEFAULT_SEVERITY_WEIGHTS, 1.0, 2.0, 3.0),
+         [("tool_weights", DEFAULT_TOOL_WEIGHTS), ("severity_weights", DEFAULT_SEVERITY_WEIGHTS),
+          ("port_penalty", 3.0), ("confirmed_penalty", 10.0), ("firewall_discount", 10.0)],
+         True, False),
+        (NormalizedScore, (ToolKind.LYNIS, 80.0, LynisReport(80)),
+         ["tool", "value", ("raw", None)], True, True),
+        (CompositeAssessment,
+         (assessment.label, assessment.timestamp, assessment.scores, assessment.weights,
+          assessment.composite, assessment.contributions),
+         ["label", "timestamp", "scores", "weights", "composite", "contributions"], True, False),
+        (DeltaDecomposition, ("a", "b", deltas), ["from_label", "to_label", "per_tool_delta"],
+         True, False),
+        (AppConfig, (WeightProfile(), Path("h.jsonl"), {}, {}, {}),
+         ["weights", "history_path", "checks", "inits", "substitutions"], True, False),
+        (ManifestEntry, (Path("r.txt"), 50.0, True),
+         [("path", None), ("score", None), ("firewall", None)], True, True),
+        (Manifest, ("l", "h", {}), ["label", "host", "entries"], True, False),
+        (HistoryRecord, (assessment, "node-1"), ["assessment", "host_label"], True, False),
+        (HistoryLoad, ([], 2), [("records", []), ("skipped", 0)], False, False),
+        (ToolInvocation, (ToolKind.AIDE, "aide --check", Path("o.txt"), 60.0, frozenset({0, 1})),
+         ["tool", "command_template", "output_path", ("timeout", 3600.0),
+          ("exit_code_policy", frozenset({0}))], True, True),
+        (InvocationResult, (Path("o.txt"), 0), ["report_path", "exit_code"], True, True),
+        (ScanOutcome, ({ToolKind.AIDE: Path("o.txt")}, {}),
+         [("reports", {}), ("failures", {})], False, False),
+        (ToolSpec, ("X", len, "x {output}", "x.txt", len, str, list, frozenset({0}), "x", "db"),
+         ["display_name", "parse", "command", "output_name", "normalize", "summary", "details",
+          "exit_codes", ("init_command", None), ("database", None)], True, True),
+        (TrendTable, (("a", "b"), {}, {}, (1.0, 2.0), Trend.UP),
+         ["labels", "per_tool", "directions", "composite", "composite_direction"], True, False),
+        (ParseDiagnostics, (["w"], ["t"], {"notchecked": 1}),
+         [("warnings", []), ("trace", []), ("excluded_results", {})], False, False),
+    ]
+
+
+@pytest.mark.parametrize(
+    "cls, args, parameters, frozen, hashable",
+    [pytest.param(*case, id=case[0].__name__) for case in _contract_cases()],
+)
+def test_value_types_keep_their_contract(cls, args, parameters, frozen, hashable):
+    names = [p if isinstance(p, str) else p[0] for p in parameters]
+    defaults = dict(p for p in parameters if not isinstance(p, str))
+    signature = inspect.signature(cls).parameters.values()
+    assert [p.name for p in signature] == names
+    assert {p.name for p in signature if p.default is not p.empty} == set(defaults)
+    shown = cls(*args[: len(names) - len(defaults)])
+    assert {name: getattr(shown, name) for name in defaults} == defaults
+
+    value, same = cls(*args), cls(*args)
+    assert value == same and not value != same
+    assert value.__eq__(object()) is NotImplemented
+    assert copy.copy(value) == value
+    if hashable:  # no mapping proxy inside, which pickle refuses
+        assert pickle.loads(pickle.dumps(value)) == value
+    assert repr(value) == (
+        f"{cls.__name__}(" + ", ".join(f"{name}={getattr(value, name)!r}" for name in names) + ")"
+    )
+    if frozen:
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert cls.__hash__ is not None
+        if hashable:
+            assert hash(value) == hash(same)
+        else:  # a field holds a dict or mapping
+            with pytest.raises(TypeError):
+                hash(value)
+    else:
+        for name in names:
+            setattr(value, name, getattr(same, name))
+        assert value == same
+        assert cls.__hash__ is None
+        with pytest.raises(TypeError):
+            hash(value)

@@ -1,6 +1,5 @@
 import os
 import stat
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -260,7 +259,7 @@ def test_command_that_cannot_be_executed_fails_only_its_tool(
     broken.write_bytes(content)
     broken.chmod(mode)
     invocations = _two_invocations(tmp_path, out_dir)
-    invocations[0] = replace(invocations[0], command_template=f"{broken} {{output}}")
+    invocations[0] = invocations[0].replace(command_template=f"{broken} {{output}}")
     outcome = orchestrate_scan(invocations)
     assert set(outcome.reports) == {ToolKind.AIDE}
     error = outcome.failures[ToolKind.LYNIS]
@@ -272,7 +271,7 @@ def test_unusable_output_path_fails_only_its_tool(tmp_path, out_dir):
     invocations = _two_invocations(tmp_path, out_dir)
     blocker = tmp_path / "not-a-directory"
     blocker.write_text("file, not dir")
-    invocations[1] = replace(invocations[1], output_path=blocker / "aide.txt")
+    invocations[1] = invocations[1].replace(output_path=blocker / "aide.txt")
     outcome = orchestrate_scan(invocations)
     assert set(outcome.reports) == {ToolKind.LYNIS}
     assert outcome.failures[ToolKind.AIDE].code == "IO_FAILURE"

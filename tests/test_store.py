@@ -196,6 +196,39 @@ def test_stored_count_past_the_model_bound_is_skipped(tmp_path, data_dir, tool, 
     assert (loaded.records, loaded.skipped) == ([], 1)
 
 
+_UNKNOWN_NAMES = ["nosuch", ["lynis"], 7]
+
+
+@pytest.mark.parametrize("name", _UNKNOWN_NAMES, ids=repr)
+@pytest.mark.parametrize(
+    "where",
+    [
+        ("assessment", "scores", "lynis", "tool"),
+        ("assessment", "scores", "vuln_scan", "raw", "findings", 0, "severity"),
+        ("assessment", "scores", "openscap_cis", "raw", "profile"),
+        ("assessment", "scores", "lynis"),
+        ("assessment", "contributions", "lynis"),
+        ("assessment", "weights", "tool_weights", "lynis"),
+        ("assessment", "weights", "severity_weights", "high"),
+    ],
+)
+def test_unknown_tool_severity_or_profile_name_is_skipped(tmp_path, data_dir, where, name):
+    """A stored name is a value (``tool``, ``severity``, ``profile``) or a
+    mapping key; a key is added next to the known ones, which stay."""
+    payload = json.loads((data_dir / "history-v1.jsonl").read_text().splitlines()[0])
+    node = payload
+    for key in where[:-1]:
+        node = node[key]
+    if where[-1] in ("tool", "severity", "profile"):
+        node[where[-1]] = name
+    else:
+        node[str(name)] = node[where[-1]]  # JSON keys are strings
+    history = tmp_path / "history.jsonl"
+    history.write_text(json.dumps(payload) + "\n")
+    loaded = load_history(history)
+    assert (loaded.records, loaded.skipped) == ([], 1)
+
+
 def test_history_written_by_earlier_release_reencodes_byte_identically(data_dir):
     lines = (data_dir / "history-v1.jsonl").read_text().splitlines()
     assert load_history(data_dir / "history-v1.jsonl").skipped == 0
