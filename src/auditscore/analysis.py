@@ -45,11 +45,7 @@ class TrendTable(Frozen):
         composite: tuple[float, ...],
         composite_direction: Trend,
     ):
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "per_tool", per_tool)
-        object.__setattr__(self, "directions", directions)
-        object.__setattr__(self, "composite", composite)
-        object.__setattr__(self, "composite_direction", composite_direction)
+        self._init(labels, per_tool, directions, composite, composite_direction)
 
 
 def _require_same_weights(reference: CompositeAssessment, other: CompositeAssessment) -> None:

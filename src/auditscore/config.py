@@ -47,11 +47,7 @@ class AppConfig(Frozen):
         inits: Mapping[ToolKind, tuple[ToolInvocation, Path]],
         substitutions: Mapping[str, str],
     ):
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "history_path", history_path)
-        object.__setattr__(self, "checks", checks)
-        object.__setattr__(self, "inits", inits)
-        object.__setattr__(self, "substitutions", substitutions)
+        self._init(weights, history_path, checks, inits, substitutions)
 
 
 # YAML values appear in messages through ``_show``: a short scalar exactly as
@@ -318,9 +314,7 @@ class ManifestEntry(Frozen):
     def __init__(
         self, path: Path | None = None, score: float | None = None, firewall: bool | None = None
     ):
-        object.__setattr__(self, "path", path)
-        object.__setattr__(self, "score", score)
-        object.__setattr__(self, "firewall", firewall)
+        self._init(path, score, firewall)
 
 
 class Manifest(Frozen):
@@ -329,9 +323,7 @@ class Manifest(Frozen):
     def __init__(
         self, label: str | None, host: str | None, entries: Mapping[ToolKind, ManifestEntry]
     ):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "host", host)
-        object.__setattr__(self, "entries", entries)
+        self._init(label, host, entries)
 
 
 def load_manifest(path: Path) -> Manifest:

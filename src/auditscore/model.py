@@ -7,10 +7,12 @@ to a small raw-metrics record, normalized to a 0-100 score, and combined
 into a weighted composite assessment.
 
 The types are plain classes over ``__slots__`` (:class:`Frozen`): each
-constructor checks its arguments, and an instance is read-only, so it is
-safe to share across threads. Serialization helpers at the bottom of the
-module round-trip every type through plain JSON-compatible dicts at full
-float precision.
+constructor checks its arguments and hands the field values, in slot
+order, to :meth:`Frozen._init`, the one place a field is set. An instance
+is read-only, so it is safe to share across threads, and it pickles and
+copies by calling its constructor again. Serialization helpers at the
+bottom of the module round-trip every type through plain JSON-compatible
+dicts at full float precision.
 """
 
 from __future__ import annotations
@@ -113,11 +115,17 @@ class Value:
 
 
 class Frozen(Value):
-    """A read-only, hashable :class:`Value`. Its ``__init__`` sets each
-    field through ``object.__setattr__``; any later assignment or deletion
-    raises ``AttributeError``."""
+    """A read-only, hashable :class:`Value`. Its ``__init__`` checks the
+    arguments, then sets every field at once through :meth:`_init`; any
+    later assignment or deletion raises ``AttributeError``."""
 
     __slots__ = ()
+
+    def _init(self, *values) -> None:
+        """Set the fields to ``values``, given in ``__slots__`` order."""
+        set_field = object.__setattr__  # past ``__setattr__``, which refuses
+        for name, value in zip(self.__slots__, values):
+            set_field(self, name, value)
 
     def __hash__(self) -> int:
         return hash(self._values())
@@ -169,6 +177,12 @@ def _require_count(name: str, value: int) -> None:
         raise ValidationError("VALUE_OUT_OF_RANGE", f"{name} exceeds {MAX_COUNT}")
 
 
+def _require_label(label: object) -> str:
+    if not isinstance(label, str):
+        raise ValidationError("LABEL_INVALID", f"label must be a string, got {label!r}")
+    return label
+
+
 class LynisReport(Frozen):
     """Raw metrics from a system audit: the tool's own 0-100 index."""
 
@@ -182,7 +196,7 @@ class LynisReport(Frozen):
                 "VALUE_OUT_OF_RANGE",
                 f"hardening_index must be in [0, 100], got {hardening_index}",
             )
-        object.__setattr__(self, "hardening_index", hardening_index)
+        self._init(hardening_index)
 
 
 class ScapReport(Frozen):
@@ -193,9 +207,7 @@ class ScapReport(Frozen):
     def __init__(self, profile: ScapProfile, pass_count: int, fail_count: int):
         _require_count("pass_count", pass_count)
         _require_count("fail_count", fail_count)
-        object.__setattr__(self, "profile", profile)
-        object.__setattr__(self, "pass_count", pass_count)
-        object.__setattr__(self, "fail_count", fail_count)
+        self._init(profile, pass_count, fail_count)
 
     @property
     def tool(self) -> ToolKind:
@@ -212,9 +224,7 @@ class AideReport(Frozen):
         _require_count("added", added)
         _require_count("removed", removed)
         _require_count("changed", changed)
-        object.__setattr__(self, "added", added)
-        object.__setattr__(self, "removed", removed)
-        object.__setattr__(self, "changed", changed)
+        self._init(added, removed, changed)
 
     @property
     def total_changes(self) -> int:
@@ -235,8 +245,7 @@ class TripwireReport(Frozen):
                 "VIOLATIONS_EXCEED_OBJECTS",
                 f"violations ({violations}) exceed objects scanned ({objects_scanned})",
             )
-        object.__setattr__(self, "objects_scanned", objects_scanned)
-        object.__setattr__(self, "violations", violations)
+        self._init(objects_scanned, violations)
 
 
 class VulnFinding(Frozen):
@@ -276,12 +285,7 @@ class VulnFinding(Frozen):
                 raise ValidationError(
                     "VALUE_OUT_OF_RANGE", f"port must be in [1, 65535], got {port}"
                 )
-        object.__setattr__(self, "identifier", identifier)
-        object.__setattr__(self, "severity", severity)
-        object.__setattr__(self, "confirmed", confirmed)
-        object.__setattr__(self, "cvss", cvss)
-        object.__setattr__(self, "port", port)
-        object.__setattr__(self, "description", description)
+        self._init(identifier, severity, confirmed, cvss, port, description)
 
 
 class VulnReport(Frozen):
@@ -310,11 +314,7 @@ class VulnReport(Frozen):
                 f"confirmed_count ({confirmed_count}) exceeds findings "
                 f"flagged confirmed ({flagged})",
             )
-        object.__setattr__(self, "open_ports", open_ports)
-        object.__setattr__(self, "filtered_ports", filtered_ports)
-        object.__setattr__(self, "firewall_active", firewall_active)
-        object.__setattr__(self, "findings", findings)
-        object.__setattr__(self, "confirmed_count", confirmed_count)
+        self._init(open_ports, filtered_ports, firewall_active, findings, confirmed_count)
 
 
 RawToolReport = Union[LynisReport, ScapReport, AideReport, TripwireReport, VulnReport]
@@ -359,12 +359,17 @@ class WeightProfile(Frozen):
         confirmed_penalty: float = 10.0,
         firewall_discount: float = 10.0,
     ):
-        object.__setattr__(self, "tool_weights", MappingProxyType(dict(tool_weights)))
-        object.__setattr__(self, "severity_weights", MappingProxyType(dict(severity_weights)))
-        object.__setattr__(self, "port_penalty", port_penalty)
-        object.__setattr__(self, "confirmed_penalty", confirmed_penalty)
-        object.__setattr__(self, "firewall_discount", firewall_discount)
+        self._init(
+            MappingProxyType(dict(tool_weights)), MappingProxyType(dict(severity_weights)),
+            port_penalty, confirmed_penalty, firewall_discount
+        )
         validate_weights(self)
+
+    def __reduce__(self):
+        # A mapping proxy cannot be pickled: rebuild from plain dict copies,
+        # which ``__init__`` wraps and checks again.
+        tool_weights, severity_weights, *penalties = self._values()
+        return self.__class__, (dict(tool_weights), dict(severity_weights), *penalties)
 
 
 def _require_weight(value: float, name: str, key: Enum | None = None) -> None:
@@ -429,9 +434,7 @@ class NormalizedScore(Frozen):
             raise ValidationError(
                 "TOOL_MISMATCH", f"{tool.value} score carries a {raw.tool.value} report"
             )
-        object.__setattr__(self, "tool", tool)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "raw", raw)
+        self._init(tool, value, raw)
 
 
 class CompositeAssessment(Frozen):
@@ -452,6 +455,11 @@ class CompositeAssessment(Frozen):
         composite: float,
         contributions: Mapping[ToolKind, float],
     ):
+        _require_label(label)
+        if not isinstance(timestamp, datetime):
+            raise ValidationError(
+                "VALUE_WRONG_TYPE", f"timestamp must be a datetime, got {timestamp!r}"
+            )
         missing = [tool.value for tool in TOOL_KINDS if tool not in scores]
         if missing:
             raise ValidationError("TOOL_MISSING", "no score for: " + ", ".join(missing))
@@ -472,12 +480,7 @@ class CompositeAssessment(Frozen):
             raise ValidationError(
                 "VALUE_OUT_OF_RANGE", f"composite must be in [0, 100], got {composite}"
             )
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "timestamp", timestamp)
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "composite", composite)
-        object.__setattr__(self, "contributions", contributions)
+        self._init(label, timestamp, scores, weights, composite, contributions)
 
 
 class DeltaDecomposition(Frozen):
@@ -490,9 +493,7 @@ class DeltaDecomposition(Frozen):
     __slots__ = ("from_label", "to_label", "per_tool_delta")
 
     def __init__(self, from_label: str, to_label: str, per_tool_delta: Mapping[ToolKind, float]):
-        object.__setattr__(self, "from_label", from_label)
-        object.__setattr__(self, "to_label", to_label)
-        object.__setattr__(self, "per_tool_delta", per_tool_delta)
+        self._init(from_label, to_label, per_tool_delta)
 
     @property
     def total_delta(self) -> float:
@@ -656,15 +657,12 @@ def assessment_to_dict(assessment: CompositeAssessment) -> dict:
 
 def assessment_label(data: Mapping) -> str:
     """The label of a stored assessment, checked without decoding the rest."""
-    label = data["label"]
-    if not isinstance(label, str):
-        raise ValidationError("LABEL_INVALID", f"label must be a string, got {label!r}")
-    return label
+    return _require_label(data["label"])
 
 
 def assessment_from_dict(data: Mapping) -> CompositeAssessment:
     return CompositeAssessment(
-        label=assessment_label(data),
+        label=data["label"],
         timestamp=datetime.fromisoformat(data["timestamp"]),
         scores={
             _TOOLS_BY_VALUE[name]: score_from_dict(entry) for name, entry in data["scores"].items()

@@ -49,19 +49,14 @@ class ToolInvocation(Frozen):
                 "VALUE_OUT_OF_RANGE",
                 f"timeout must be greater than 0 and at most {MAX_TIMEOUT:g}, got {timeout}",
             )
-        object.__setattr__(self, "tool", tool)
-        object.__setattr__(self, "command_template", command_template)
-        object.__setattr__(self, "output_path", Path(output_path))
-        object.__setattr__(self, "timeout", timeout)
-        object.__setattr__(self, "exit_code_policy", frozenset(exit_code_policy))
+        self._init(tool, command_template, Path(output_path), timeout, frozenset(exit_code_policy))
 
 
 class InvocationResult(Frozen):
     __slots__ = ("report_path", "exit_code")
 
     def __init__(self, report_path: Path, exit_code: int):
-        object.__setattr__(self, "report_path", report_path)
-        object.__setattr__(self, "exit_code", exit_code)
+        self._init(report_path, exit_code)
 
 
 class ScanOutcome(Value):

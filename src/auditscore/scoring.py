@@ -165,16 +165,10 @@ class ToolSpec(Frozen):
         # Integrity database path; ``{hostname}`` is substituted.
         database: str | None = None,
     ):
-        object.__setattr__(self, "display_name", display_name)
-        object.__setattr__(self, "parse", parse)
-        object.__setattr__(self, "command", command)
-        object.__setattr__(self, "output_name", output_name)
-        object.__setattr__(self, "normalize", normalize)
-        object.__setattr__(self, "summary", summary)
-        object.__setattr__(self, "details", details)
-        object.__setattr__(self, "exit_codes", exit_codes)
-        object.__setattr__(self, "init_command", init_command)
-        object.__setattr__(self, "database", database)
+        self._init(
+            display_name, parse, command, output_name, normalize, summary, details, exit_codes,
+            init_command, database
+        )
 
 
 # File integrity checkers return a bitmask of change classes (1 added,

@@ -53,8 +53,13 @@ class HistoryRecord(Frozen):
     __slots__ = ("assessment", "host_label")
 
     def __init__(self, assessment: CompositeAssessment, host_label: str):
-        object.__setattr__(self, "assessment", assessment)
-        object.__setattr__(self, "host_label", host_label)
+        self._init(assessment, _require_host_label(host_label))
+
+
+def _require_host_label(host_label: object) -> str:
+    if not isinstance(host_label, str):
+        raise StoreError("HOST_LABEL_INVALID", f"host_label must be a string, got {host_label!r}")
+    return host_label
 
 
 class HistoryLoad(Value):
@@ -96,10 +101,7 @@ def _line_keys(payload) -> tuple[str, str]:
         raise StoreError(
             "SCHEMA_TOO_NEW", f"record schema_version {version!r} > {SCHEMA_VERSION}"
         )
-    host_label = payload["host_label"]
-    if not isinstance(host_label, str):
-        raise StoreError("HOST_LABEL_INVALID", f"host_label must be a string, got {host_label!r}")
-    return host_label, assessment_label(payload["assessment"])
+    return _require_host_label(payload["host_label"]), assessment_label(payload["assessment"])
 
 
 def _record_from_payload(payload, keys: tuple[str, str]) -> HistoryRecord:

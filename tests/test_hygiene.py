@@ -83,3 +83,27 @@ def test_declared_re_exports_are_imported_and_not_read():
     for module, name in RE_EXPORTS:
         imported, read = _imported_and_read(SRC / f"{module}.py")
         assert name in imported and name not in read
+
+
+def test_fields_are_set_only_by_frozen():
+    """``object.__setattr__`` gets past a read-only value's guard; only
+    ``model.Frozen`` may name it, so every frozen field is set one way."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.stem == "model":
+            frozen = next(
+                node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Frozen"
+            )
+            allowed = {id(node) for node in ast.walk(frozen)}
+        found += [
+            f"{path.stem}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr == "__setattr__"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "object"
+            and id(node) not in allowed
+        ]
+    assert found == []

@@ -279,9 +279,10 @@ def test_value_types_keep_their_contract(cls, args, parameters, frozen, hashable
     value, same = cls(*args), cls(*args)
     assert value == same and not value != same
     assert value.__eq__(object()) is NotImplemented
+    assert [getattr(value, name) for name in names] == list(args)  # fields set in slot order
     assert copy.copy(value) == value
-    if hashable:  # no mapping proxy inside, which pickle refuses
-        assert pickle.loads(pickle.dumps(value)) == value
+    assert copy.deepcopy(value) == value
+    assert pickle.loads(pickle.dumps(value)) == value
     assert repr(value) == (
         f"{cls.__name__}(" + ", ".join(f"{name}={getattr(value, name)!r}" for name in names) + ")"
     )

@@ -50,6 +50,31 @@ def test_appends_preserve_order(tmp_path):
     assert [r.assessment.label for r in loaded.records] == ["baseline", "partial"]
 
 
+@pytest.mark.parametrize(
+    "build, code",
+    [
+        (lambda: _record(label=7), "LABEL_INVALID"),
+        (lambda: _record(host=None), "HOST_LABEL_INVALID"),
+        (
+            lambda: HistoryRecord(
+                aggregate(six_scores([50] * 6), WeightProfile(), "x", "2026-01-01"), "node-1"
+            ),
+            "VALUE_WRONG_TYPE",
+        ),
+    ],
+    ids=["label", "host_label", "timestamp"],
+)
+def test_record_no_read_could_load_is_refused(tmp_path, build, code):
+    """Such a line would be skipped by every later read, or fail mid-append."""
+    path = tmp_path / "history.jsonl"
+    append_record(path, _record())
+    before = path.read_bytes()
+    with pytest.raises(AuditError) as excinfo:
+        append_record(path, build())
+    assert excinfo.value.code == code
+    assert path.read_bytes() == before
+
+
 def test_unwritable_path_is_io_failure(tmp_path):
     blocker = tmp_path / "not-a-directory"
     blocker.write_text("file, not dir")
