@@ -170,7 +170,7 @@ def _latest_by_label(history_path: Path, labels: list[str]) -> list[HistoryRecor
 
     The first label with no record raises ``UNKNOWN_LABEL``.
     """
-    loaded = _load_history(history_path, labels=set(labels), latest=True)
+    loaded = _load_history(history_path, newest_of=set(labels))
     latest = {record.assessment.label: record for record in loaded.records}
     for label in labels:
         if label not in latest:

@@ -344,9 +344,14 @@ class WeightProfile(Frozen):
     """Per-tool weights plus the penalty constants of the vulnerability model.
 
     Multi-domain tools carry 0.20, single-domain tools 0.15 by default;
-    the six tool weights must sum to 1.0. Construction copies both maps
-    into read-only views and runs :func:`validate_weights`, so a profile
-    that exists is valid and stays so.
+    the six tool weights must sum to 1.0. Construction copies both maps,
+    checks the copies and keeps them as read-only views, so a profile that
+    exists is valid and stays so. A failed check raises
+    :class:`ValidationError` naming the offending entry with code
+    ``TOOL_MISSING``, ``SEVERITY_MISSING``, ``VALUE_WRONG_TYPE`` (not a
+    number, a bool included), ``WEIGHT_NOT_FINITE`` (NaN or infinite),
+    ``WEIGHT_NEGATIVE`` or ``WEIGHT_SUM_INVALID``. Tools are checked in
+    canonical order, so the outcome is independent of map insertion order.
     """
 
     __slots__ = ("tool_weights", "severity_weights", *PENALTY_FIELDS)
@@ -359,15 +364,31 @@ class WeightProfile(Frozen):
         confirmed_penalty: float = 10.0,
         firewall_discount: float = 10.0,
     ):
-        self._init(
-            MappingProxyType(dict(tool_weights)), MappingProxyType(dict(severity_weights)),
-            port_penalty, confirmed_penalty, firewall_discount
-        )
-        validate_weights(self)
+        tool_weights, severity_weights = dict(tool_weights), dict(severity_weights)
+        penalties = (port_penalty, confirmed_penalty, firewall_discount)
+        for tool in TOOL_KINDS:
+            if tool not in tool_weights:
+                raise ValidationError("TOOL_MISSING", f"tool_weights has no entry for {tool.value}")
+        for tool in TOOL_KINDS:
+            _require_weight(tool_weights[tool], "tool_weights", tool)
+        for severity in SEVERITIES:
+            if severity not in severity_weights:
+                raise ValidationError(
+                    "SEVERITY_MISSING", f"severity_weights has no entry for {severity.value}"
+                )
+            _require_weight(severity_weights[severity], "severity_weights", severity)
+        for name, value in zip(PENALTY_FIELDS, penalties):
+            _require_weight(value, name)
+        total = sum(tool_weights[tool] for tool in TOOL_KINDS)
+        if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
+            raise ValidationError(
+                "WEIGHT_SUM_INVALID", f"tool weights sum to {total:.9f}, expected 1.0"
+            )
+        self._init(MappingProxyType(tool_weights), MappingProxyType(severity_weights), *penalties)
 
     def __reduce__(self):
         # A mapping proxy cannot be pickled: rebuild from plain dict copies,
-        # which ``__init__`` wraps and checks again.
+        # which ``__init__`` copies and checks again.
         tool_weights, severity_weights, *penalties = self._values()
         return self.__class__, (dict(tool_weights), dict(severity_weights), *penalties)
 
@@ -381,37 +402,6 @@ def _require_weight(value: float, name: str, key: Enum | None = None) -> None:
     if not math.isfinite(value):
         raise ValidationError("WEIGHT_NOT_FINITE", f"{name} is not finite ({value})")
     raise ValidationError("WEIGHT_NEGATIVE", f"{name} is negative ({value})")
-
-
-def validate_weights(profile: WeightProfile) -> WeightProfile:
-    """Check a weight profile, as every one is when built, and return it unchanged.
-
-    Raises :class:`ValidationError` naming the offending entry with code
-    ``TOOL_MISSING``, ``SEVERITY_MISSING``, ``VALUE_WRONG_TYPE`` (not a
-    number, a bool included), ``WEIGHT_NOT_FINITE`` (NaN or infinite),
-    ``WEIGHT_NEGATIVE`` or ``WEIGHT_SUM_INVALID``. Validation
-    iterates tools in canonical order, so the outcome is independent of
-    map insertion order.
-    """
-    for tool in TOOL_KINDS:
-        if tool not in profile.tool_weights:
-            raise ValidationError("TOOL_MISSING", f"tool_weights has no entry for {tool.value}")
-    for tool in TOOL_KINDS:
-        _require_weight(profile.tool_weights[tool], "tool_weights", tool)
-    for severity in SEVERITIES:
-        if severity not in profile.severity_weights:
-            raise ValidationError(
-                "SEVERITY_MISSING", f"severity_weights has no entry for {severity.value}"
-            )
-        _require_weight(profile.severity_weights[severity], "severity_weights", severity)
-    for name in PENALTY_FIELDS:
-        _require_weight(getattr(profile, name), name)
-    total = sum(profile.tool_weights[tool] for tool in TOOL_KINDS)
-    if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
-        raise ValidationError(
-            "WEIGHT_SUM_INVALID", f"tool weights sum to {total:.9f}, expected 1.0"
-        )
-    return profile
 
 
 class NormalizedScore(Frozen):
@@ -619,24 +609,16 @@ def profile_to_dict(profile: WeightProfile) -> dict:
         "severity_weights": {
             sev.value: profile.severity_weights[sev] for sev in SEVERITIES
         },
-        "port_penalty": profile.port_penalty,
-        "confirmed_penalty": profile.confirmed_penalty,
-        "firewall_discount": profile.firewall_discount,
+        **{name: getattr(profile, name) for name in PENALTY_FIELDS},
     }
 
 
 def profile_from_dict(data: Mapping) -> WeightProfile:
-    """Decode a stored profile; one that fails :func:`validate_weights` raises."""
+    """Decode a stored profile; one that :class:`WeightProfile` rejects raises."""
     return WeightProfile(
-        tool_weights={
-            _TOOLS_BY_VALUE[name]: value for name, value in data["tool_weights"].items()
-        },
-        severity_weights={
-            _SEVERITIES_BY_VALUE[name]: value for name, value in data["severity_weights"].items()
-        },
-        port_penalty=data["port_penalty"],
-        confirmed_penalty=data["confirmed_penalty"],
-        firewall_discount=data["firewall_discount"],
+        {_TOOLS_BY_VALUE[name]: value for name, value in data["tool_weights"].items()},
+        {_SEVERITIES_BY_VALUE[name]: value for name, value in data["severity_weights"].items()},
+        *(data[name] for name in PENALTY_FIELDS),
     )
 
 

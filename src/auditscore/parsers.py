@@ -150,15 +150,11 @@ def _count(text: str, what: str, source: str) -> int:
     return value
 
 
-def _localname(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
-
-
 class _LocalNames(dict):
     """Tag -> local name, each tag split on its first lookup."""
 
     def __missing__(self, tag: str) -> str:
-        name = self[tag] = _localname(tag)
+        name = self[tag] = tag.rsplit("}", 1)[-1]
         return name
 
 
@@ -463,12 +459,13 @@ def parse_nmap(
     """
     diagnostics = ParseDiagnostics()
     root = _xml_root(scan_xml, source)
+    names = _LocalNames()
     # Outermost hosts in document order: one nested in another (nmap writes
     # none) is part of it, so each port counts once, in linear time.
     hosts, stack = [], [root]
     while stack:
         element = stack.pop()
-        if _localname(element.tag) == "host":
+        if names[element.tag] == "host":
             hosts.append(element)
         else:
             stack.extend(reversed(element))
@@ -482,10 +479,10 @@ def parse_nmap(
     findings: list[VulnFinding] = []
     with _as_parse_error(source):
         for host in hosts:
-            for port_el in (el for el in host.iter() if _localname(el.tag) == "port"):
+            for port_el in (el for el in host.iter() if names[el.tag] == "port"):
                 portid_raw = port_el.get("portid", "")
                 portid = _count(portid_raw, "portid", source) if portid_raw.isdecimal() else None
-                state_el = next((c for c in port_el if _localname(c.tag) == "state"), None)
+                state_el = next((c for c in port_el if names[c.tag] == "state"), None)
                 state = state_el.get("state", "") if state_el is not None else ""
                 if state == "open":
                     open_ports += 1
@@ -497,16 +494,16 @@ def parse_nmap(
                         diagnostics.note(f"filtered port {portid_raw}")
                 elif state and trace:
                     diagnostics.note(f"port {portid_raw} state {state!r} not counted")
-                for script_el in (c for c in port_el if _localname(c.tag) == "script"):
+                for script_el in (c for c in port_el if names[c.tag] == "script"):
                     findings.extend(_script_findings(script_el, portid, diagnostics, trace))
-            for extra_el in (el for el in host.iter() if _localname(el.tag) == "extraports"):
+            for extra_el in (el for el in host.iter() if names[el.tag] == "extraports"):
                 if extra_el.get("state") == "filtered":
                     count = _count(extra_el.get("count", "0"), "extraports count", source)
                     filtered_ports += count
                     if trace:
                         diagnostics.note(f"extraports: {count} filtered")
-            for hostscript in (el for el in host.iter() if _localname(el.tag) == "hostscript"):
-                for script_el in (c for c in hostscript if _localname(c.tag) == "script"):
+            for hostscript in (el for el in host.iter() if names[el.tag] == "hostscript"):
+                for script_el in (c for c in hostscript if names[c.tag] == "script"):
                     findings.extend(_script_findings(script_el, None, diagnostics, trace))
 
         confirmed_count = sum(1 for f in findings if f.confirmed)

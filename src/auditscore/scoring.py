@@ -44,7 +44,6 @@ from .model import (
     TripwireReport,
     VulnReport,
     WeightProfile,
-    classify_severity,  # re-exported: severity bands are part of the scoring API
 )
 from .parsers import (
     ParseDiagnostics,

@@ -4,8 +4,12 @@ A flat line-delimited file keeps the history diffable and dependency-free
 at desk scale. A line ends at ``\\n`` (JSON Lines); a trailing ``\\r`` is
 JSON whitespace. Reads are lenient: corrupt or torn lines (including a
 partial final line from an interrupted write, and a line that is not
-UTF-8) are skipped and counted, never mis-parsed. A filtered read fully
-decodes only the lines it keeps.
+UTF-8) are skipped and counted, never mis-parsed. :func:`load_history`
+answers three questions: every record (``load_history(path)``, behind
+``history``), one host's records (``host_filter=``, behind
+``history --host``) and the newest record of some labels (``newest_of=``,
+behind ``compare`` and ``report``). A filtered read fully decodes only
+the lines it keeps.
 
 Because the file only grows, a filtered read keeps a sidecar line index,
 ``<history>.idx``: the host and assessment labels of every checked line
@@ -80,11 +84,6 @@ def record_to_json(record: HistoryRecord) -> str:
         "assessment": assessment_to_dict(record.assessment),
     }
     return json.dumps(payload, separators=(",", ":"))
-
-
-def record_from_json(line: str) -> HistoryRecord:
-    payload = json.loads(line)
-    return _record_from_payload(payload, _line_keys(payload))
 
 
 def _line_keys(payload) -> tuple[str, str]:
@@ -184,17 +183,17 @@ def _read_index(index_path: Path, data: bytes, owner: int) -> _LineIndex | None:
     is read; its first line must be the sha256 of the covered prefix
     followed by the rest of the index.
     """
-    try:
+
+    def opener(name: str, flags: int) -> int:
         # Not following a symlink and not waiting on a FIFO.
-        handle = os.open(index_path, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
-        try:
-            info = os.fstat(handle)
+        return os.open(name, flags | os.O_NOFOLLOW | os.O_NONBLOCK)
+
+    try:
+        with open(index_path, "rb", opener=opener) as stream:
+            info = os.fstat(stream.fileno())
             if not stat.S_ISREG(info.st_mode) or info.st_uid not in (os.geteuid(), owner):
                 return None
-            with os.fdopen(handle, "rb", closefd=False) as stream:
-                expected, _, body = stream.read().partition(b"\n")
-        finally:
-            os.close(handle)
+            expected, _, body = stream.read().partition(b"\n")
     except OSError:
         return None
     try:
@@ -274,18 +273,23 @@ def _line_spans(data: bytes, start: int):
 
 
 def _scan(
-    data: bytes, index: _LineIndex, wanted, latest: bool = False
+    data: bytes, index: _LineIndex, host_filter: str | None, newest_of: Collection[str] | None
 ) -> tuple[HistoryLoad, _LineIndex]:
-    """The records ``wanted(host_label, label)`` keeps, and the index of ``data``.
+    """The records a :func:`load_history` query keeps, and the index of ``data``.
 
     Lines of the indexed prefix are decoded only when wanted; the rest of
-    ``data`` is scanned. With ``latest``, wanted lines are decoded newest
-    first until each label has a record, and older lines are not decoded.
-    Raises :class:`_StaleIndex` when a decoded indexed line does not pass
-    the checks or keys its entry claims.
+    ``data`` is scanned. Wanted lines are decoded in file order, or, with
+    ``newest_of``, newest first until each label has a record, and older
+    lines are not decoded. Raises :class:`_StaleIndex` when a decoded
+    indexed line does not pass the checks or keys its entry claims.
     """
     result = HistoryLoad(skipped=index.skipped)
     grown = _LineIndex(data.rfind(b"\n") + 1, index.skipped, list(index.lines))
+
+    def wanted(host_label: str, label: str) -> bool:
+        return (host_filter is None or host_label == host_filter) and (
+            newest_of is None or label in newest_of
+        )
 
     def decode(start: int, host_label: str, label: str, parsed=None) -> bool:
         """Add the record of a wanted line, or count the line as skipped.
@@ -311,15 +315,15 @@ def _scan(
             return False
         return True
 
-    # With ``latest``, the wanted lines are only noted here, as
+    # With ``newest_of``, the wanted lines are only noted here, as
     # ``(start, host_label, label)``, and decoded newest first below.
     noted = []
     for entry in index.lines:
         if wanted(*entry[1:]):
-            if latest:
-                noted.append(entry)
-            else:
+            if newest_of is None:
                 decode(*entry)
+            else:
+                noted.append(entry)
     for start, end in _line_spans(data, index.covered):
         complete = end < grown.covered  # a final line with no b"\n" may still grow
         try:
@@ -334,11 +338,11 @@ def _scan(
         if complete:
             grown.lines.append([start, *keys])
         if wanted(*keys):
-            if latest:
-                noted.append((start, *keys))
-            else:
+            if newest_of is None:
                 decode(start, *keys, (payload, keys))
-    if latest:
+            else:
+                noted.append((start, *keys))
+    if newest_of is not None:
         done = set()
         for start, host_label, label in reversed(noted):
             if label not in done and decode(start, host_label, label):
@@ -348,27 +352,24 @@ def _scan(
 
 
 def load_history(
-    path: Path | str,
-    host_filter: str | None = None,
-    labels: Collection[str] | None = None,
-    *,
-    latest: bool = False,
+    path: Path | str, host_filter: str | None = None, newest_of: Collection[str] | None = None
 ) -> HistoryLoad:
-    """Read records in file order, optionally filtered by host and label.
+    """Read the records of ``path`` in file order: all, or those a query keeps.
+
+    ``host_filter`` keeps the records of one host. ``newest_of`` keeps
+    only the newest record of each label it names: their lines are decoded
+    newest first, one that fails is skipped and counted and the next older
+    line of its label is tried. Lines older than a label's newest record
+    are not decoded, so one of them that would fail is not counted either.
+    Given both, the newest records of those labels on that host are kept.
 
     A line ends at ``\\n``. Every non-blank line must be UTF-8 JSON of a
     known schema version (an integer from 1 up) with a string host label
     and a string assessment label; a line that is not is skipped and
-    counted in ``skipped``. Only lines that pass ``host_filter`` and
-    ``labels`` are fully decoded, and one of them that fails (the wrong
-    shape, broken invariants) is also skipped and counted, so an unfiltered
-    read counts every corrupt line. An empty file yields an empty result.
-
-    With ``latest``, only the newest record of each label is kept: the
-    lines that pass the filters are decoded newest first, one that fails
-    is skipped and counted and the next older line of its label is tried.
-    Lines older than a label's newest record are not decoded, so one of
-    them that would fail is not counted either.
+    counted in ``skipped``. Only the lines a query keeps are fully decoded,
+    and one of them that fails (the wrong shape, broken invariants) is also
+    skipped and counted, so an unfiltered read counts every corrupt line.
+    An empty file yields an empty result.
 
     A filtered read of a regular file takes the checked lines of an
     unchanged prefix from the ``<history>.idx`` index, scans only the rest
@@ -384,24 +385,19 @@ def load_history(
     except OSError as exc:
         raise StoreError("IO_FAILURE", f"cannot read {path}: {exc}") from exc
 
-    def wanted(host_label: str, label: str) -> bool:
-        return (host_filter is None or host_label == host_filter) and (
-            labels is None or label in labels
-        )
-
     # The index sits next to a regular file named as such. A pipe or device
     # keeps no prefix between reads, and a symlink (``/dev/stdin`` too) would
     # put it in a directory the command was not given.
-    filtered = host_filter is not None or labels is not None
+    filtered = host_filter is not None or newest_of is not None
     index_path = None
     if filtered and stat.S_ISREG(info.st_mode) and not path.is_symlink():
         index_path = path.with_name(path.name + ".idx")
     index = (index_path and _read_index(index_path, data, info.st_uid)) or _LineIndex()
     try:
-        result, grown = _scan(data, index, wanted, latest)
+        result, grown = _scan(data, index, host_filter, newest_of)
     except _StaleIndex:
         index = _LineIndex()
-        result, grown = _scan(data, index, wanted, latest)
+        result, grown = _scan(data, index, host_filter, newest_of)
     if index_path and grown.covered > index.covered:
         _write_index(index_path, data, index, grown, stat.S_IMODE(info.st_mode) & 0o666)
     return result

@@ -20,9 +20,10 @@ from auditscore.model import (
     VulnFinding,
     VulnReport,
     WeightProfile,
+    classify_severity,
 )
 from auditscore.reportgen import assigned_port_ids
-from auditscore.scoring import aggregate, classify_severity, normalize_report
+from auditscore.scoring import aggregate, normalize_report
 
 FIXED_TIMESTAMP = datetime(2025, 10, 2, 14, 30, 0, tzinfo=timezone.utc)
 

@@ -26,6 +26,7 @@ from auditscore.model import (
     VulnFinding,
     VulnReport,
     WeightProfile,
+    classify_severity,
 )
 from auditscore.parsers import (
     parse_aide,
@@ -44,7 +45,6 @@ from auditscore.reportgen import (
 )
 from auditscore.scoring import (
     aggregate,
-    classify_severity,
     normalize_aide,
     normalize_report,
     normalize_scap,

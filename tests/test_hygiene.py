@@ -1,14 +1,13 @@
-"""Source hygiene checks that need no linter: only the standard library's ``ast``."""
+"""Source hygiene checks that need no linter: only the standard library."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "auditscore"
-
-# (module, name) pairs a module imports only so that callers can import them from it.
-RE_EXPORTS = {("scoring", "classify_severity")}
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "auditscore"
 
 
 def _imported_and_read(path: Path) -> tuple[list[str], set[str]]:
@@ -29,8 +28,7 @@ def _imported_and_read(path: Path) -> tuple[list[str], set[str]]:
 )
 def test_module_has_no_unused_imports(module):
     imported, read = _imported_and_read(SRC / f"{module}.py")
-    unused = [name for name in imported if name not in read and (module, name) not in RE_EXPORTS]
-    assert unused == []
+    assert [name for name in imported if name not in read] == []
 
 
 @pytest.mark.parametrize("module", sorted(path.stem for path in SRC.glob("*.py")))
@@ -78,11 +76,50 @@ def test_module_does_not_import_dataclasses(module):
     assert [name for name in modules if name.split(".")[0] == "dataclasses"] == []
 
 
-def test_declared_re_exports_are_imported_and_not_read():
-    """A stale ``RE_EXPORTS`` entry would let a real unused import through."""
-    for module, name in RE_EXPORTS:
-        imported, read = _imported_and_read(SRC / f"{module}.py")
-        assert name in imported and name not in read
+def _defined_names(tree: ast.Module) -> list[str]:
+    """The public names a module binds at its top level, other than by import."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                names += [name.id for name in ast.walk(target) if isinstance(name, ast.Name)]
+    return [name for name in names if not name.startswith("_")]
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """The names Python code reads or imports: not those it defines, nor its docstrings."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    """A public name that only tests call is a second way to do a job the
+    program does another way: it is used by the package, its scripts, the
+    benchmark, or the documentation, or it goes."""
+    referenced = set()
+    for directory in (SRC, ROOT / "scripts", ROOT / "perfbench"):
+        for path in directory.glob("*.py"):
+            referenced |= _referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+    prose = "\n".join(
+        path.read_text(encoding="utf-8")
+        for path in [ROOT / "README.md", *(ROOT / "docs").iterdir()]
+    )
+    unused = [
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in _defined_names(ast.parse(path.read_text(encoding="utf-8")))
+        if name not in referenced and not re.search(rf"\b{name}\b", prose)
+    ]
+    assert unused == []
 
 
 def test_fields_are_set_only_by_frozen():

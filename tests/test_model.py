@@ -28,7 +28,6 @@ from auditscore.model import (
     WeightProfile,
     assessment_from_dict,
     assessment_to_dict,
-    validate_weights,
 )
 from auditscore.parsers import ParseDiagnostics
 from auditscore.runner import InvocationResult, ScanOutcome, ToolInvocation
@@ -41,8 +40,7 @@ import hypothesis.strategies as st
 
 
 def test_default_profile_is_accepted():
-    profile = WeightProfile()
-    assert validate_weights(profile) is profile
+    WeightProfile()
 
 
 def test_default_tool_weights_match_expected_assignment():
@@ -57,15 +55,14 @@ def test_default_tool_weights_match_expected_assignment():
 
 
 def test_uniform_weights_accepted():
-    profile = WeightProfile(tool_weights={tool: 1.0 / 6.0 for tool in ToolKind})
-    validate_weights(profile)
+    WeightProfile(tool_weights={tool: 1.0 / 6.0 for tool in ToolKind})
 
 
 def test_inflated_weight_rejected_with_sum_error():
     weights = dict(WeightProfile().tool_weights)
     weights[ToolKind.LYNIS] = 0.25
     with pytest.raises(ValidationError) as excinfo:
-        validate_weights(WeightProfile(tool_weights=weights))
+        WeightProfile(tool_weights=weights)
     assert excinfo.value.code == "WEIGHT_SUM_INVALID"
     assert "1.05" in str(excinfo.value)
 
@@ -75,7 +72,7 @@ def test_negative_weight_rejected_naming_entry():
     weights[ToolKind.AIDE] = -0.15
     weights[ToolKind.LYNIS] = 0.50
     with pytest.raises(ValidationError) as excinfo:
-        validate_weights(WeightProfile(tool_weights=weights))
+        WeightProfile(tool_weights=weights)
     assert excinfo.value.code == "WEIGHT_NEGATIVE"
     assert "aide" in str(excinfo.value)
 
@@ -84,14 +81,14 @@ def test_missing_tool_rejected_naming_entry():
     weights = dict(WeightProfile().tool_weights)
     del weights[ToolKind.VULN_SCAN]
     with pytest.raises(ValidationError) as excinfo:
-        validate_weights(WeightProfile(tool_weights=weights))
+        WeightProfile(tool_weights=weights)
     assert excinfo.value.code == "TOOL_MISSING"
     assert "vuln_scan" in str(excinfo.value)
 
 
 def test_negative_penalty_rejected():
     with pytest.raises(ValidationError) as excinfo:
-        validate_weights(WeightProfile(port_penalty=-1.0))
+        WeightProfile(port_penalty=-1.0)
     assert excinfo.value.code == "WEIGHT_NEGATIVE"
 
 
@@ -120,8 +117,8 @@ def test_non_finite_weight_rejected_naming_entry(bad, where):
 def test_validation_is_order_independent():
     forward = {tool: WeightProfile().tool_weights[tool] for tool in ToolKind}
     backward = {tool: forward[tool] for tool in reversed(list(ToolKind))}
-    validate_weights(WeightProfile(tool_weights=forward))
-    validate_weights(WeightProfile(tool_weights=backward))
+    WeightProfile(tool_weights=forward)
+    WeightProfile(tool_weights=backward)
 
 
 def test_raw_report_invariants():

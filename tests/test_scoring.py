@@ -18,10 +18,10 @@ from auditscore.model import (
     VulnFinding,
     VulnReport,
     WeightProfile,
+    classify_severity,
 )
 from auditscore.scoring import (
     aggregate,
-    classify_severity,
     normalize_aide,
     normalize_lynis,
     normalize_scap,

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 
 from auditscore import store
 from auditscore.errors import AuditError, StoreError
-from auditscore.model import WeightProfile
+from auditscore.model import WeightProfile, assessment_from_dict
 from auditscore.scoring import aggregate
 from auditscore.store import (
     SCHEMA_VERSION,
@@ -18,7 +18,6 @@ from auditscore.store import (
     HistoryRecord,
     append_record,
     load_history,
-    record_from_json,
     record_to_json,
 )
 
@@ -256,9 +255,9 @@ def test_unknown_tool_severity_or_profile_name_is_skipped(tmp_path, data_dir, wh
 
 def test_history_written_by_earlier_release_reencodes_byte_identically(data_dir):
     lines = (data_dir / "history-v1.jsonl").read_text().splitlines()
-    assert load_history(data_dir / "history-v1.jsonl").skipped == 0
-    for line in lines:
-        assert record_to_json(record_from_json(line)) == line
+    loaded = load_history(data_dir / "history-v1.jsonl")
+    assert loaded.skipped == 0
+    assert [record_to_json(record) for record in loaded.records] == lines
 
 
 def test_host_filter(tmp_path):
@@ -270,9 +269,10 @@ def test_host_filter(tmp_path):
     assert [r.assessment.label for r in loaded.records] == ["baseline", "full"]
 
 
-def test_round_trip_preserves_full_precision():
+def test_round_trip_preserves_full_precision(tmp_path):
     record = _record()
-    restored = record_from_json(record_to_json(record))
+    append_record(tmp_path / "history.jsonl", record)
+    [restored] = load_history(tmp_path / "history.jsonl").records
     assert restored == record
     assert restored.assessment.composite == record.assessment.composite
 
@@ -287,8 +287,8 @@ def test_round_trip_property_with_raw_reports(tmp_path_factory, assessment):
     assert loaded.records[-1] == record
 
 
-# Differential test of the filtered read: lines of every kind, for a few
-# labels and hosts, read with and without each filter.
+# Differential test of the filtered reads: lines of every kind, for a few
+# labels and hosts, read with and without each query.
 _HOSTS = ("alpha", "beta")
 _LABELS = ("baseline", "partial", "full")
 
@@ -352,9 +352,9 @@ _LINES = {
 @given(
     lines=st.lists(st.sampled_from(sorted(_LINES)), max_size=15),
     host_filter=st.none() | st.sampled_from(_HOSTS + ("gamma",)),
-    labels=st.none() | st.frozensets(st.sampled_from(_LABELS + ("absent",))),
+    labels=st.frozensets(st.sampled_from(_LABELS + ("absent",))),
 )
-@example(lines=[("too-deep", "full", "alpha")], host_filter="beta", labels=None)
+@example(lines=[("too-deep", "full", "alpha")], host_filter="beta", labels=frozenset())
 @settings(max_examples=150, deadline=None)
 def test_filtered_load_equals_unfiltered_load_then_filtered(
     tmp_path_factory, lines, host_filter, labels
@@ -362,35 +362,33 @@ def test_filtered_load_equals_unfiltered_load_then_filtered(
     path = tmp_path_factory.mktemp("store") / "history.jsonl"
     path.write_text("".join(_LINES[key] + "\n" for key in lines))
 
-    def kept(label, host):
-        return (host_filter is None or host == host_filter) and (
-            labels is None or label in labels
-        )
+    def on_host(host):
+        return host_filter is None or host == host_filter
 
     full = load_history(path)
-    filtered = load_history(path, host_filter=host_filter, labels=labels)
-    assert filtered.records == [
-        r for r in full.records if kept(r.assessment.label, r.host_label)
-    ]
+    filtered = load_history(path, host_filter=host_filter)
+    assert filtered.records == [r for r in full.records if on_host(r.host_label)]
     assert filtered.skipped <= full.skipped
-    if host_filter is None and labels is None:
+    if host_filter is None:
         assert filtered.skipped == full.skipped
-    # Every corrupt line counts, except a deep-invalid one the filters drop.
+    # Every corrupt line counts, except a deep-invalid one the filter drops.
     assert filtered.skipped == sum(
-        kind not in ("valid", "blank") and (not kind.startswith("deep") or kept(label, host))
+        kind not in ("valid", "blank") and (not kind.startswith("deep") or on_host(host))
         for kind, label, host in lines
     )
     # A newest-only read keeps the last record of each label; of the lines
-    # the filters keep, it decodes each label's newest first, down to the
-    # first that is valid, so only deep-invalid lines newer than it count.
-    newest = load_history(path, host_filter=host_filter, labels=labels, latest=True)
-    last = {record.assessment.label: at for at, record in enumerate(filtered.records)}
+    # of its labels (on the host), it decodes each label's newest first,
+    # down to the first that is valid, so only deep-invalid lines newer than
+    # it count.
+    newest = load_history(path, host_filter=host_filter, newest_of=labels)
+    kept = [record for record in filtered.records if record.assessment.label in labels]
+    last = {record.assessment.label: at for at, record in enumerate(kept)}
     assert newest.records == [
-        record for at, record in enumerate(filtered.records) if last[record.assessment.label] == at
+        record for at, record in enumerate(kept) if last[record.assessment.label] == at
     ]
     found, deep_newer = set(), 0
     for kind, label, host in reversed(lines):
-        if kept(label, host) and label not in found:
+        if on_host(host) and label in labels and label not in found:
             if kind == "valid":
                 found.add(label)
             deep_newer += kind.startswith("deep")
@@ -417,9 +415,9 @@ def test_unicode_line_separator_inside_a_string_is_kept(tmp_path):
 _CORRUPT = (ValueError, KeyError, TypeError, AttributeError, RecursionError, AuditError)
 
 
-def _plain_load(path, host_filter=None, labels=None, latest=False):
+def _plain_load(path, host_filter=None, newest_of=None):
     result = HistoryLoad()
-    decoded = []  # (label, record or None if it fails) of each line the filters keep
+    decoded = []  # (label, record or None if it fails) of each line the query keeps
     for line in path.read_bytes().split(b"\n"):
         try:
             text = line.decode("utf-8")
@@ -438,12 +436,15 @@ def _plain_load(path, host_filter=None, labels=None, latest=False):
         except _CORRUPT:
             result.skipped += 1
             continue
-        if (host_filter is None or host == host_filter) and (labels is None or label in labels):
+        if (host_filter is None or host == host_filter) and (
+            newest_of is None or label in newest_of
+        ):
             try:
-                decoded.append((label, record_from_json(text)))
+                record = HistoryRecord(assessment_from_dict(payload["assessment"]), host)
             except _CORRUPT:
-                decoded.append((label, None))
-    if latest:
+                record = None
+            decoded.append((label, record))
+    if newest_of is not None:
         # Newest first: lines older than a label's newest record are not decoded.
         newest = {}
         for label, record in reversed(decoded):
@@ -460,17 +461,17 @@ def _plain_load(path, host_filter=None, labels=None, latest=False):
     return result
 
 
-# (host_filter, labels, latest) of each read. A newest-only read checks
-# only the index entries of the lines it decodes, so a forged entry for an
-# older line can hide a record from it; it comes right after a read of the
-# same host and labels, which checks every entry that claims them.
+# (host_filter, newest_of) of each read. A newest-only read checks only
+# the index entries of the lines it decodes, so a forged entry for an older
+# line can hide a record from it; the newest-only reads come after a read of
+# each host, which between them check every entry a forged index can swap.
 _READS = (
-    (None, None, False),
-    ("alpha", None, False),
-    ("gamma", None, False),
-    (None, frozenset({"baseline"}), False),
-    ("beta", frozenset({"partial", "full"}), False),
-    ("beta", frozenset({"partial", "full"}), True),
+    (None, None),
+    ("alpha", None),
+    ("gamma", None),
+    ("beta", None),
+    (None, frozenset({"baseline"})),
+    ("beta", frozenset({"partial", "full"})),
 )
 _BYTE_LINES = {
     "not-utf8": b'\xff\xfe{"x":1}',
@@ -560,17 +561,24 @@ def _line_bytes(key):
 
 
 def _edit_index(path, index, edit, sign):
-    load_history(path, labels={"full"})  # an index of the file as it is now
+    load_history(path, newest_of={"full"})  # an index of the file as it is now
     if not index.is_file():
         return
+    data = path.read_bytes()
     digest, _, body = index.read_bytes().partition(b"\n")
-    stored = json.loads(body)
-    if not stored["lines"]:
+    try:
+        stored = json.loads(body)
+        described = hashlib.sha256(data[: stored["covered"]] + body).hexdigest().encode()
+    except _CORRUPT:
         return
-    edit(stored, path.read_bytes())
+    # A file with no complete line gets no index, so the one left may be of
+    # an earlier file, or not an index at all: there is nothing to edit.
+    if described != digest or not stored["lines"]:
+        return
+    edit(stored, data)
     body = json.dumps(stored, separators=(",", ":")).encode()
     if sign:
-        digest = hashlib.sha256(path.read_bytes()[: stored["covered"]] + body).hexdigest().encode()
+        digest = hashlib.sha256(data[: stored["covered"]] + body).hexdigest().encode()
     index.write_bytes(digest + b"\n" + body)
 
 
@@ -591,6 +599,8 @@ def _edit_index(path, index, edit, sign):
 @example(steps=[("damage", "tampered")])
 @example(steps=[("read", True), ("edit", 3)])
 @example(steps=[("append", ("valid", "full", "beta"), False)])
+@example(steps=[("read", False), ("truncate", 0), ("damage", "forged-corrupt")])
+@example(steps=[("truncate", 0), ("damage", "garbage"), ("damage", "forged-keys")])
 @settings(max_examples=100, deadline=None)
 def test_indexed_reads_equal_a_plain_reader(tmp_path_factory, steps):
     directory = tmp_path_factory.mktemp("store")
@@ -633,7 +643,7 @@ def test_indexed_reads_equal_a_plain_reader(tmp_path_factory, steps):
             data = path.read_bytes()
             shared = data[: data.rfind(b"\n", 0, len(data) // 2) + 1]
             other.write_bytes(shared + _LINES["valid", "full", "beta"].encode() + b"\n")
-            load_history(other, labels={"full"})
+            load_history(other, newest_of={"full"})
             _drop_index(index)
             if (directory / "other.jsonl.idx").exists():
                 os.replace(directory / "other.jsonl.idx", index)
@@ -653,18 +663,18 @@ def test_indexed_reads_equal_a_plain_reader(tmp_path_factory, steps):
             os.mkfifo(index)
         elif step[1] == "symlink":
             # To a valid index of the file; the reader does not follow it.
-            load_history(path, labels={"full"})
+            load_history(path, newest_of={"full"})
             target = directory / "elsewhere.idx"
             if index.is_file():
                 os.replace(index, target)
             _drop_index(index)
             index.symlink_to(target)
         before = _index_state(index)
-        for host_filter, labels, latest in _READS:
-            loaded = load_history(path, host_filter=host_filter, labels=labels, latest=latest)
-            expected = _plain_load(path, host_filter, labels, latest)
+        for host_filter, newest_of in _READS:
+            loaded = load_history(path, host_filter=host_filter, newest_of=newest_of)
+            expected = _plain_load(path, host_filter, newest_of)
             assert (loaded.records, loaded.skipped) == (expected.records, expected.skipped)
-            if host_filter is None and labels is None:
+            if host_filter is None and newest_of is None:
                 # An unfiltered read neither writes nor replaces the index.
                 assert _index_state(index) == before
         if index.is_file() and not index.is_symlink():
@@ -676,9 +686,9 @@ def test_newest_only_read_checks_each_index_entry_it_decodes(tmp_path):
     path.write_text("".join(_LINES["valid", "full", host] + "\n" for host in ("alpha", "beta")))
     # Each entry claims the host of the other line.
     _edit_index(path, tmp_path / "history.jsonl.idx", _reverse_keys, True)
-    loaded = load_history(path, host_filter="beta", labels={"full"}, latest=True)
+    loaded = load_history(path, host_filter="beta", newest_of={"full"})
     assert [record.host_label for record in loaded.records] == ["beta"]
-    assert loaded == _plain_load(path, "beta", {"full"}, latest=True)
+    assert loaded == _plain_load(path, "beta", {"full"})
 
 
 def _history(tmp_path, count=3):
