@@ -7,11 +7,21 @@ validation error, 3 composite below a requested threshold.
 Machine-readable output (``--json``) for ``score`` is a single history
 record line, so ``auditscore score --json >> history.jsonl`` produces a
 file the ``history``/``compare``/``report`` subcommands can read back.
+
+The CLI owns its process, so it alone sets the cyclic garbage collector's
+policy; library modules never touch it. ``main`` pauses the collector for
+one command and restores the caller's setting on every exit path. A
+command's bulk, such as an XCCDF element tree, holds no reference cycles,
+yet on a 60,000-rule result the collector made some 290 passes over the
+tree during one ``score`` (two of them full, 30-35 ms in all) and freed
+nothing. ``run``, the process entry, freezes the heap before the process
+exits, so that interpreter shutdown does not walk every live object again.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -370,6 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         try:
             args = build_parser().parse_args(argv)
@@ -397,6 +409,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error[IO_FAILURE]: {exc}", file=sys.stderr)
         return 2
     finally:
+        if collecting:
+            gc.enable()
         # After an error, drop what stdout cannot take, so that the
         # interpreter's flush at exit has nothing left to fail on.
         try:
@@ -406,7 +420,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    code = main()
+    # Shutdown's full collections skip frozen objects; every file the
+    # command wrote is closed already.
+    gc.freeze()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

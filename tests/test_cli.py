@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import stat
@@ -11,9 +12,11 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 
 import auditscore
+from auditscore import cli
 from auditscore.cli import build_parser, load_manifest, main
 from auditscore.errors import ValidationError
-from auditscore.model import ToolKind
+from auditscore.model import ScapProfile, ScapReport, ToolKind
+from auditscore.reportgen import render_xccdf
 from auditscore.store import load_history
 
 from .conftest import DATA_DIR
@@ -1433,3 +1436,65 @@ def test_cli_import_loads_the_layers_and_defers_what_few_commands_use():
     loaded = set(completed.stdout.split())
     assert [name for name in _DEFERRED_MODULES if name in loaded] == []
     assert [name for name in _LAYER_MODULES if name not in loaded] == []
+
+
+# ---------------------------------------------------------------------------
+# Collector policy: main pauses the cyclic collector, run freezes the heap
+# ---------------------------------------------------------------------------
+
+
+def test_parse_of_a_large_xccdf_makes_no_collector_pass(capsys, tmp_path):
+    # An element tree holds no reference cycles, so every pass over it is
+    # wasted work: the paused collector makes none while the command runs.
+    report = tmp_path / "cis.xml"
+    report.write_text(render_xccdf(ScapReport(ScapProfile.CIS, 15000, 5000)))
+    passes = []
+
+    def count(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        code = main(["parse", "--tool", "openscap-cis", str(report), "--json"])
+    finally:
+        gc.callbacks.remove(count)
+    capsys.readouterr()
+    assert (code, passes) == (0, [])
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["parse", "--tool", "aide", "{data}/aide-full.txt"], 0),
+        (["parse", "--tool", "lynis", "{tmp}/absent.dat"], 2),
+        (["score", "--manifest", "{data}/manifest-baseline.yaml", "--min-score", "60"], 3),
+        (["--help"], 0),
+        (["--version"], 0),
+        (["parse", "--no-such-option"], 2),
+    ],
+    ids=["exit-0", "exit-2", "exit-3", "help", "version", "usage-error"],
+)
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_main_restores_the_collector_state(capsys, data_dir, tmp_path, argv, expected, enabled):
+    argv = [arg.format(data=data_dir, tmp=tmp_path) for arg in argv]
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        code = main(argv)
+        assert (code, gc.isenabled()) == (expected, enabled)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    capsys.readouterr()
+
+
+def test_run_freezes_the_heap_and_exits_with_the_code(monkeypatch):
+    monkeypatch.setattr(cli, "main", lambda: 3)
+    try:
+        with pytest.raises(SystemExit) as exited:
+            cli.run()
+        assert exited.value.code == 3
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()

@@ -61,19 +61,31 @@ def test_functions_read_every_parameter(module):
     assert unused == []
 
 
+def _imported_modules(path: Path) -> list[str]:
+    """The absolute module names ``path`` imports, anywhere in it."""
+    modules = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.append(node.module)
+    return modules
+
+
 @pytest.mark.parametrize("module", sorted(path.stem for path in SRC.glob("*.py")))
 def test_module_does_not_import_dataclasses(module):
     """The value types are plain classes: ``import dataclasses`` alone loads
     ``inspect``, ``ast`` and ``dis`` into every process. An import inside a
     function is found here too, where the import-time test cannot see it."""
-    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
-    modules = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            modules += [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            modules.append(node.module)
+    modules = _imported_modules(SRC / f"{module}.py")
     assert [name for name in modules if name.split(".")[0] == "dataclasses"] == []
+
+
+def test_only_the_cli_imports_gc():
+    """The CLI owns its process and sets the collector's policy there; a
+    library module that changed it would change it for every caller."""
+    importers = [path.stem for path in sorted(SRC.glob("*.py")) if "gc" in _imported_modules(path)]
+    assert importers == ["cli"]
 
 
 def _defined_names(tree: ast.Module) -> list[str]:
