@@ -18,6 +18,7 @@ from auditscore.model import (
     ScapProfile,
     ScapReport,
     Severity,
+    ToolKind,
     TripwireReport,
     VulnFinding,
     VulnReport,
@@ -29,6 +30,7 @@ from auditscore.reportgen import (
     render_tripwire,
     render_xccdf,
 )
+from auditscore.scoring import TOOLS
 
 
 def main() -> int:
@@ -52,14 +54,14 @@ def main() -> int:
         ),
     )
     reports = {
-        "lynis-report.dat": render_lynis(LynisReport(62)),
-        "openscap-standard.xml": render_xccdf(ScapReport(ScapProfile.STANDARD, 31, 12)),
-        "aide-check.txt": render_aide(AideReport(8, 1, 40)),
-        "tripwire-check.txt": render_tripwire(TripwireReport(76_472, 12_010)),
-        "openscap-cis.xml": render_xccdf(
+        ToolKind.LYNIS: render_lynis(LynisReport(62)),
+        ToolKind.OPENSCAP_STANDARD: render_xccdf(ScapReport(ScapProfile.STANDARD, 31, 12)),
+        ToolKind.AIDE: render_aide(AideReport(8, 1, 40)),
+        ToolKind.TRIPWIRE: render_tripwire(TripwireReport(76_472, 12_010)),
+        ToolKind.OPENSCAP_CIS: render_xccdf(
             ScapReport(ScapProfile.CIS, 141, 96), excluded={"notapplicable": 10}
         ),
-        "nmap-scan.xml": render_nmap(
+        ToolKind.VULN_SCAN: render_nmap(
             VulnReport(
                 open_ports=2,
                 filtered_ports=0,
@@ -69,23 +71,15 @@ def main() -> int:
             )
         ),
     }
-    for name, text in reports.items():
+    # Each report under the name ``run`` gives it by default, so the manifest
+    # scores the reports that ``run`` captures as well.
+    manifest = ["label: sample", "host: demo-host", "reports:"]
+    for tool, text in reports.items():
+        name = TOOLS[tool].output_name
         (target / name).write_text(text)
         print(f"wrote {target / name}")
-
-    manifest = [
-        "label: sample",
-        "host: demo-host",
-        "reports:",
-        "  lynis: lynis-report.dat",
-        "  openscap_standard: openscap-standard.xml",
-        "  aide: aide-check.txt",
-        "  tripwire: tripwire-check.txt",
-        "  openscap_cis: openscap-cis.xml",
-        "  vuln_scan: nmap-scan.xml",
-        "",
-    ]
-    (target / "manifest.yaml").write_text("\n".join(manifest))
+        manifest.append(f"  {tool.value}: {name}")
+    (target / "manifest.yaml").write_text("\n".join([*manifest, ""]))
     print(f"wrote {target / 'manifest.yaml'}")
     return 0
 

@@ -88,11 +88,36 @@ def _as_parse_error(source: str, line: int | None = None) -> Iterator[None]:
         raise ParseError(exc.code, str(exc), source, line) from exc
 
 
+# The one reading rule of every report: a line ends at ``\n`` (``[^\S\n]`` is
+# whitespace within a line), a value sits on its key's line, a count is ``-?[0-9]+``.
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _count(text: str, what: str, source: str, line: int | None = None) -> int:
+    """A count from report text, which must be ``-?[0-9]+``: ``VALUE_NOT_INTEGER``
+    otherwise, or past the 4,300 digits ``int`` reads; ``VALUE_OUT_OF_RANGE``
+    above :data:`~auditscore.model.MAX_COUNT`. The report model rejects a negative one."""
+    try:
+        if not _INTEGER.fullmatch(text):
+            raise ValueError
+        value = int(text)
+    except ValueError:
+        raise ParseError("VALUE_NOT_INTEGER", f"{what} is {text!r}", source, line) from None
+    if value > MAX_COUNT:
+        raise ParseError("VALUE_OUT_OF_RANGE", f"{what} exceeds {MAX_COUNT}", source, line)
+    return value
+
+
+def _line_of(text: str, pos: int) -> int:
+    """The 1-based line number of offset ``pos`` in ``text``."""
+    return text.count("\n", 0, pos) + 1
+
+
 # ---------------------------------------------------------------------------
 # System audit report data (key=value lines)
 # ---------------------------------------------------------------------------
 
-_HARDENING_INDEX = re.compile(r"^\s*hardening_index\s*=\s*(.*?)\s*$")
+_HARDENING_INDEX = re.compile(r"^[^\S\n]*hardening_index[^\S\n]*=[^\S\n]*(.*?)[^\S\n]*$", re.M)
 
 
 def parse_lynis(
@@ -100,54 +125,28 @@ def parse_lynis(
 ) -> tuple[LynisReport, ParseDiagnostics]:
     """Extract the 0-100 hardening index from ``key=value`` report data.
 
-    Lines starting with ``#`` are comments. Raises ``KEY_MISSING`` when no
-    ``hardening_index`` line exists, ``VALUE_NOT_INTEGER`` or
-    ``VALUE_OUT_OF_RANGE`` when the value is unusable.
+    The value is the rest of the last ``hardening_index`` line; a ``#``
+    comment never matches. Raises ``KEY_MISSING`` when there is no such
+    line, ``VALUE_NOT_INTEGER`` or ``VALUE_OUT_OF_RANGE`` with its line.
     """
     diagnostics = ParseDiagnostics()
-    matches: list[tuple[int, str]] = []
-    for lineno, line in enumerate(report_text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        found = _HARDENING_INDEX.match(line)
-        if found:
-            matches.append((lineno, found.group(1)))
+    matches = list(_HARDENING_INDEX.finditer(report_text))
     if not matches:
         raise ParseError("KEY_MISSING", "no hardening_index line found", source)
     if len(matches) > 1:
-        diagnostics.warn(
-            f"hardening_index appears {len(matches)} times; using the last occurrence"
-        )
-    lineno, raw_value = matches[-1]
-    try:
-        value = int(raw_value)
-    except ValueError:
-        raise ParseError(
-            "VALUE_NOT_INTEGER", f"hardening_index is {raw_value!r}", source, lineno
-        ) from None
+        diagnostics.warn(f"hardening_index appears {len(matches)} times; using the last occurrence")
+    found = matches[-1]
+    line = _line_of(report_text, found.start())
+    value = _count(found.group(1), "hardening_index", source, line)
     if trace:
-        diagnostics.note(f"hardening_index={value} (line {lineno})")
-    with _as_parse_error(source, lineno):
+        diagnostics.note(f"hardening_index={value} (line {line})")
+    with _as_parse_error(source, line):
         return LynisReport(value), diagnostics
 
 
 # ---------------------------------------------------------------------------
 # XCCDF result documents
 # ---------------------------------------------------------------------------
-
-
-def _count(text: str, what: str, source: str) -> int:
-    """An integer count from report text: ``VALUE_NOT_INTEGER`` when ``int``
-    cannot read it (past 4,300 digits too), ``VALUE_OUT_OF_RANGE`` above
-    :data:`~auditscore.model.MAX_COUNT`."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise ParseError("VALUE_NOT_INTEGER", f"{what} is {text!r}", source) from None
-    if value > MAX_COUNT:
-        raise ParseError("VALUE_OUT_OF_RANGE", f"{what} exceeds {MAX_COUNT}", source)
-    return value
 
 
 class _LocalNames(dict):
@@ -167,11 +166,6 @@ def _xml_root(text: str, source: str) -> ET.Element:
         return ET.fromstring(text)
     except ET.ParseError as exc:
         raise ParseError("MALFORMED_XML", str(exc), source) from None
-
-
-def _line_of(text: str, pos: int) -> int:
-    """The 1-based line number of offset ``pos`` in ``text``."""
-    return text.count("\n", 0, pos) + 1
 
 
 def parse_xccdf(
@@ -248,7 +242,8 @@ def parse_xccdf(
 # ---------------------------------------------------------------------------
 
 _AIDE_COUNT = re.compile(
-    r"^\s*(Added|Removed|Changed)\s+entries:\s*(\d+)\s*$", re.IGNORECASE | re.MULTILINE
+    r"^[^\S\n]*(Added|Removed|Changed)[^\S\n]+entries:[^\S\n]*(\S.*?)[^\S\n]*$",
+    re.I | re.M,
 )
 _AIDE_NO_CHANGES = re.compile(
     r"found\s+NO\s+differences|all\s+files\s+match", re.IGNORECASE
@@ -260,10 +255,11 @@ def parse_aide(
 ) -> tuple[AideReport, ParseDiagnostics]:
     """Extract added/removed/changed counts from a check report.
 
-    Recognizes the summary counter lines and the "no differences" form of
-    a clean run (which yields zero counts). Raises ``SUMMARY_MISSING``
-    when neither is present. Section headers like ``Added entries:``
-    without a count do not match the counter pattern.
+    Recognizes the summary counter lines, each count the rest of its line
+    read by :func:`_count`, and the "no differences" form of a clean run
+    (which yields zero counts). Raises ``SUMMARY_MISSING`` when neither is
+    present. Section headers like ``Added entries:`` with nothing after
+    them on their line do not match the counter pattern.
     """
     diagnostics = ParseDiagnostics()
     counts: dict[str, int] = {}
@@ -289,11 +285,12 @@ def parse_aide(
         if key not in counts:
             diagnostics.warn(f"summary has no '{key} entries' line; assuming 0")
             counts[key] = 0
-    return AideReport(counts["added"], counts["removed"], counts["changed"]), diagnostics
+    with _as_parse_error(source):
+        return AideReport(counts["added"], counts["removed"], counts["changed"]), diagnostics
 
 
-_TRIPWIRE_OBJECTS = re.compile(r"Total objects scanned:\s*([\d,]+)", re.IGNORECASE)
-_TRIPWIRE_VIOLATIONS = re.compile(r"Total violations found:\s*([\d,]+)", re.IGNORECASE)
+_TRIPWIRE_OBJECTS = re.compile(r"Total objects scanned:[^\S\n]*(.*?)[^\S\n]*$", re.I | re.M)
+_TRIPWIRE_VIOLATIONS = re.compile(r"Total violations found:[^\S\n]*(.*?)[^\S\n]*$", re.I | re.M)
 
 
 def parse_tripwire(
@@ -301,9 +298,10 @@ def parse_tripwire(
 ) -> tuple[TripwireReport, ParseDiagnostics]:
     """Extract object and violation totals from an integrity check report.
 
-    Thousands separators are stripped. Raises ``SUMMARY_MISSING`` when
-    either total is absent and ``VIOLATIONS_EXCEED_OBJECTS`` when the
-    counts are inconsistent.
+    Each total is the rest of its line, thousands separators stripped,
+    read by :func:`_count`. Raises ``SUMMARY_MISSING`` when either total
+    is absent and ``VIOLATIONS_EXCEED_OBJECTS`` when the counts are
+    inconsistent.
     """
     diagnostics = ParseDiagnostics()
     objects_match = _TRIPWIRE_OBJECTS.search(report_text)
@@ -330,9 +328,9 @@ def parse_tripwire(
 # Network scan XML with NSE script output
 # ---------------------------------------------------------------------------
 
-_CVE_TOKEN = re.compile(r"CVE-\d{4}-\d{4,}")
-_LINE_CVSS = re.compile(r"(?<![\w.])(\d{1,2}\.\d+)(?![\w.])")
-_GLOBAL_CVSS = re.compile(r"CVSS(?:v\d)?\s*[:=]?\s*(\d{1,2}(?:\.\d+)?)", re.IGNORECASE)
+_CVE_TOKEN = re.compile(r"CVE-[0-9]{4}-[0-9]{4,}")
+_LINE_CVSS = re.compile(r"(?<![\w.])([0-9]{1,2}\.[0-9]+)(?![\w.])")
+_GLOBAL_CVSS = re.compile(r"CVSS(?:v[0-9])?\s*[:=]?\s*([0-9]{1,2}(?:\.[0-9]+)?)", re.IGNORECASE)
 _VULNERABLE_MARKER = re.compile(r"\bVULNERABLE\b")
 _NOT_VULNERABLE = re.compile(r"\bNOT\s+VULNERABLE\b")
 _SEVERITY_KEYWORD = re.compile(
@@ -362,7 +360,7 @@ def detect_firewall(filtered_ports: int, override: bool | None = None) -> bool:
 
 
 def _first_descriptive_line(output: str) -> str:
-    for line in output.splitlines():
+    for line in output.split("\n"):
         stripped = line.strip()
         if not stripped:
             continue
@@ -397,7 +395,7 @@ def _script_findings(
     # CVE identifiers, deduplicated per script, with a CVSS value when one
     # appears on the same line (tabular script output lists one per line).
     cves: dict[str, float | None] = {}
-    for line in text.splitlines():
+    for line in text.split("\n"):
         tokens = _CVE_TOKEN.findall(line)
         if not tokens:
             continue
@@ -481,7 +479,8 @@ def parse_nmap(
         for host in hosts:
             for port_el in (el for el in host.iter() if names[el.tag] == "port"):
                 portid_raw = port_el.get("portid", "")
-                portid = _count(portid_raw, "portid", source) if portid_raw.isdecimal() else None
+                digits = portid_raw.isascii() and portid_raw.isdecimal()
+                portid = _count(portid_raw, "portid", source) if digits else None
                 state_el = next((c for c in port_el if names[c.tag] == "state"), None)
                 state = state_el.get("state", "") if state_el is not None else ""
                 if state == "open":

@@ -12,10 +12,11 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 
 import auditscore
-from auditscore import cli
+from auditscore import cli, store
 from auditscore.cli import build_parser, load_manifest, main
 from auditscore.errors import ValidationError
 from auditscore.model import ScapProfile, ScapReport, ToolKind
+from auditscore.parsers import ParseDiagnostics
 from auditscore.reportgen import render_xccdf
 from auditscore.store import load_history
 
@@ -326,6 +327,17 @@ def test_manifest_rejects_unknown_tool(tmp_path):
     with pytest.raises(ValidationError) as excinfo:
         load_manifest(path)
     assert "nessus" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("value", ["5", "[a.txt]"], ids=["number", "list"])
+def test_manifest_entry_neither_path_nor_mapping_exits_2(capsys, tmp_path, value):
+    manifest = tmp_path / "manifest.yaml"
+    manifest.write_text(f"reports:\n  lynis: {value}\n")
+    assert run_cli(capsys, "score", "--manifest", str(manifest)) == (
+        2,
+        "",
+        f"error[MANIFEST_INVALID]: {manifest}: lynis: entry must be a path string or a mapping\n",
+    )
 
 
 def test_manifest_paths_resolve_relative_to_manifest(tmp_path, data_dir):
@@ -712,6 +724,68 @@ def test_history_counts_corrupt_lines_it_decodes(capsys, populated_history, host
     assert err == f"warning: skipped {deep_skipped + 3} corrupt line(s)\n"
 
 
+@pytest.fixture
+def decoded(monkeypatch):
+    """The records each command decodes, counted at the store's one decoder."""
+    calls = []
+    decode = store._record_from_payload
+
+    def counting(*args):
+        calls.append(args)
+        return decode(*args)
+
+    monkeypatch.setattr(store, "_record_from_payload", counting)
+    return calls
+
+
+@pytest.fixture
+def two_host_history(capsys, data_dir, tmp_path):
+    """Labels a, b and c on hosts h1 and h2, each written twice."""
+    history = tmp_path / "history.jsonl"
+    manifest = str(data_dir / "manifest-baseline-literal.yaml")
+    for _ in range(2):
+        for host in ("h1", "h2"):
+            for label in "abc":
+                argv = ["--history", str(history), "--host", host, "--label", label]
+                assert main(["score", "--manifest", manifest, *argv]) == 0
+    capsys.readouterr()
+    return history
+
+
+def test_warm_compare_decodes_only_its_two_records(capsys, two_host_history, decoded):
+    argv = ["compare", "a", "b", "--history", str(two_host_history)]
+    first = run_cli(capsys, *argv)
+    decoded.clear()
+    assert run_cli(capsys, *argv) == first
+    assert len(decoded) == 2
+
+
+def test_report_decodes_one_record_per_label(capsys, two_host_history, decoded):
+    code, _, _ = run_cli(capsys, "report", "a", "b", "c", "--history", str(two_host_history))
+    assert code == 0
+    assert len(decoded) == 3
+
+
+def test_history_host_filter_decodes_only_that_hosts_lines(capsys, two_host_history, decoded):
+    argv = ["history", "--history", str(two_host_history), "--host", "h1"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(out.splitlines()) == len(decoded) == 6
+    assert {payload["host_label"] for payload, _ in decoded} == {"h1"}
+
+
+@pytest.mark.parametrize("verbose", [False, True])
+def test_parse_builds_trace_notes_only_under_verbose(capsys, data_dir, monkeypatch, verbose):
+    notes = []
+    monkeypatch.setattr(ParseDiagnostics, "note", lambda self, message: notes.append(message))
+    argv = ["parse", "--tool", "openscap-cis", str(data_dir / "oscap-cis-baseline.xml"), "--json"]
+    code, out, _ = run_cli(capsys, *argv, *(["--verbose"] if verbose else []))
+    assert code == 0
+    raw = json.loads(out)["raw"]
+    # One note per scored rule and one for the tally of excluded results.
+    assert len(notes) == (raw["pass_count"] + raw["fail_count"] + 1 if verbose else 0)
+
+
 def _run_with_stdout(stdout, *argv):
     env = dict(os.environ, PYTHONPATH=str(Path(auditscore.__file__).parents[1]))
     env.pop("PYTHONUNBUFFERED", None)  # block-buffered, as a pipe or file normally is
@@ -944,6 +1018,31 @@ def test_report_with_timestamps_flag(capsys, populated_history):
     assert "baseline:" in out
 
 
+def test_report_text_with_timestamps_matches_golden_file(capsys, data_dir, populated_history):
+    # The records' own timestamps are those of the run that wrote them:
+    # the copy read here has fixed ones, an hour apart.
+    fixed = populated_history.with_name("fixed.jsonl")
+    with open(fixed, "w") as handle:
+        for hour, line in enumerate(populated_history.read_text().splitlines()):
+            record = json.loads(line)
+            record["assessment"]["timestamp"] = f"2025-10-02T{14 + hour}:30:00+00:00"
+            handle.write(json.dumps(record) + "\n")
+    code, out, _ = run_cli(
+        capsys,
+        "report",
+        "baseline",
+        "partial",
+        "full",
+        "--history",
+        str(fixed),
+        "--format",
+        "text",
+        "--timestamps",
+    )
+    assert code == 0
+    assert out == (data_dir / "expected-report-three-levels-timestamps.txt").read_text()
+
+
 def test_report_single_assessment_json(capsys, populated_history):
     code, out, _ = run_cli(
         capsys,
@@ -1165,6 +1264,24 @@ def test_deeply_nested_manifest_or_weights_exits_2(capsys, data_dir, tmp_path, o
     assert result == (2, "", f"error[{code}]: {deep}: nested too deeply\n")
 
 
+@pytest.mark.parametrize(
+    "option, text, where",
+    [
+        ("--config", "weights:\n  severity_weights:\n    bogus: 1.0\n", "weights"),
+        ("--weights", "severity_weights:\n  bogus: 1.0\n", None),
+    ],
+)
+def test_unknown_severity_exits_2(capsys, data_dir, tmp_path, option, text, where):
+    path = tmp_path / "settings.yaml"
+    path.write_text(text)
+    manifest = str(data_dir / "manifest-baseline-literal.yaml")
+    assert run_cli(capsys, "score", option, str(path), "--manifest", manifest) == (
+        2,
+        "",
+        f"error[CONFIG_INVALID]: {where or path}: unknown severity 'bogus'\n",
+    )
+
+
 def test_weights_flag_overrides_default(capsys, data_dir, tmp_path):
     weights = tmp_path / "weights.yaml"
     weights.write_text(
@@ -1212,6 +1329,22 @@ def test_run_subset_with_fake_tools(capsys, tmp_path):
     assert code == 0
     assert "lynis:" in out
     assert (tmp_path / "reports" / "lynis-report.dat").read_text().strip() == "hardening_index=61"
+
+
+def test_run_command_that_splits_to_an_empty_program_exits_2(capsys, tmp_path):
+    config = tmp_path / "config.yaml"
+    config.write_text(
+        f"runner:\n"
+        f"  output_dir: {tmp_path / 'reports'}\n"
+        f"  tools:\n"
+        f"    lynis:\n"
+        f"      command: \"''\"\n"
+    )
+    assert run_cli(capsys, "run", "--config", str(config), "--tools", "lynis") == (
+        2,
+        "",
+        "lynis: FAILED [TEMPLATE_INVALID] lynis: empty command\n",
+    )
 
 
 def test_run_reports_partial_failure_with_exit_2(capsys, tmp_path):

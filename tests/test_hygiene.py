@@ -156,3 +156,13 @@ def test_fields_are_set_only_by_frozen():
             and id(node) not in allowed
         ]
     assert found == []
+
+
+def test_parsers_have_one_line_rule_and_one_digit_rule():
+    """Report text is split only at ``\\n`` and a digit is ``[0-9]``:
+    ``splitlines`` also breaks at ``\\x0c``, ``\\x85`` and ``\\u2028``, and
+    ``\\d`` matches every script's decimal digits, so either would read a
+    line or a count that the other parsers do not."""
+    source = (SRC / "parsers.py").read_text(encoding="utf-8")
+    assert "splitlines" not in source
+    assert "\\d" not in source

@@ -28,6 +28,7 @@ from auditscore.model import (
     WeightProfile,
     assessment_from_dict,
     assessment_to_dict,
+    raw_report_from_dict,
 )
 from auditscore.parsers import ParseDiagnostics
 from auditscore.runner import InvocationResult, ScanOutcome, ToolInvocation
@@ -302,3 +303,75 @@ def test_value_types_keep_their_contract(cls, args, parameters, frozen, hashable
         assert cls.__hash__ is None
         with pytest.raises(TypeError):
             hash(value)
+
+
+def test_missing_severity_rejected_naming_entry():
+    severity_weights = dict(DEFAULT_SEVERITY_WEIGHTS)
+    del severity_weights[Severity.MEDIUM]
+    with pytest.raises(ValidationError) as excinfo:
+        WeightProfile(severity_weights=severity_weights)
+    assert (excinfo.value.code, str(excinfo.value)) == (
+        "SEVERITY_MISSING",
+        "severity_weights has no entry for medium",
+    )
+
+
+def _without(mapping, tool):
+    return {key: value for key, value in mapping.items() if key is not tool}
+
+
+def _lynis_only(value):
+    return {tool: value if tool is ToolKind.LYNIS else 0.0 for tool in ToolKind}
+
+
+@pytest.mark.parametrize(
+    "change, code, message",
+    [
+        (
+            lambda f: dict(scores=_without(f["scores"], ToolKind.AIDE)),
+            "TOOL_MISSING",
+            "no score for: aide",
+        ),
+        (
+            lambda f: dict(scores={**f["scores"], ToolKind.AIDE: f["scores"][ToolKind.LYNIS]}),
+            "TOOL_MISMATCH",
+            "scores[aide] carries a lynis score",
+        ),
+        (
+            lambda f: dict(contributions=_without(f["contributions"], ToolKind.VULN_SCAN)),
+            "TOOL_MISSING",
+            "no contribution for: vuln_scan",
+        ),
+        (
+            lambda f: dict(composite=101.0, contributions=_lynis_only(101.0)),
+            "VALUE_OUT_OF_RANGE",
+            "composite must be in [0, 100], got 101.0",
+        ),
+        (
+            lambda f: dict(composite=-1.0, contributions=_lynis_only(-1.0)),
+            "VALUE_OUT_OF_RANGE",
+            "composite must be in [0, 100], got -1.0",
+        ),
+    ],
+    ids=["score-missing", "score-of-another-tool", "contribution-missing", "above-100", "below-0"],
+)
+def test_composite_assessment_rejects_an_incomplete_or_impossible_record(change, code, message):
+    assessment = aggregate(six_scores([50.0] * 6), WeightProfile(), "x", FIXED_TIMESTAMP)
+    fields = {
+        name: getattr(assessment, name)
+        for name in ("label", "timestamp", "scores", "weights", "composite", "contributions")
+    }
+    fields.update(change(fields))
+    with pytest.raises(ValidationError) as excinfo:
+        CompositeAssessment(**fields)
+    assert (excinfo.value.code, str(excinfo.value)) == (code, message)
+
+
+@pytest.mark.parametrize("kind", ["bogus", 7, None], ids=["string", "int", "none"])
+def test_raw_report_of_unknown_kind_rejected(kind):
+    with pytest.raises(ValidationError) as excinfo:
+        raw_report_from_dict({"kind": kind, "hardening_index": 50})
+    assert (excinfo.value.code, str(excinfo.value)) == (
+        "UNKNOWN_REPORT_KIND",
+        f"unknown raw report kind {kind!r}",
+    )

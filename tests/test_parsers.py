@@ -1,5 +1,8 @@
+import re
+
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from auditscore.errors import ParseError
 from auditscore.model import ScapProfile, ScapReport, Severity
@@ -19,6 +22,7 @@ from auditscore.reportgen import (
     render_xccdf,
 )
 
+from .conftest import DATA_DIR
 from .strategies import (
     aide_reports,
     lynis_reports,
@@ -459,4 +463,183 @@ def test_nmap_round_trip(report):
     assert parsed.confirmed_count == report.confirmed_count
     assert sorted(parsed.findings, key=_finding_key) == sorted(
         report.findings, key=_finding_key
+    )
+
+
+# ---------------------------------------------------------------------------
+# One reading rule: a line ends at "\n", a count is ASCII digits
+# ---------------------------------------------------------------------------
+
+# The line breaks of ``str.splitlines`` other than "\n".
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# Those that XML 1.0 allows in a document, as a character reference too.
+_XML_BREAKS = "\r\x85\u2028\u2029"
+
+
+def _not_counts(breaks=_OTHER_BREAKS):
+    """Digits that are no count: ``+N`` and ``N_N``, which ``int`` reads,
+    non-ASCII decimal digits, which ``int`` and ``\\d`` read, and ASCII
+    digits split by a line break other than "\\n"."""
+    digits = st.integers(0, 10**6).map(str)
+    return st.one_of(
+        digits.map("+".__add__),
+        st.tuples(digits, digits).map("_".join),
+        st.text(st.characters(categories=["Nd"]), min_size=1).filter(lambda t: not t.isascii()),
+        st.tuples(digits, st.sampled_from(breaks), digits).map("".join),
+    )
+
+
+_TEXT_COUNTS = {
+    "lynis": (parse_lynis, "# audit\nhardening_index={}\n"),
+    "aide": (parse_aide, "Added entries: {}\nRemoved entries: 1\nChanged entries: 2\n"),
+    "tripwire-objects": (
+        parse_tripwire,
+        "Total objects scanned: {}\nTotal violations found: 0\n",
+    ),
+    "tripwire-violations": (
+        parse_tripwire,
+        "Total objects scanned: 1,000,000,000,000,000,000\nTotal violations found: {}\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_TEXT_COUNTS))
+@given(token=_not_counts())
+@example(token="5\x0c0")
+@example(token="5\u20280")
+@example(token="5_0")
+@example(token="+50")
+@example(token="٥٠")  # Arabic-Indic 50
+@example(token="５０")  # fullwidth 50
+@example(token="٣")  # Arabic-Indic 3
+@example(token="١٠٠")  # Arabic-Indic 100
+def test_text_report_count_that_is_not_ascii_digits_is_not_an_integer(site, token):
+    parse, template = _TEXT_COUNTS[site]
+    with pytest.raises(ParseError) as excinfo:
+        parse(template.format(token))
+    assert excinfo.value.code == "VALUE_NOT_INTEGER"
+    assert repr(token) in str(excinfo.value)
+
+
+def _xml_attribute(token):
+    return "'" + "".join(f"&#{ord(char)};" for char in token) + "'"
+
+
+@given(token=_not_counts(_XML_BREAKS))
+@example(token="1_000")
+@example(token="+50")
+@example(token="٢٢")  # Arabic-Indic 22
+def test_nmap_takes_no_count_or_port_from_what_is_not_ascii_digits(token):
+    extraports = (
+        f"<nmaprun><host><extraports state='filtered' count={_xml_attribute(token)}/>"
+        "</host></nmaprun>"
+    )
+    with pytest.raises(ParseError) as excinfo:
+        parse_nmap(extraports)
+    assert excinfo.value.code == "VALUE_NOT_INTEGER"
+    port = (
+        f"<nmaprun><host><ports><port protocol='tcp' portid={_xml_attribute(token)}>"
+        "<state state='open'/><script id='x' output='CVE-2024-0001 7.5'/>"
+        "</port></ports></host></nmaprun>"
+    )
+    report, _ = parse_nmap(port)
+    assert report.open_ports == 1
+    assert report.findings[0].port is None
+
+
+_NOTED_LINE = re.compile(r"\(line ([0-9]+)\)$")
+
+
+def _counts_and_lines(parse, text):
+    report, diagnostics = parse(text)
+    lines = [int(_NOTED_LINE.search(note).group(1)) for note in diagnostics.trace]
+    return report, lines
+
+
+@pytest.mark.parametrize(
+    "fixture, parse",
+    [
+        ("lynis-baseline.dat", parse_lynis),
+        ("aide-baseline.txt", parse_aide),
+        ("tripwire-baseline.txt", parse_tripwire),
+    ],
+)
+@given(
+    which=st.integers(0, 2),
+    inserted=st.lists(st.sampled_from(["", " ", "\t", *_OTHER_BREAKS]), min_size=1, max_size=4),
+)
+@example(which=0, inserted=["\x0c"])
+@example(which=0, inserted=["", ""])
+@example(which=1, inserted=["\u2028", "\r"])
+def test_lines_inserted_before_a_counter_move_its_line_and_nothing_else(
+    fixture, parse, which, inserted
+):
+    text = (DATA_DIR / fixture).read_text()
+    report, lines = _counts_and_lines(parse, text)
+    before = lines[which % len(lines)]
+    split = text.split("\n")
+    moved = "\n".join([*split[: before - 1], *inserted, *split[before - 1 :]])
+    assert _counts_and_lines(parse, moved) == (
+        report,
+        [line + len(inserted) if line >= before else line for line in lines],
+    )
+
+
+def test_lynis_line_is_counted_at_newlines_only():
+    with pytest.raises(ParseError) as excinfo:
+        parse_lynis("a\x0cb\nhardening_index=abc\n")
+    assert (excinfo.value.code, excinfo.value.line) == ("VALUE_NOT_INTEGER", 2)
+
+
+def test_lynis_value_past_max_count_is_out_of_range_with_its_line():
+    with pytest.raises(ParseError) as excinfo:
+        parse_lynis("# audit\nhardening_index=10000000000000000000\n")
+    error = excinfo.value
+    assert (error.code, str(error), error.line) == (
+        "VALUE_OUT_OF_RANGE",
+        "hardening_index exceeds 1000000000000000000",
+        2,
+    )
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_lynis, "hardening_index=-5\n", "hardening_index must be in [0, 100], got -5"),
+        (parse_aide, "Added entries: -5\n", "added must be non-negative, got -5"),
+        (
+            parse_tripwire,
+            "Total objects scanned: 5\nTotal violations found: -1\n",
+            "violations must be non-negative, got -1",
+        ),
+    ],
+    ids=["lynis", "aide", "tripwire"],
+)
+def test_negative_count_fails_the_model_range_check_as_a_parse_error(parse, text, message):
+    with pytest.raises(ParseError) as excinfo:
+        parse(text, "report.txt")
+    assert (excinfo.value.code, str(excinfo.value), excinfo.value.source) == (
+        "VALUE_OUT_OF_RANGE",
+        message,
+        "report.txt",
+    )
+
+
+def test_aide_counter_is_noted_at_its_own_line():
+    _, diagnostics = parse_aide("x\n\nAdded entries: 5\n")
+    assert diagnostics.trace == ["added entries=5 (line 3)"]
+
+
+def test_aide_header_is_not_given_a_count_from_a_later_line():
+    with pytest.raises(ParseError) as excinfo:
+        parse_aide("Added entries:\n\n\n 7\n")
+    assert excinfo.value.code == "SUMMARY_MISSING"
+
+
+def test_tripwire_total_is_not_taken_from_a_later_line():
+    with pytest.raises(ParseError) as excinfo:
+        parse_tripwire("Total objects scanned:\n\n100\nTotal violations found: 0\n")
+    assert (excinfo.value.code, str(excinfo.value)) == (
+        "VALUE_NOT_INTEGER",
+        "objects scanned is ''",
     )
