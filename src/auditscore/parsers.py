@@ -108,9 +108,15 @@ def _count(text: str, what: str, source: str, line: int | None = None) -> int:
     return value
 
 
-def _line_of(text: str, pos: int) -> int:
-    """The 1-based line number of offset ``pos`` in ``text``."""
-    return text.count("\n", 0, pos) + 1
+def _numbered(text: str, matches):
+    """Yield ``(line, match)``, with the 1-based line each match of ``text``
+    starts on, for matches given in text order; each ``\\n`` is counted once
+    however many matches there are."""
+    line, seen = 1, 0
+    for found in matches:
+        line += text.count("\n", seen, found.start())
+        seen = found.start()
+        yield line, found
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +141,7 @@ def parse_lynis(
         raise ParseError("KEY_MISSING", "no hardening_index line found", source)
     if len(matches) > 1:
         diagnostics.warn(f"hardening_index appears {len(matches)} times; using the last occurrence")
-    found = matches[-1]
-    line = _line_of(report_text, found.start())
+    line, found = list(_numbered(report_text, matches))[-1]
     value = _count(found.group(1), "hardening_index", source, line)
     if trace:
         diagnostics.note(f"hardening_index={value} (line {line})")
@@ -263,15 +268,14 @@ def parse_aide(
     """
     diagnostics = ParseDiagnostics()
     counts: dict[str, int] = {}
-    for found in _AIDE_COUNT.finditer(report_text):
+    for line, found in _numbered(report_text, _AIDE_COUNT.finditer(report_text)):
         key = found.group(1).lower()
-        value = _count(found.group(2), f"{key} entries", source)
+        value = _count(found.group(2), f"{key} entries", source, line)
         if key in counts:
             diagnostics.warn(f"duplicate '{found.group(1)} entries' line; keeping first value")
             continue
         counts[key] = value
         if trace:
-            line = _line_of(report_text, found.start())
             diagnostics.note(f"{key} entries={value} (line {line})")
     if not counts:
         if _AIDE_NO_CHANGES.search(report_text):
@@ -289,8 +293,14 @@ def parse_aide(
         return AideReport(counts["added"], counts["removed"], counts["changed"]), diagnostics
 
 
-_TRIPWIRE_OBJECTS = re.compile(r"Total objects scanned:[^\S\n]*(.*?)[^\S\n]*$", re.I | re.M)
-_TRIPWIRE_VIOLATIONS = re.compile(r"Total violations found:[^\S\n]*(.*?)[^\S\n]*$", re.I | re.M)
+# Each total: its key in the report, its name in errors and the pattern of its line.
+_TRIPWIRE_TOTALS = tuple(
+    (key, what, re.compile(key + r":[^\S\n]*(.*?)[^\S\n]*$", re.I | re.M))
+    for key, what in (
+        ("Total objects scanned", "objects scanned"),
+        ("Total violations found", "violations"),
+    )
+)
 
 
 def parse_tripwire(
@@ -299,29 +309,30 @@ def parse_tripwire(
     """Extract object and violation totals from an integrity check report.
 
     Each total is the rest of its line, thousands separators stripped,
-    read by :func:`_count`. Raises ``SUMMARY_MISSING`` when either total
-    is absent and ``VIOLATIONS_EXCEED_OBJECTS`` when the counts are
-    inconsistent.
+    read by :func:`_count`; of a total given on several lines, each is
+    read, the first is kept and each later one warned about. Raises
+    ``SUMMARY_MISSING`` when either total is absent and
+    ``VIOLATIONS_EXCEED_OBJECTS`` when the counts are inconsistent.
     """
     diagnostics = ParseDiagnostics()
-    objects_match = _TRIPWIRE_OBJECTS.search(report_text)
-    violations_match = _TRIPWIRE_VIOLATIONS.search(report_text)
-    if objects_match is None or violations_match is None:
-        missing = []
-        if objects_match is None:
-            missing.append("'Total objects scanned'")
-        if violations_match is None:
-            missing.append("'Total violations found'")
+    found = [
+        (key, what, list(pattern.finditer(report_text))) for key, what, pattern in _TRIPWIRE_TOTALS
+    ]
+    missing = [f"'{key}'" for key, _, matches in found if not matches]
+    if missing:
         raise ParseError("SUMMARY_MISSING", "missing " + " and ".join(missing), source)
-    objects_scanned = _count(objects_match.group(1).replace(",", ""), "objects scanned", source)
-    violations = _count(violations_match.group(1).replace(",", ""), "violations", source)
-    if trace:
-        objects_line = _line_of(report_text, objects_match.start())
-        violations_line = _line_of(report_text, violations_match.start())
-        diagnostics.note(f"objects scanned={objects_scanned} (line {objects_line})")
-        diagnostics.note(f"violations={violations} (line {violations_line})")
+    totals = []
+    for key, what, matches in found:
+        for line, match in _numbered(report_text, matches):
+            value = _count(match.group(1).replace(",", ""), what, source, line)
+            if match is not matches[0]:
+                diagnostics.warn(f"duplicate '{key}' line; keeping first value")
+                continue
+            totals.append(value)
+            if trace:
+                diagnostics.note(f"{what}={value} (line {line})")
     with _as_parse_error(source):
-        return TripwireReport(objects_scanned, violations), diagnostics
+        return TripwireReport(*totals), diagnostics
 
 
 # ---------------------------------------------------------------------------

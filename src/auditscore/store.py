@@ -14,10 +14,13 @@ the lines it keeps.
 Because the file only grows, a filtered read keeps a sidecar line index,
 ``<history>.idx``: the host and assessment labels of every checked line
 of the prefix up to the last ``\\n``, valid only while the sha256 recorded
-with it still matches that prefix and the index's own contents. The next
-filtered read resumes the scan where the index ends. An index that this
-module wrote never changes a result, and deleting it is always safe; one
-owned by anyone but the reader or the history's owner is ignored.
+with it still matches that prefix. The next filtered read resumes the scan
+where the index ends. Once the history has settled (unchanged for
+``_SETTLE_NS``), the index also records its identity, and a read whose
+``fstat`` finds the same identity neither reads nor hashes the history: it
+reads only the lines it decodes. An index that this module wrote never
+changes a result, and deleting it is always safe; one owned by anyone but
+the reader or the history's owner is ignored.
 Single-writer contract; concurrent readers are fine, cross-process
 locking is out of scope.
 """
@@ -29,6 +32,7 @@ import json
 import os
 import stat
 import tempfile
+import time
 from pathlib import Path
 from typing import Collection
 
@@ -46,7 +50,7 @@ SCHEMA_VERSION = 1
 
 # Version of the ``<history>.idx`` layout and of the checks in ``_line_keys``
 # whose outcome it stores; an index of another version is ignored.
-_INDEX_FORMAT = 2
+_INDEX_FORMAT = 3
 
 # What a corrupt line raises while it is decoded and checked; JSON nested
 # deeper than the interpreter's recursion limit raises RecursionError.
@@ -139,28 +143,61 @@ class _LineIndex(Value):
 
     ``lines`` holds ``[offset, host_label, label]`` for each line that
     passed :func:`_line_keys`; ``skipped`` counts the lines that did not.
-    ``digest`` is a sha256 object fed exactly the first ``covered`` bytes.
+    ``identity`` is the :func:`_identity` of a settled history that the
+    prefix is all of, or None; ``sha256`` is the hex digest of the prefix.
     """
 
-    __slots__ = ("covered", "skipped", "lines", "digest")
+    __slots__ = ("covered", "skipped", "lines", "identity", "sha256")
 
-    def __init__(self, covered: int = 0, skipped: int = 0, lines: list | None = None, digest=None):
+    def __init__(
+        self,
+        covered: int = 0,
+        skipped: int = 0,
+        lines: list | None = None,
+        identity: list | None = None,
+        sha256: str | None = None,
+    ):
         self.covered = covered
         self.skipped = skipped
         self.lines = [] if lines is None else lines
-        self.digest = digest
+        self.identity = identity
+        self.sha256 = sha256
 
 
 class _StaleIndex(Exception):
     """An index entry that does not describe the line at its offset."""
 
 
+# A read trusts an index without hashing the history when the history's
+# identity is the one recorded, and records it only for a history whose
+# ctime is more than this older than the start of the read. A file system
+# keeps timestamps to its own granule (whole seconds on ext4 with 128-byte
+# inodes), and the kernel stamps them from a clock that lags the reader's by
+# up to a tick, so a change made later in the granule of the recorded ctime
+# would keep that ctime and go unseen. With this bound at least the coarsest
+# granule supported, such a change happened before the read began, so the
+# index describes it; any later change gives the file a later ctime.
+_SETTLE_NS = 2_000_000_000
+
+
+def _identity(info: os.stat_result) -> list[int]:
+    """What any change to a file changes: its ctime, at the least."""
+    return [info.st_dev, info.st_ino, info.st_size, info.st_mtime_ns, info.st_ctime_ns]
+
+
 def _new_digest():
     # hashlib loads OpenSSL, about 4 MiB of RSS and 5 ms; imported here,
-    # only filtered history reads pay for it, not every command.
+    # only filtered reads of a changed history pay for it, not every command.
     import hashlib
 
     return hashlib.sha256()
+
+
+def _checksum(body: bytes) -> bytes:
+    """The CRC-32 of an index body, which catches damage without hashlib."""
+    import binascii  # imported here: only index reads and writes use it
+
+    return b"%08x" % binascii.crc32(body)
 
 
 def _index_body(index: _LineIndex) -> bytes:
@@ -168,6 +205,8 @@ def _index_body(index: _LineIndex) -> bytes:
         {
             "format": _INDEX_FORMAT,
             "schema_version": SCHEMA_VERSION,
+            "identity": index.identity,
+            "sha256": index.sha256,
             "covered": index.covered,
             "skipped": index.skipped,
             "lines": index.lines,
@@ -176,12 +215,14 @@ def _index_body(index: _LineIndex) -> bytes:
     ).encode()
 
 
-def _read_index(index_path: Path, data: bytes, owner: int) -> _LineIndex | None:
-    """The index stored at ``index_path`` if it still describes a prefix of ``data``.
+def _read_index(index_path: Path, history: os.stat_result) -> _LineIndex | None:
+    """The index stored at ``index_path``, if it has the shape of one of a
+    prefix of the history whose ``fstat`` is ``history``.
 
-    Only a regular file owned by the reader or by the history's ``owner``
-    is read; its first line must be the sha256 of the covered prefix
-    followed by the rest of the index.
+    Only a regular file owned by the reader or by the history's owner is
+    read; its first line must be the :func:`_checksum` of the rest, the
+    body. Whether the index still describes the history is for the caller
+    to check, by identity or by digest.
     """
 
     def opener(name: str, flags: int) -> int:
@@ -191,10 +232,13 @@ def _read_index(index_path: Path, data: bytes, owner: int) -> _LineIndex | None:
     try:
         with open(index_path, "rb", opener=opener) as stream:
             info = os.fstat(stream.fileno())
-            if not stat.S_ISREG(info.st_mode) or info.st_uid not in (os.geteuid(), owner):
+            owners = (os.geteuid(), history.st_uid)
+            if not stat.S_ISREG(info.st_mode) or info.st_uid not in owners:
                 return None
-            expected, _, body = stream.read().partition(b"\n")
+            check, _, body = stream.read().partition(b"\n")
     except OSError:
+        return None
+    if check != _checksum(body):
         return None
     try:
         stored = json.loads(body)
@@ -203,40 +247,36 @@ def _read_index(index_path: Path, data: bytes, owner: int) -> _LineIndex | None:
             stored["format"] != _INDEX_FORMAT
             or stored["schema_version"] != SCHEMA_VERSION
             or type(covered) is not int
-            or not 0 < covered <= len(data)
+            or not 0 < covered <= history.st_size
             or type(skipped) is not int
             or type(lines) is not list
+            or type(stored["sha256"]) is not str
         ):
             return None
         previous = -1
         for offset, host_label, label in lines:
-            # Strictly increasing line starts inside the prefix.
+            # Strictly increasing offsets inside the prefix; that each one
+            # starts a line is checked when its line is read.
             if not (
                 type(offset) is int and previous < offset < covered
-                and (offset == 0 or data[offset - 1] == 0x0A)
                 and type(host_label) is str and type(label) is str
             ):
                 return None
             previous = offset
     except _CORRUPT:
         return None
-    digest = _new_digest()
-    digest.update(memoryview(data)[:covered])
-    check = digest.copy()
-    check.update(body)
-    if check.hexdigest().encode() != expected:
-        return None
-    return _LineIndex(covered, skipped, lines, digest)
+    return _LineIndex(covered, skipped, lines, stored["identity"], stored["sha256"])
 
 
 def _write_index(
-    index_path: Path, data: bytes, old: _LineIndex, new: _LineIndex, mode: int
+    index_path: Path, data: bytes, old: _LineIndex, new: _LineIndex, digest, mode: int
 ) -> None:
     """Replace ``old`` with ``new`` atomically; a read that cannot write one is still correct.
 
-    The new digest extends ``old.digest`` (if any) by the bytes the new
-    index adds, so no byte is hashed twice in one read. Nothing is hashed
-    or serialized when the directory takes no new file.
+    ``digest``, if not None, is a sha256 object fed the ``old.covered``
+    bytes already checked, and is extended by the bytes the new index adds,
+    so no byte is hashed twice in one read. Nothing is hashed or serialized
+    when the directory takes no new file.
     """
     try:
         handle, temporary = tempfile.mkstemp(dir=index_path.parent, prefix=index_path.name + ".")
@@ -245,11 +285,11 @@ def _write_index(
     try:
         with os.fdopen(handle, "wb") as stream:
             os.fchmod(handle, mode)
-            digest = old.digest or _new_digest()
+            digest = digest or _new_digest()
             digest.update(memoryview(data)[old.covered : new.covered])
+            new.sha256 = digest.hexdigest()
             body = _index_body(new)
-            digest.update(body)
-            stream.write(digest.hexdigest().encode() + b"\n" + body)
+            stream.write(_checksum(body) + b"\n" + body)
         os.replace(temporary, index_path)
     except OSError:
         with contextlib.suppress(OSError):
@@ -273,35 +313,54 @@ def _line_spans(data: bytes, start: int):
 
 
 def _scan(
-    data: bytes, index: _LineIndex, host_filter: str | None, newest_of: Collection[str] | None
+    data: bytes | None,
+    fd: int,
+    index: _LineIndex,
+    host_filter: str | None,
+    newest_of: Collection[str] | None,
 ) -> tuple[HistoryLoad, _LineIndex]:
-    """The records a :func:`load_history` query keeps, and the index of ``data``.
+    """The records a :func:`load_history` query keeps, and the index of the file.
 
+    ``data`` is the file's bytes, or None when ``index`` is trusted to
+    cover all of it: the lines to decode are then read from ``fd``.
     Lines of the indexed prefix are decoded only when wanted; the rest of
     ``data`` is scanned. Wanted lines are decoded in file order, or, with
     ``newest_of``, newest first until each label has a record, and older
     lines are not decoded. Raises :class:`_StaleIndex` when a decoded
-    indexed line does not pass the checks or keys its entry claims.
+    indexed line does not start just after a ``\\n`` or does not pass the
+    checks or keys its entry claims.
     """
+    size = index.covered if data is None else len(data)
     result = HistoryLoad(skipped=index.skipped)
-    grown = _LineIndex(data.rfind(b"\n") + 1, index.skipped, list(index.lines))
+    grown = _LineIndex(
+        size if data is None else data.rfind(b"\n") + 1, index.skipped, list(index.lines)
+    )
+
+    def read(start: int, stop: int) -> bytes:
+        """Bytes ``start`` to ``stop`` of the file."""
+        return os.pread(fd, stop - start, start) if data is None else data[start:stop]
 
     def wanted(host_label: str, label: str) -> bool:
         return (host_filter is None or host_label == host_filter) and (
             newest_of is None or label in newest_of
         )
 
-    def decode(start: int, host_label: str, label: str, parsed=None) -> bool:
+    def decode(start: int, stop: int, host_label: str, label: str, parsed=None) -> bool:
         """Add the record of a wanted line, or count the line as skipped.
 
         ``parsed`` is the payload and keys of a line just scanned. Any other
-        line is parsed here and must have the labels noted for it, which for
-        an indexed line are its entry's.
+        line is read here: it must follow a ``\\n``, end at a ``\\n`` before
+        ``stop`` or at the end of the file, and have the labels noted for
+        it, which for an indexed line are its entry's.
         """
         if parsed is None:
-            end = data.find(b"\n", start)
+            before = max(start - 1, 0)
+            chunk = read(before, stop)
+            end = chunk.find(b"\n", start - before)
+            if (start and chunk[:1] != b"\n") or (end < 0 and stop < size):
+                raise _StaleIndex(start)
             try:
-                payload = _parse_line(data[start : end if end >= 0 else len(data)])
+                payload = _parse_line(chunk[start - before : end if end >= 0 else None])
                 keys = _line_keys(payload)
             except _CORRUPT as exc:
                 raise _StaleIndex(start) from exc
@@ -316,15 +375,18 @@ def _scan(
         return True
 
     # With ``newest_of``, the wanted lines are only noted here, as
-    # ``(start, host_label, label)``, and decoded newest first below.
+    # ``(start, stop, host_label, label)``, and decoded newest first below.
+    # An indexed line is read up to the next entry's offset.
     noted = []
-    for entry in index.lines:
-        if wanted(*entry[1:]):
+    lines = index.lines
+    for at, (start, host_label, label) in enumerate(lines):
+        if wanted(host_label, label):
+            stop = lines[at + 1][0] if at + 1 < len(lines) else index.covered
             if newest_of is None:
-                decode(*entry)
+                decode(start, stop, host_label, label)
             else:
-                noted.append(entry)
-    for start, end in _line_spans(data, index.covered):
+                noted.append((start, stop, host_label, label))
+    for start, end in _line_spans(data or b"", index.covered):  # none on a trusted read
         complete = end < grown.covered  # a final line with no b"\n" may still grow
         try:
             payload = _parse_line(data[start:end])
@@ -339,13 +401,13 @@ def _scan(
             grown.lines.append([start, *keys])
         if wanted(*keys):
             if newest_of is None:
-                decode(start, *keys, (payload, keys))
+                decode(start, end + 1, *keys, (payload, keys))
             else:
-                noted.append((start, *keys))
+                noted.append((start, end + 1, *keys))
     if newest_of is not None:
         done = set()
-        for start, host_label, label in reversed(noted):
-            if label not in done and decode(start, host_label, label):
+        for start, stop, host_label, label in reversed(noted):
+            if label not in done and decode(start, stop, host_label, label):
                 done.add(label)
         result.records.reverse()
     return result, grown
@@ -373,31 +435,53 @@ def load_history(
 
     A filtered read of a regular file takes the checked lines of an
     unchanged prefix from the ``<history>.idx`` index, scans only the rest
-    and extends the index; an unfiltered read scans the whole file and
-    leaves the index alone. An index entry that does not match its line,
-    found when the line is decoded, drops the index for a full scan.
+    and extends the index; of a settled file whose identity the index
+    records, it reads only the lines it decodes. An unfiltered read scans
+    the whole file and leaves the index alone. An index entry that does not
+    match its line, found when the line is decoded, drops the index for a
+    full scan.
     """
     path = Path(path)
+    filtered = host_filter is not None or newest_of is not None
+    began = time.time_ns()  # before the fstat and the read: see _SETTLE_NS
     try:
         with open(path, "rb") as handle:
             info = os.fstat(handle.fileno())
-            data = handle.read()
+            # The index sits next to a regular file named as such. A pipe or
+            # device keeps no prefix between reads, and a symlink
+            # (``/dev/stdin`` too) would put it in a directory the command
+            # was not given.
+            index_path = None
+            if filtered and stat.S_ISREG(info.st_mode) and not path.is_symlink():
+                index_path = path.with_name(path.name + ".idx")
+            index = (index_path and _read_index(index_path, info)) or _LineIndex()
+            # An index of this very file, unchanged since it settled, is
+            # trusted: the history is neither read whole nor hashed.
+            trusted = index.identity == _identity(info) and index.covered == info.st_size
+            data = None if trusted else handle.read()
+            digest = None
+            if not trusted and index.covered:
+                digest = _new_digest()
+                digest.update(memoryview(data)[: index.covered])
+                if digest.hexdigest() != index.sha256:
+                    index, digest = _LineIndex(), None
+            try:
+                result, grown = _scan(data, handle.fileno(), index, host_filter, newest_of)
+            except _StaleIndex:
+                if data is None:
+                    data = handle.read()
+                index, digest, trusted = _LineIndex(), None, False
+                result, grown = _scan(data, handle.fileno(), index, host_filter, newest_of)
     except OSError as exc:
         raise StoreError("IO_FAILURE", f"cannot read {path}: {exc}") from exc
 
-    # The index sits next to a regular file named as such. A pipe or device
-    # keeps no prefix between reads, and a symlink (``/dev/stdin`` too) would
-    # put it in a directory the command was not given.
-    filtered = host_filter is not None or newest_of is not None
-    index_path = None
-    if filtered and stat.S_ISREG(info.st_mode) and not path.is_symlink():
-        index_path = path.with_name(path.name + ".idx")
-    index = (index_path and _read_index(index_path, data, info.st_uid)) or _LineIndex()
-    try:
-        result, grown = _scan(data, index, host_filter, newest_of)
-    except _StaleIndex:
-        index = _LineIndex()
-        result, grown = _scan(data, index, host_filter, newest_of)
-    if index_path and grown.covered > index.covered:
-        _write_index(index_path, data, index, grown, stat.S_IMODE(info.st_mode) & 0o666)
+    # Only a file that the scan covers to its end, last changed more than
+    # _SETTLE_NS before the read began, gets its identity recorded; a read
+    # that finds the file so settled since the index was written rewrites it.
+    settled = 0 < grown.covered == info.st_size and began - info.st_ctime_ns > _SETTLE_NS
+    if index_path and (grown.covered > index.covered or (settled and not trusted)):
+        grown.identity = _identity(info) if settled else None
+        _write_index(
+            index_path, data, index, grown, digest, stat.S_IMODE(info.st_mode) & 0o666
+        )
     return result

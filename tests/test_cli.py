@@ -1,10 +1,13 @@
 import gc
+import io
 import json
 import os
 import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -131,6 +134,21 @@ def test_parse_nmap_bad_extraports_count_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error[VALUE_NOT_INTEGER] {scan}:")
+
+
+@pytest.mark.parametrize(
+    "tool, text, line",
+    [
+        ("aide", "Added entries: 5_0\n", 1),
+        ("tripwire", "Total objects scanned: 50\nTotal violations found: 5_0\n", 2),
+    ],
+)
+def test_parse_integrity_count_error_names_its_line(capsys, tmp_path, tool, text, line):
+    report = tmp_path / "check.txt"
+    report.write_text(text)
+    code, out, err = run_cli(capsys, "parse", "--tool", tool, str(report))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error[VALUE_NOT_INTEGER] {report}:{line}: ")
 
 
 _PORT_OUT_OF_RANGE = (
@@ -772,6 +790,131 @@ def test_history_host_filter_decodes_only_that_hosts_lines(capsys, two_host_hist
     assert code == 0
     assert len(out.splitlines()) == len(decoded) == 6
     assert {payload["host_label"] for payload, _ in decoded} == {"h1"}
+
+
+# Counted work of a read whose line index records the history's identity:
+# it neither reads the history whole nor hashes it.
+
+
+def _settle(history, monkeypatch, capsys):
+    """Record ``history``'s identity in its index, by a read that begins more
+    than a lowered settle constant after the history's last change."""
+    monkeypatch.setattr(store, "_SETTLE_NS", 20_000_000)
+    while time.time_ns() - history.stat().st_ctime_ns <= store._SETTLE_NS:
+        time.sleep(0.005)
+    assert run_cli(capsys, "history", "--history", str(history), "--host", "h1")[0] == 0
+    body = (history.parent / (history.name + ".idx")).read_bytes().partition(b"\n")[2]
+    assert json.loads(body)["identity"] == store._identity(history.stat())
+
+
+@pytest.fixture
+def history_reads(monkeypatch):
+    """The bytes the store reads from any file it opens without an opener
+    (the history, not its index): whole, or with ``os.pread``."""
+    counted = []
+
+    class Counted(io.FileIO):
+        def read(self, size=-1):
+            data = super().read(size)
+            counted.append(len(data))
+            return data
+
+    pread = os.pread
+
+    def counting_pread(fd, size, offset):
+        data = pread(fd, size, offset)
+        counted.append(len(data))
+        return data
+
+    def history_open(file, mode="r", *args, opener=None, **kwargs):
+        assert mode == "rb"
+        return open(file, mode, *args, opener=opener, **kwargs) if opener else Counted(file)
+
+    monkeypatch.setattr(store, "open", history_open, raising=False)
+    monkeypatch.setattr(store.os, "pread", counting_pread)
+    return counted
+
+
+@pytest.mark.parametrize(
+    "argv, records",
+    [(["compare", "a", "b"], 2), (["history", "--host", "h2"], 6)],
+    ids=["compare", "history-host"],
+)
+def test_warm_read_of_a_settled_history_reads_only_its_lines_and_hashes_nothing(
+    capsys, monkeypatch, two_host_history, decoded, history_reads, argv, records
+):
+    _settle(two_host_history, monkeypatch, capsys)
+    data = two_host_history.read_bytes()
+    argv = [*argv, "--history", str(two_host_history)]
+    expected = run_cli(capsys, *argv)
+    decoded.clear()
+    history_reads.clear()
+    with mock.patch.object(store, "_new_digest", side_effect=AssertionError("hashed")):
+        assert run_cli(capsys, *argv) == expected
+    assert len(decoded) == records
+    # Each decoded line is read with the \n that ends it and the one before
+    # it, which the first line of the file has not.
+    lines = [json.dumps(payload, separators=(",", ":")).encode() + b"\n" for payload, _ in decoded]
+    assert all(line in data for line in lines)
+    assert sum(history_reads) == sum(len(line) + (not data.startswith(line)) for line in lines)
+
+
+def test_compare_child_on_a_settled_history_never_imports_hashlib(
+    capsys, monkeypatch, two_host_history
+):
+    _settle(two_host_history, monkeypatch, capsys)
+    probe = (
+        "import sys; from auditscore.cli import main; code = main(sys.argv[1:]); "
+        "print(code, 'hashlib' in sys.modules, file=sys.stderr)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(auditscore.__file__).parents[1]))
+    env.pop("AUDITSCORE_CONFIG", None)
+    argv = ["compare", "a", "b", "--history", str(two_host_history)]
+    completed = subprocess.run(
+        [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert completed.stderr.splitlines() == ["0 False"]
+    assert completed.stdout == run_cli(capsys, *argv)[1]
+
+
+@pytest.mark.parametrize(
+    "change", ["none", "append", "same-size-edit"], ids=["settled", "appended", "edited"]
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "a", "b"],
+        ["history", "--host", "h1"],
+        ["report", "a", "b", "c"],
+        ["report", "a", "c", "--format", "json"],
+    ],
+    ids=["compare", "history-host", "report", "report-json"],
+)
+def test_read_equals_a_read_without_index_in_each_index_state(
+    capsys, monkeypatch, data_dir, two_host_history, argv, change
+):
+    with open(two_host_history, "a") as handle:
+        handle.write("{torn\n")
+    _settle(two_host_history, monkeypatch, capsys)
+    manifest = str(data_dir / "manifest-baseline-literal.yaml")
+    history = ["--history", str(two_host_history)]
+    if change == "append":
+        append = ["score", "--manifest", manifest, *history, "--host", "h1", "--label", "a"]
+        assert main(append) == 0
+    elif change == "same-size-edit":
+        # A host renamed in place, at the same size and modification time.
+        times = two_host_history.stat()
+        data = two_host_history.read_bytes()
+        two_host_history.write_bytes(data[::-1].replace(b'"1h"', b'"3h"', 1)[::-1])
+        os.utime(two_host_history, ns=(times.st_atime_ns, times.st_mtime_ns))
+    capsys.readouterr()
+    with mock.patch.object(store, "_new_digest", wraps=store._new_digest) as hashed:
+        indexed = run_cli(capsys, *argv, *history)
+    # Only a history unchanged since its identity was recorded goes unhashed.
+    assert hashed.called == (change != "none")
+    (two_host_history.parent / (two_host_history.name + ".idx")).unlink()
+    assert indexed == run_cli(capsys, *argv, *history)
+    assert "skipped 1 corrupt line(s)" in indexed[2]
 
 
 @pytest.mark.parametrize("verbose", [False, True])

@@ -217,6 +217,26 @@ def test_tripwire_summary_missing():
     assert "violations" in str(excinfo.value)
 
 
+def test_tripwire_repeated_total_keeps_the_first_with_a_warning():
+    text = (
+        "Total objects scanned: 100\nTotal violations found: 3\n"
+        "Total objects scanned: 900\nTotal violations found: 9\n"
+    )
+    report, diagnostics = parse_tripwire(text)
+    assert (report.objects_scanned, report.violations) == (100, 3)
+    assert diagnostics.warnings == [
+        "duplicate 'Total objects scanned' line; keeping first value",
+        "duplicate 'Total violations found' line; keeping first value",
+    ]
+
+
+def test_tripwire_repeated_total_is_still_read_as_a_count():
+    text = "Total objects scanned: 100\nTotal violations found: 3\nTotal objects scanned: 9x\n"
+    with pytest.raises(ParseError) as excinfo:
+        parse_tripwire(text)
+    assert (excinfo.value.code, excinfo.value.line) == ("VALUE_NOT_INTEGER", 3)
+
+
 # ---------------------------------------------------------------------------
 # Scan XML
 # ---------------------------------------------------------------------------

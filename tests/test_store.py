@@ -1,7 +1,10 @@
+import contextlib
 import hashlib
 import json
 import os
 import stat
+import time
+import zlib
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -521,11 +524,25 @@ def _claim_a_skipped_line(stored, data):
             return
 
 
-# Index entries that disagree with the file, under a digest recomputed over
+def _point_inside_a_line(stored, data):
+    # An entry, with its keys, for the valid record after the "\r" of the
+    # "inner-cr" line, which no reader may take for a line of its own.
+    start = data.find(b"\r{") + 1
+    try:
+        payload = json.loads(data[start : data.index(b"\n", start)])
+        keys = [payload["host_label"], payload["assessment"]["label"]]
+    except _CORRUPT:
+        return
+    if 0 < start < stored["covered"]:
+        stored["lines"] = sorted([*stored["lines"], [start, *keys]])
+
+
+# Index entries that disagree with the file, under a checksum recomputed over
 # them ("forged-*", as if the index were written that way) or left as it was.
 _EDITS = {
     "forged-keys": (_reverse_keys, True),
     "forged-offset": (_shift_offset, True),
+    "forged-inner": (_point_inside_a_line, True),
     "forged-duplicate": (_duplicate_entry, True),
     "forged-corrupt": (_claim_a_skipped_line, True),
     "tampered": (_count_one_more, False),
@@ -535,10 +552,17 @@ _DAMAGE = (*_BAD_INDEXES, *_EDITS, "stale", "other-file", "other-schema", "direc
 _STEPS = st.one_of(
     st.tuples(st.just("read"), st.booleans()),
     st.tuples(st.just("append"), st.sampled_from(_APPENDS), st.booleans()),
-    st.tuples(st.just("edit"), st.integers(0, 50)),
+    st.tuples(st.just("edit"), st.integers(0, 50), st.booleans()),
     st.tuples(st.just("truncate"), st.integers(0, 100)),
     st.tuples(st.just("damage"), st.sampled_from(_DAMAGE)),
+    st.just(("settle",)),
 )
+# The settle constant of the reads of a "settle" step, which sleeps past it
+# first, so that they record the history's identity. It stays above the
+# kernel's timestamp tick, which is sound on a file system that keeps finer
+# timestamps than that (ext4, tmpfs); every other read keeps the store's own
+# constant, so a history written during the test is never settled for it.
+_SETTLE_NS = 20_000_000
 
 
 def _drop_index(index):
@@ -560,26 +584,38 @@ def _line_bytes(key):
     return _BYTE_LINES[key] if key in _BYTE_LINES else _LINES[key].encode()
 
 
+def _checksum(body):
+    return b"%08x" % zlib.crc32(body)
+
+
 def _edit_index(path, index, edit, sign):
     load_history(path, newest_of={"full"})  # an index of the file as it is now
     if not index.is_file():
         return
     data = path.read_bytes()
-    digest, _, body = index.read_bytes().partition(b"\n")
+    check, _, body = index.read_bytes().partition(b"\n")
     try:
         stored = json.loads(body)
-        described = hashlib.sha256(data[: stored["covered"]] + body).hexdigest().encode()
+        described = stored["sha256"] == hashlib.sha256(data[: stored["covered"]]).hexdigest()
     except _CORRUPT:
         return
     # A file with no complete line gets no index, so the one left may be of
     # an earlier file, or not an index at all: there is nothing to edit.
-    if described != digest or not stored["lines"]:
+    if check != _checksum(body) or not described or not stored["lines"]:
         return
     edit(stored, data)
     body = json.dumps(stored, separators=(",", ":")).encode()
     if sign:
-        digest = hashlib.sha256(data[: stored["covered"]] + body).hexdigest().encode()
-    index.write_bytes(digest + b"\n" + body)
+        check = _checksum(body)
+    index.write_bytes(check + b"\n" + body)
+
+
+def _each_damage_on_a_settled_history(test):
+    """An example of each damage case after a "settle" step: the damaged
+    index meets a read that would trust an undamaged one."""
+    for damage in _DAMAGE:
+        test = example(steps=[("settle",), ("damage", damage)])(test)
+    return test
 
 
 @given(steps=st.lists(_STEPS, min_size=1, max_size=10))
@@ -597,10 +633,17 @@ def _edit_index(path, index, edit, sign):
 @example(steps=[("damage", "forged-duplicate")])
 @example(steps=[("damage", "forged-corrupt")])
 @example(steps=[("damage", "tampered")])
-@example(steps=[("read", True), ("edit", 3)])
+@example(steps=[("read", True), ("edit", 3, False)])
 @example(steps=[("append", ("valid", "full", "beta"), False)])
 @example(steps=[("read", False), ("truncate", 0), ("damage", "forged-corrupt")])
 @example(steps=[("truncate", 0), ("damage", "garbage"), ("damage", "forged-keys")])
+@example(steps=[("settle",), ("edit", 3, True)])
+@example(steps=[("settle",), ("edit", 8, True), ("settle",), ("edit", 8, True)])
+@example(steps=[("settle",), ("append", ("valid", "full", "beta"), True), ("settle",)])
+@example(steps=[("settle",), ("append", ("valid", "partial", "alpha"), False), ("settle",)])
+@example(steps=[("settle",), ("append", ("garbage", "full", "beta"), True), ("damage", "stale")])
+@example(steps=[("settle",), ("truncate", 60), ("settle",), ("damage", "forged-offset")])
+@_each_damage_on_a_settled_history
 @settings(max_examples=100, deadline=None)
 def test_indexed_reads_equal_a_plain_reader(tmp_path_factory, steps):
     directory = tmp_path_factory.mktemp("store")
@@ -618,7 +661,8 @@ def test_indexed_reads_equal_a_plain_reader(tmp_path_factory, steps):
             with open(path, "ab") as handle:
                 handle.write(_line_bytes(step[1]) + (b"\n" if step[2] else b""))
         elif step[0] == "edit":
-            # Same length, so only the digest can tell the line changed.
+            # Same length, so only the digest can tell the line changed; with
+            # the modification time put back, only the ctime of the identity.
             data = bytearray(path.read_bytes())
             starts = [0] + [i + 1 for i, byte in enumerate(data) if byte == 10][:-1]
             start = starts[step[1] % len(starts)] if data else 0
@@ -627,7 +671,13 @@ def test_indexed_reads_equal_a_plain_reader(tmp_path_factory, steps):
                 data[host + 14 : host + 19] = b"gamma"
             elif start < len(data):
                 data[start] = ord("~")
+            times = path.stat()
             path.write_bytes(bytes(data))
+            if step[2]:
+                os.utime(path, ns=(times.st_atime_ns, times.st_mtime_ns))
+        elif step[0] == "settle":
+            while time.time_ns() - path.stat().st_ctime_ns <= _SETTLE_NS:
+                time.sleep(_SETTLE_NS / 4e9)
         elif step[0] == "truncate":
             data = path.read_bytes()
             path.write_bytes(data[: len(data) * step[1] // 100])
@@ -670,13 +720,30 @@ def test_indexed_reads_equal_a_plain_reader(tmp_path_factory, steps):
             _drop_index(index)
             index.symlink_to(target)
         before = _index_state(index)
+        edited = step[0] == "edit"
+        settle = (
+            mock.patch.object(store, "_SETTLE_NS", _SETTLE_NS)
+            if step[0] == "settle"
+            else contextlib.nullcontext()
+        )
         for host_filter, newest_of in _READS:
-            loaded = load_history(path, host_filter=host_filter, newest_of=newest_of)
+            with settle, mock.patch.object(store, "_new_digest", wraps=store._new_digest) as hashed:
+                loaded = load_history(path, host_filter=host_filter, newest_of=newest_of)
             expected = _plain_load(path, host_filter, newest_of)
             assert (loaded.records, loaded.skipped) == (expected.records, expected.skipped)
             if host_filter is None and newest_of is None:
                 # An unfiltered read neither writes nor replaces the index.
                 assert _index_state(index) == before
+            elif edited:
+                # The edit changed the ctime, so the next filtered read does
+                # not trust an index written before it: it hashes the history.
+                assert hashed.called or b"\n" not in path.read_bytes()
+                edited = False
+        data = path.read_bytes()
+        if step[0] == "settle" and data.endswith(b"\n") and index.is_file():
+            # The reads recorded the history's identity, or trusted it.
+            body = index.read_bytes().partition(b"\n")[2]
+            assert json.loads(body)["identity"] == store._identity(path.stat())
         if index.is_file() and not index.is_symlink():
             snapshots.append(index.read_bytes())
 
@@ -730,13 +797,12 @@ def test_index_owned_by_another_user_is_ignored(tmp_path):
     load_history(path, host_filter="node-0")
     # A valid index whose entries all claim another host: trusted, it would
     # hide the node-0 records.
-    digest, _, body = index.read_bytes().partition(b"\n")
+    _, _, body = index.read_bytes().partition(b"\n")
     stored = json.loads(body)
     for entry in stored["lines"]:
         entry[1] = "node-9"
     body = json.dumps(stored, separators=(",", ":")).encode()
-    digest = hashlib.sha256(path.read_bytes()[: stored["covered"]] + body).hexdigest().encode()
-    index.write_bytes(digest + b"\n" + body)
+    index.write_bytes(_checksum(body) + b"\n" + body)
     os.chown(index, 12345, 12345)
     with mock.patch.object(store.os, "replace", side_effect=PermissionError):  # a sticky directory
         assert len(load_history(path, host_filter="node-0").records) == 2
