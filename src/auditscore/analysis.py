@@ -35,17 +35,16 @@ class Trend(Enum):
 class TrendTable(Frozen):
     """Per-tool score sequences with endpoint direction classification."""
 
-    __slots__ = ("labels", "per_tool", "directions", "composite", "composite_direction")
+    __slots__ = ("per_tool", "directions", "composite", "composite_direction")
 
     def __init__(
         self,
-        labels: tuple[str, ...],
         per_tool: dict[ToolKind, tuple[float, ...]],
         directions: dict[ToolKind, Trend],
         composite: tuple[float, ...],
         composite_direction: Trend,
     ):
-        self._init(labels, per_tool, directions, composite, composite_direction)
+        self._init(per_tool, directions, composite, composite_direction)
 
 
 def _require_same_weights(reference: CompositeAssessment, other: CompositeAssessment) -> None:
@@ -102,7 +101,6 @@ def trend_series(assessments: Sequence[CompositeAssessment]) -> TrendTable:
     }
     composite = tuple(a.composite for a in assessments)
     return TrendTable(
-        labels=tuple(a.label for a in assessments),
         per_tool=per_tool,
         directions=directions,
         composite=composite,

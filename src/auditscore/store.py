@@ -14,11 +14,13 @@ the lines it keeps.
 Because the file only grows, a filtered read keeps a sidecar line index,
 ``<history>.idx``: the host and assessment labels of every checked line
 of the prefix up to the last ``\\n``, valid only while the sha256 recorded
-with it still matches that prefix. The next filtered read resumes the scan
-where the index ends. Once the history has settled (unchanged for
-``_SETTLE_NS``), the index also records its identity, and a read whose
-``fstat`` finds the same identity neither reads nor hashes the history: it
-reads only the lines it decodes. An index that this module wrote never
+with it still matches that prefix. The next filtered read reads the prefix
+only to hash it, scans only the tail after it and extends the index. Once
+the history has settled (unchanged for ``_SETTLE_NS``), the index also
+records its identity, and a read whose ``fstat`` finds the same identity
+neither reads nor hashes the history. Either way, an indexed line is read
+only when it is decoded, and the history is read whole only without a
+usable index. An index that this module wrote never
 changes a result, and deleting it is always safe; one owned by anyone but
 the reader or the history's owner is ignored.
 Single-writer contract; concurrent readers are fine, cross-process
@@ -138,32 +140,6 @@ def append_record(path: Path | str, record: HistoryRecord) -> None:
         raise StoreError("IO_FAILURE", f"cannot append to {path}: {exc}") from exc
 
 
-class _LineIndex(Value):
-    """The checked lines of a history prefix of ``covered`` bytes.
-
-    ``lines`` holds ``[offset, host_label, label]`` for each line that
-    passed :func:`_line_keys`; ``skipped`` counts the lines that did not.
-    ``identity`` is the :func:`_identity` of a settled history that the
-    prefix is all of, or None; ``sha256`` is the hex digest of the prefix.
-    """
-
-    __slots__ = ("covered", "skipped", "lines", "identity", "sha256")
-
-    def __init__(
-        self,
-        covered: int = 0,
-        skipped: int = 0,
-        lines: list | None = None,
-        identity: list | None = None,
-        sha256: str | None = None,
-    ):
-        self.covered = covered
-        self.skipped = skipped
-        self.lines = [] if lines is None else lines
-        self.identity = identity
-        self.sha256 = sha256
-
-
 class _StaleIndex(Exception):
     """An index entry that does not describe the line at its offset."""
 
@@ -200,27 +176,17 @@ def _checksum(body: bytes) -> bytes:
     return b"%08x" % binascii.crc32(body)
 
 
-def _index_body(index: _LineIndex) -> bytes:
-    return json.dumps(
-        {
-            "format": _INDEX_FORMAT,
-            "schema_version": SCHEMA_VERSION,
-            "identity": index.identity,
-            "sha256": index.sha256,
-            "covered": index.covered,
-            "skipped": index.skipped,
-            "lines": index.lines,
-        },
-        separators=(",", ":"),
-    ).encode()
-
-
-def _read_index(index_path: Path, history: os.stat_result) -> _LineIndex | None:
+def _read_index(index_path: Path, history: os.stat_result) -> dict | None:
     """The index stored at ``index_path``, if it has the shape of one of a
     prefix of the history whose ``fstat`` is ``history``.
 
-    Only a regular file owned by the reader or by the history's owner is
-    read; its first line must be the :func:`_checksum` of the rest, the
+    The index is one JSON object: ``covered`` is the length of the prefix,
+    up to a ``\\n``; ``lines`` holds ``[offset, host_label, label]`` for each
+    of its lines that passed :func:`_line_keys`, and ``skipped`` counts those
+    that did not; ``sha256`` is the hex digest of the prefix; ``identity`` is
+    the :func:`_identity` of a settled history that the prefix is all of, or
+    None. Only a regular file owned by the reader or by the history's owner
+    is read; its first line must be the :func:`_checksum` of the rest, the
     body. Whether the index still describes the history is for the caller
     to check, by identity or by digest.
     """
@@ -251,6 +217,7 @@ def _read_index(index_path: Path, history: os.stat_result) -> _LineIndex | None:
             or type(skipped) is not int
             or type(lines) is not list
             or type(stored["sha256"]) is not str
+            or "identity" not in stored
         ):
             return None
         previous = -1
@@ -265,18 +232,16 @@ def _read_index(index_path: Path, history: os.stat_result) -> _LineIndex | None:
             previous = offset
     except _CORRUPT:
         return None
-    return _LineIndex(covered, skipped, lines, stored["identity"], stored["sha256"])
+    return stored
 
 
-def _write_index(
-    index_path: Path, data: bytes, old: _LineIndex, new: _LineIndex, digest, mode: int
-) -> None:
-    """Replace ``old`` with ``new`` atomically; a read that cannot write one is still correct.
+def _write_index(index_path: Path, index: dict, digest, added, mode: int) -> None:
+    """Store ``index`` atomically; a read that cannot write one is still correct.
 
-    ``digest``, if not None, is a sha256 object fed the ``old.covered``
-    bytes already checked, and is extended by the bytes the new index adds,
-    so no byte is hashed twice in one read. Nothing is hashed or serialized
-    when the directory takes no new file.
+    ``digest``, if not None, is a sha256 object fed the prefix already
+    checked, and ``added`` is the rest of the prefix ``index`` covers, so no
+    byte is hashed twice in one read. Nothing is hashed or serialized when
+    the directory takes no new file.
     """
     try:
         handle, temporary = tempfile.mkstemp(dir=index_path.parent, prefix=index_path.name + ".")
@@ -286,9 +251,9 @@ def _write_index(
         with os.fdopen(handle, "wb") as stream:
             os.fchmod(handle, mode)
             digest = digest or _new_digest()
-            digest.update(memoryview(data)[old.covered : new.covered])
-            new.sha256 = digest.hexdigest()
-            body = _index_body(new)
+            digest.update(added)
+            index["sha256"] = digest.hexdigest()
+            body = json.dumps(index, separators=(",", ":")).encode()
             stream.write(_checksum(body) + b"\n" + body)
         os.replace(temporary, index_path)
     except OSError:
@@ -302,113 +267,100 @@ def _parse_line(line: bytes):
     return json.loads(text) if text.strip() else None
 
 
-def _line_spans(data: bytes, start: int):
-    """Yield ``(start, end)`` of each line from ``start`` on; a line ends at ``\\n``."""
-    while start < len(data):
-        end = data.find(b"\n", start)
-        if end < 0:
-            end = len(data)
-        yield start, end
-        start = end + 1
-
-
 def _scan(
-    data: bytes | None,
+    tail: bytes,
     fd: int,
-    index: _LineIndex,
+    index: dict,
     host_filter: str | None,
     newest_of: Collection[str] | None,
-) -> tuple[HistoryLoad, _LineIndex]:
+) -> tuple[HistoryLoad, dict]:
     """The records a :func:`load_history` query keeps, and the index of the file.
 
-    ``data`` is the file's bytes, or None when ``index`` is trusted to
-    cover all of it: the lines to decode are then read from ``fd``.
-    Lines of the indexed prefix are decoded only when wanted; the rest of
-    ``data`` is scanned. Wanted lines are decoded in file order, or, with
+    ``tail`` is the file's bytes after the prefix that ``index`` covers; it
+    is scanned line by line. Lines of the prefix are read from ``fd`` only
+    when wanted. Wanted lines are decoded in file order, or, with
     ``newest_of``, newest first until each label has a record, and older
     lines are not decoded. Raises :class:`_StaleIndex` when a decoded
-    indexed line does not start just after a ``\\n`` or does not pass the
-    checks or keys its entry claims.
+    indexed line does not start just after a ``\\n``, end at one, or pass
+    the checks or have the keys its entry claims.
     """
-    size = index.covered if data is None else len(data)
-    result = HistoryLoad(skipped=index.skipped)
-    grown = _LineIndex(
-        size if data is None else data.rfind(b"\n") + 1, index.skipped, list(index.lines)
-    )
-
-    def read(start: int, stop: int) -> bytes:
-        """Bytes ``start`` to ``stop`` of the file."""
-        return os.pread(fd, stop - start, start) if data is None else data[start:stop]
+    covered = index["covered"]
+    result = HistoryLoad(skipped=index["skipped"])
+    grown = dict(index, covered=covered + tail.rfind(b"\n") + 1, lines=list(index["lines"]))
 
     def wanted(host_label: str, label: str) -> bool:
         return (host_filter is None or host_label == host_filter) and (
             newest_of is None or label in newest_of
         )
 
-    def decode(start: int, stop: int, host_label: str, label: str, parsed=None) -> bool:
-        """Add the record of a wanted line, or count the line as skipped.
+    def payload(start: int, stop: int, keys: tuple[str, str]):
+        """The parsed line from file offset ``start`` to ``stop``, whose keys are ``keys``.
 
-        ``parsed`` is the payload and keys of a line just scanned. Any other
-        line is read here: it must follow a ``\\n``, end at a ``\\n`` before
-        ``stop`` or at the end of the file, and have the labels noted for
-        it, which for an indexed line are its entry's.
+        A line of ``tail`` was checked when it was scanned. An indexed line
+        is read with ``pread`` up to ``stop``, the next entry's offset: it
+        must follow a ``\\n``, end at one and have the keys of its entry.
         """
-        if parsed is None:
-            before = max(start - 1, 0)
-            chunk = read(before, stop)
-            end = chunk.find(b"\n", start - before)
-            if (start and chunk[:1] != b"\n") or (end < 0 and stop < size):
-                raise _StaleIndex(start)
-            try:
-                payload = _parse_line(chunk[start - before : end if end >= 0 else None])
-                keys = _line_keys(payload)
-            except _CORRUPT as exc:
-                raise _StaleIndex(start) from exc
-            if keys != (host_label, label):
-                raise _StaleIndex(start)
-            parsed = payload, keys
+        if start >= covered:
+            return _parse_line(tail[start - covered : stop - covered])
+        before = max(start - 1, 0)
+        chunk = os.pread(fd, stop - before, before)
+        end = chunk.find(b"\n", start - before)
+        if (start and chunk[:1] != b"\n") or end < 0:
+            raise _StaleIndex(start)
         try:
-            result.records.append(_record_from_payload(*parsed))
+            parsed = _parse_line(chunk[start - before : end])
+            if _line_keys(parsed) == keys:
+                return parsed
+        except _CORRUPT as exc:
+            raise _StaleIndex(start) from exc
+        raise _StaleIndex(start)
+
+    def decode(parsed, keys: tuple[str, str]) -> bool:
+        """Add the record of a wanted line, or count the line as skipped."""
+        try:
+            result.records.append(_record_from_payload(parsed, keys))
         except _CORRUPT:
             result.skipped += 1
             return False
         return True
 
     # With ``newest_of``, the wanted lines are only noted here, as
-    # ``(start, stop, host_label, label)``, and decoded newest first below.
-    # An indexed line is read up to the next entry's offset.
+    # ``(start, stop, keys)``, and decoded newest first below.
     noted = []
-    lines = index.lines
-    for at, (start, host_label, label) in enumerate(lines):
-        if wanted(host_label, label):
-            stop = lines[at + 1][0] if at + 1 < len(lines) else index.covered
+    entries = index["lines"]
+    for at, (start, host_label, label) in enumerate(entries):
+        keys = host_label, label
+        if wanted(*keys):
+            stop = entries[at + 1][0] if at + 1 < len(entries) else covered
             if newest_of is None:
-                decode(start, stop, host_label, label)
+                decode(payload(start, stop, keys), keys)
             else:
-                noted.append((start, stop, host_label, label))
-    for start, end in _line_spans(data or b"", index.covered):  # none on a trusted read
-        complete = end < grown.covered  # a final line with no b"\n" may still grow
+                noted.append((start, stop, keys))
+    stop = 0
+    while stop < len(tail):
+        start, stop = stop, tail.find(b"\n", stop) + 1 or len(tail)
+        complete = covered + stop <= grown["covered"]  # a final line with no b"\n" may still grow
         try:
-            payload = _parse_line(data[start:end])
-            if payload is None:
+            parsed = _parse_line(tail[start:stop])
+            if parsed is None:
                 continue
-            keys = _line_keys(payload)
+            keys = _line_keys(parsed)
         except _CORRUPT:
             result.skipped += 1
-            grown.skipped += complete
+            grown["skipped"] += complete
             continue
         if complete:
-            grown.lines.append([start, *keys])
+            grown["lines"].append([covered + start, *keys])
         if wanted(*keys):
             if newest_of is None:
-                decode(start, end + 1, *keys, (payload, keys))
+                decode(parsed, keys)
             else:
-                noted.append((start, end + 1, *keys))
+                noted.append((covered + start, covered + stop, keys))
     if newest_of is not None:
         done = set()
-        for start, stop, host_label, label in reversed(noted):
-            if label not in done and decode(start, stop, host_label, label):
-                done.add(label)
+        for start, stop, keys in reversed(noted):
+            if keys[1] not in done and decode(payload(start, stop, keys), keys):
+                done.add(keys[1])
         result.records.reverse()
     return result, grown
 
@@ -446,7 +398,8 @@ def load_history(
     began = time.time_ns()  # before the fstat and the read: see _SETTLE_NS
     try:
         with open(path, "rb") as handle:
-            info = os.fstat(handle.fileno())
+            fd = handle.fileno()
+            info = os.fstat(fd)
             # The index sits next to a regular file named as such. A pipe or
             # device keeps no prefix between reads, and a symlink
             # (``/dev/stdin`` too) would put it in a directory the command
@@ -454,34 +407,49 @@ def load_history(
             index_path = None
             if filtered and stat.S_ISREG(info.st_mode) and not path.is_symlink():
                 index_path = path.with_name(path.name + ".idx")
-            index = (index_path and _read_index(index_path, info)) or _LineIndex()
+            unindexed = {
+                "format": _INDEX_FORMAT,
+                "schema_version": SCHEMA_VERSION,
+                "identity": None,
+                "sha256": None,
+                "covered": 0,
+                "skipped": 0,
+                "lines": [],
+            }
+            index = (index_path and _read_index(index_path, info)) or unindexed
             # An index of this very file, unchanged since it settled, is
             # trusted: the history is neither read whole nor hashed.
-            trusted = index.identity == _identity(info) and index.covered == info.st_size
-            data = None if trusted else handle.read()
+            trusted = index["identity"] == _identity(info) and index["covered"] == info.st_size
             digest = None
-            if not trusted and index.covered:
+            if index["covered"] and not trusted:
                 digest = _new_digest()
-                digest.update(memoryview(data)[: index.covered])
-                if digest.hexdigest() != index.sha256:
-                    index, digest = _LineIndex(), None
+                digest.update(os.pread(fd, index["covered"], 0))
+                if digest.hexdigest() != index["sha256"]:
+                    index, digest = unindexed, None
+            if index["covered"]:
+                # Only the bytes after the indexed prefix are scanned, up to
+                # the size fstat found. A read falls short of it past 2 GiB,
+                # or if the file was cut since.
+                tail = os.pread(fd, info.st_size - index["covered"], index["covered"])
+                if len(tail) < info.st_size - index["covered"]:
+                    index, digest = unindexed, None
+            if not index["covered"]:
+                tail = handle.read()
             try:
-                result, grown = _scan(data, handle.fileno(), index, host_filter, newest_of)
+                result, grown = _scan(tail, fd, index, host_filter, newest_of)
             except _StaleIndex:
-                if data is None:
-                    data = handle.read()
-                index, digest, trusted = _LineIndex(), None, False
-                result, grown = _scan(data, handle.fileno(), index, host_filter, newest_of)
+                index, digest, trusted, tail = unindexed, None, False, handle.read()
+                result, grown = _scan(tail, fd, index, host_filter, newest_of)
     except OSError as exc:
         raise StoreError("IO_FAILURE", f"cannot read {path}: {exc}") from exc
 
     # Only a file that the scan covers to its end, last changed more than
     # _SETTLE_NS before the read began, gets its identity recorded; a read
     # that finds the file so settled since the index was written rewrites it.
-    settled = 0 < grown.covered == info.st_size and began - info.st_ctime_ns > _SETTLE_NS
-    if index_path and (grown.covered > index.covered or (settled and not trusted)):
-        grown.identity = _identity(info) if settled else None
-        _write_index(
-            index_path, data, index, grown, digest, stat.S_IMODE(info.st_mode) & 0o666
-        )
+    covered = index["covered"]
+    settled = 0 < grown["covered"] == info.st_size and began - info.st_ctime_ns > _SETTLE_NS
+    if index_path and (grown["covered"] > covered or (settled and not trusted)):
+        grown["identity"] = _identity(info) if settled else None
+        added = memoryview(tail)[: grown["covered"] - covered]
+        _write_index(index_path, grown, digest, added, stat.S_IMODE(info.st_mode) & 0o666)
     return result

@@ -169,7 +169,6 @@ def test_three_level_trend_directions(three_levels):
     assert trends.directions[ToolKind.AIDE] is Trend.DOWN
     assert trends.directions[ToolKind.TRIPWIRE] is Trend.DOWN
     assert trends.composite_direction is Trend.UP
-    assert trends.labels == ("baseline", "partial", "full")
 
 
 def test_identical_assessments_are_flat():

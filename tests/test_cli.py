@@ -1407,6 +1407,21 @@ def test_deeply_nested_manifest_or_weights_exits_2(capsys, data_dir, tmp_path, o
     assert result == (2, "", f"error[{code}]: {deep}: nested too deeply\n")
 
 
+def test_manifest_nested_50000_deep_exits_2_in_a_real_process(tmp_path):
+    # A whole process, so that a crash below Python (libyaml's C parser dies
+    # of SIGSEGV at this depth) shows as a signal, not as a test error.
+    deep = tmp_path / "deep.yaml"
+    deep.write_text("label: " + "[" * 50_000 + "]" * 50_000 + "\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(auditscore.__file__).parents[1]))
+    env.pop("AUDITSCORE_CONFIG", None)
+    completed = subprocess.run(
+        [sys.executable, "-m", "auditscore.cli", "score", "--manifest", str(deep)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (completed.returncode, completed.stdout) == (2, "")
+    assert completed.stderr == f"error[MANIFEST_INVALID]: {deep}: nested too deeply\n"
+
+
 @pytest.mark.parametrize(
     "option, text, where",
     [

@@ -254,8 +254,8 @@ def _contract_cases():
         (ToolSpec, ("X", len, "x {output}", "x.txt", len, str, list, frozenset({0}), "x", "db"),
          ["display_name", "parse", "command", "output_name", "normalize", "summary", "details",
           "exit_codes", ("init_command", None), ("database", None)], True, True),
-        (TrendTable, (("a", "b"), {}, {}, (1.0, 2.0), Trend.UP),
-         ["labels", "per_tool", "directions", "composite", "composite_direction"], True, False),
+        (TrendTable, ({}, {}, (1.0, 2.0), Trend.UP),
+         ["per_tool", "directions", "composite", "composite_direction"], True, False),
         (ParseDiagnostics, (["w"], ["t"], {"notchecked": 1}),
          [("warnings", []), ("trace", []), ("excluded_results", {})], False, False),
     ]

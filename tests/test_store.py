@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import io
 import json
 import os
 import stat
@@ -524,6 +525,10 @@ def _claim_a_skipped_line(stored, data):
             return
 
 
+def _drop_identity(stored, data):
+    del stored["identity"]
+
+
 def _point_inside_a_line(stored, data):
     # An entry, with its keys, for the valid record after the "\r" of the
     # "inner-cr" line, which no reader may take for a line of its own.
@@ -545,6 +550,7 @@ _EDITS = {
     "forged-inner": (_point_inside_a_line, True),
     "forged-duplicate": (_duplicate_entry, True),
     "forged-corrupt": (_claim_a_skipped_line, True),
+    "forged-no-identity": (_drop_identity, True),
     "tampered": (_count_one_more, False),
 }
 _DAMAGE = (*_BAD_INDEXES, *_EDITS, "stale", "other-file", "other-schema", "directory", "fifo",
@@ -788,6 +794,123 @@ def test_reader_that_cannot_write_the_index_hashes_nothing(tmp_path):
     ):
         assert len(load_history(path, host_filter="node-0").records) == 2
     assert not (tmp_path / "history.jsonl.idx").exists()
+
+
+def _labelled_history(tmp_path):
+    """Labels baseline, partial and full on alpha and beta, then a torn line."""
+    path = tmp_path / "history.jsonl"
+    for label in ("baseline", "partial", "full"):
+        for host in ("alpha", "beta"):
+            append_record(path, _record(label=label, host=host))
+    with open(path, "a") as handle:
+        handle.write("{torn\n")
+    return path
+
+
+def _settle(path, monkeypatch):
+    """Lower the settle constant, then wait until ``path`` has settled for it."""
+    monkeypatch.setattr(store, "_SETTLE_NS", _SETTLE_NS)
+    while time.time_ns() - path.stat().st_ctime_ns <= _SETTLE_NS:
+        time.sleep(_SETTLE_NS / 4e9)
+
+
+def test_format_3_index_in_the_earlier_key_order_is_trusted_and_written_alike(
+    tmp_path, monkeypatch
+):
+    path = _labelled_history(tmp_path)
+    _settle(path, monkeypatch)
+    data = path.read_bytes()
+    lines, skipped, offset = [], 0, 0
+    for line in data.split(b"\n")[:-1]:
+        try:
+            payload = json.loads(line)
+            lines.append([offset, payload["host_label"], payload["assessment"]["label"]])
+        except ValueError:
+            skipped += 1
+        offset += len(line) + 1
+    # Written field by field, in the order format 3 has always had.
+    body = json.dumps(
+        {
+            "format": 3,
+            "schema_version": 1,
+            "identity": store._identity(path.stat()),
+            "sha256": hashlib.sha256(data).hexdigest(),
+            "covered": len(data),
+            "skipped": skipped,
+            "lines": lines,
+        },
+        separators=(",", ":"),
+    ).encode()
+    index = tmp_path / "history.jsonl.idx"
+    index.write_bytes(_checksum(body) + b"\n" + body)
+    with mock.patch.object(store, "_new_digest", side_effect=AssertionError("hashed")):
+        for host_filter, newest_of in _READS[1:]:
+            loaded = load_history(path, host_filter=host_filter, newest_of=newest_of)
+            assert loaded == _plain_load(path, host_filter, newest_of)
+    assert index.read_bytes() == _checksum(body) + b"\n" + body
+    # The index a read writes for the same file is that same index.
+    index.unlink()
+    load_history(path, host_filter="alpha")
+    assert index.read_bytes() == _checksum(body) + b"\n" + body
+    assert store._read_index(index, path.stat()) == json.loads(body)
+
+
+@pytest.mark.parametrize(
+    "host_filter, newest_of, parses",
+    [("alpha", None, 4), (None, {"baseline", "full"}, 3), ("beta", {"partial", "full"}, 3)],
+    ids=["host", "newest", "host-newest"],
+)
+def test_filtered_read_after_an_append_parses_only_the_new_line_and_the_kept_ones(
+    tmp_path, monkeypatch, host_filter, newest_of, parses
+):
+    path = _labelled_history(tmp_path)
+    _settle(path, monkeypatch)
+    load_history(path, host_filter="alpha")  # an index that records the identity
+    append_record(path, _record(label="full", host="alpha", values=(60, 70, 80, 80, 60, 10)))
+    appended = path.read_bytes().splitlines()[-1]
+    expected = _plain_load(path, host_filter, newest_of)
+    parsed = []
+    parse = store._parse_line
+
+    def counting(line):
+        parsed.append(bytes(line))
+        return parse(line)
+
+    class Unread(io.FileIO):
+        def read(self, size=-1):
+            raise AssertionError("the history was read whole")
+
+    def history_open(file, mode="r", *args, opener=None, **kwargs):
+        return open(file, mode, *args, opener=opener, **kwargs) if opener else Unread(file)
+
+    monkeypatch.setattr(store, "_parse_line", counting)
+    monkeypatch.setattr(store, "open", history_open, raising=False)
+    loaded = load_history(path, host_filter=host_filter, newest_of=newest_of)
+    assert loaded == expected
+    # Besides the new line, which is scanned, only the lines of the records
+    # kept are parsed: an in-order read decodes the new line from its scan,
+    # a newest-first one parses it again if it keeps it.
+    kept = {record_to_json(record).encode() for record in loaded.records}
+    assert {line.rstrip(b"\n") for line in parsed} == kept | {appended}
+    assert len(parsed) == parses
+
+
+def test_tail_that_one_pread_cannot_return_is_read_whole(tmp_path, monkeypatch):
+    # One pread returns at most 0x7ffff000 bytes on Linux; a cap of 100 on
+    # the read of the tail stands in for a tail that long.
+    path = _labelled_history(tmp_path)
+    load_history(path, host_filter="alpha")
+    covered = path.stat().st_size
+    append_record(path, _record(label="full", host="alpha", values=(60, 70, 80, 80, 60, 10)))
+    pread = os.pread
+
+    def capped(fd, size, offset):
+        return pread(fd, min(size, 100) if offset == covered else size, offset)
+
+    monkeypatch.setattr(store.os, "pread", capped)
+    for host_filter, newest_of in (("alpha", None), (None, {"full"})):
+        loaded = load_history(path, host_filter=host_filter, newest_of=newest_of)
+        assert loaded == _plain_load(path, host_filter, newest_of)
 
 
 @pytest.mark.skipif(os.geteuid() != 0, reason="giving a file to another user needs root")
