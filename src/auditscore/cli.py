@@ -84,7 +84,9 @@ def _flush_stdout() -> None:
 
 
 def _read_text(path: Path) -> str:
-    return path.read_text(encoding="utf-8", errors="replace")
+    # Decoded from the bytes, untranslated: a lone ``\r`` is a character of
+    # its line, as it is to the parsers.
+    return path.read_bytes().decode("utf-8", errors="replace")
 
 
 def _score_report(

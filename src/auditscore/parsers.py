@@ -13,6 +13,15 @@ every extracted number is traced to its source line or element in
 ``diagnostics.trace`` so reports stay auditable at debug verbosity; the
 CLI asks for the notes only under ``--verbose``, since a large XCCDF
 result carries one per rule. Warnings are always kept.
+
+Without notes, a plain XCCDF result is tallied by one flat scan of its
+text, with no element tree: a document with no DOCTYPE, comment, CDATA
+section or processing instruction (a leading XML declaration is fine),
+``rule-result`` and ``TestResult`` only as unprefixed elements, at most one
+``TestResult`` and no rule-result before it, each rule-result's first child
+a bare ``<result>`` holding a known value, and that expat accepts. Any
+other document is read through the tree, and the counts, warnings and
+errors are the same on both paths.
 """
 
 from __future__ import annotations
@@ -173,6 +182,58 @@ def _xml_root(text: str, source: str) -> ET.Element:
         raise ParseError("MALFORMED_XML", str(exc), source) from None
 
 
+# A doctype, comment, CDATA section or processing instruction: markup that
+# may hide tags or make them, which the plain scan never reads past.
+_MARKUP_DECLARATION = re.compile(r"<[!?]")
+# A plain document's rule-results, each with ``<result>`` as its first child tag.
+_PLAIN_RESULT = re.compile(r"<rule-result[\s>][^<]*<result>([^<]*)<")
+
+
+def _plain_values(text: str) -> list[str] | None:
+    """The stripped ``result`` values the tree walk of :func:`parse_xccdf`
+    would score, read without building a tree, or ``None`` unless the text
+    shows they are the same and need neither a warning nor a note.
+
+    Sound because ``<`` never appears raw in character data or attribute
+    values (XML 1.0 sections 2.4 and 3.1): with no ``<!`` and no ``<?``
+    beyond a leading declaration free of ``<``, every ``<`` opens a tag. If
+    ``rule-result`` occurs only in ``<rule-result``…``</rule-result>`` pairs
+    and ``TestResult`` at most once as a pair starting before the first
+    rule-result, every rule-result element is scored and none is prefixed
+    or self-closing; one match per end tag means each one's first child
+    tag is a bare ``<result>``, whose text runs to the next ``<``. A known
+    value has no ``&``, so entities and line-end normalization cannot change
+    it once stripped. Last, expat must accept the document as ET would.
+    """
+    head = text.find("?>") if text.startswith("<?") else 0  # a leading declaration
+    if (
+        text.startswith("<!")
+        or text.find("<", 1, head) != -1
+        or _MARKUP_DECLARATION.search(text, 1)
+    ):
+        return None
+    rule_results = text.count("</rule-result>")
+    if text.count("rule-result") != 2 * rule_results:
+        return None
+    test_result = text.count("TestResult")
+    if test_result and not (
+        test_result == 2
+        and "</TestResult>" in text
+        and -1 < text.find("<TestResult") < text.find("<rule-result")
+    ):
+        return None
+    values = [value.strip() for value in _PLAIN_RESULT.findall(text)]
+    if not values or len(values) != rule_results or not _XCCDF_KNOWN.issuperset(values):
+        return None
+    import xml.parsers.expat  # the tree's parser, without the tree
+
+    try:
+        xml.parsers.expat.ParserCreate(namespace_separator="}").Parse(text, True)
+    except (xml.parsers.expat.ExpatError, UnicodeEncodeError):
+        return None  # the tree walk raises it, in ET's words
+    return values
+
+
 def parse_xccdf(
     result_xml: str, profile: ScapProfile, source: str = "<string>", *, trace: bool = True
 ) -> tuple[ScapReport, ParseDiagnostics]:
@@ -184,35 +245,40 @@ def parse_xccdf(
     the diagnostics, since excluded rules never enter the evaluated
     denominator. A document with several ``TestResult`` elements is
     scored by the last in document order, with a warning naming how many
-    were ignored. Namespace-agnostic: any XCCDF version parses.
+    were ignored. Namespace-agnostic: any XCCDF version parses. With
+    ``trace=False`` a plain document (module docstring) is tallied from its
+    text without building a tree, with the same result.
     """
     diagnostics = ParseDiagnostics()
-    root = _xml_root(result_xml, source)
-    # Real results run to tens of thousands of rules but a few dozen
-    # distinct tags, so each tag is split once.
-    names = _LocalNames()
-    rule_results, test_results = [], 0
-    for element in root.iter():  # document order: each TestResult starts afresh
-        name = names[element.tag]
-        if name == "rule-result":
-            rule_results.append(element)
-        elif name == "TestResult":
-            rule_results, test_results = [], test_results + 1
-    if test_results > 1:
-        diagnostics.warn(
-            f"document contains {test_results} TestResult elements; scoring the last, "
-            f"{test_results - 1} ignored"
-        )
-    if not rule_results:
-        raise ParseError("NO_TEST_RESULT", "document contains no rule-result elements", source)
-    values = []  # per rule-result: its first direct ``result`` child's text, stripped
-    for element in rule_results:
-        for child in element:
-            if names[child.tag] == "result":
-                values.append((child.text or "").strip())
-                break
-        else:
-            values.append("")
+    values = None if trace else _plain_values(result_xml)
+    rule_results: list[ET.Element] = []  # the tree's; only they are warned of or noted
+    if values is None:
+        root = _xml_root(result_xml, source)
+        # Real results run to tens of thousands of rules but a few dozen
+        # distinct tags, so each tag is split once.
+        names = _LocalNames()
+        test_results = 0
+        for element in root.iter():  # document order: each TestResult starts afresh
+            name = names[element.tag]
+            if name == "rule-result":
+                rule_results.append(element)
+            elif name == "TestResult":
+                rule_results, test_results = [], test_results + 1
+        if test_results > 1:
+            diagnostics.warn(
+                f"document contains {test_results} TestResult elements; scoring the last, "
+                f"{test_results - 1} ignored"
+            )
+        if not rule_results:
+            raise ParseError("NO_TEST_RESULT", "document contains no rule-result elements", source)
+        values = []  # per rule-result: its first direct ``result`` child's text, stripped
+        for element in rule_results:
+            for child in element:
+                if names[child.tag] == "result":
+                    values.append((child.text or "").strip())
+                    break
+            else:
+                values.append("")
     tally = Counter(values)
     if not tally.keys() <= _XCCDF_KNOWN:  # a blank or unknown value: warn of each
         for element, value in zip(rule_results, values):

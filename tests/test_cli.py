@@ -15,11 +15,11 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 
 import auditscore
-from auditscore import cli, store
+from auditscore import cli, parsers, store
 from auditscore.cli import build_parser, load_manifest, main
-from auditscore.errors import ValidationError
-from auditscore.model import ScapProfile, ScapReport, ToolKind
-from auditscore.parsers import ParseDiagnostics
+from auditscore.errors import ParseError, ValidationError
+from auditscore.model import ScapProfile, ScapReport, ToolKind, raw_report_to_dict
+from auditscore.parsers import ParseDiagnostics, parse_aide, parse_lynis
 from auditscore.reportgen import render_xccdf
 from auditscore.store import load_history
 
@@ -149,6 +149,33 @@ def test_parse_integrity_count_error_names_its_line(capsys, tmp_path, tool, text
     code, out, err = run_cli(capsys, "parse", "--tool", tool, str(report))
     assert (code, out) == (2, "")
     assert err.startswith(f"error[VALUE_NOT_INTEGER] {report}:{line}: ")
+
+
+@pytest.mark.parametrize(
+    "tool, parse, data",
+    [
+        ("lynis", parse_lynis, b"hardening_index=5\r7\n"),
+        ("aide", parse_aide, b"Added entries: 1\nNote\rRemoved entries: 9\nChanged entries: 2\n"),
+    ],
+    ids=["lynis", "aide"],
+)
+def test_parse_reads_a_lone_carriage_return_as_the_library_does(
+    capsys, tmp_path, tool, parse, data
+):
+    # A lone \r is a character of its line: lynis reads '5\r7', which is no
+    # count, and AIDE finds no 'Removed entries' line.
+    report = tmp_path / "report.txt"
+    report.write_bytes(data)
+    code, out, err = run_cli(capsys, "parse", "--tool", tool, str(report), "--json")
+    try:
+        raw, diagnostics = parse(data.decode(), str(report))
+    except ParseError as exc:
+        assert exc.code == "VALUE_NOT_INTEGER"
+        assert (code, out, err) == (2, "", f"error[{exc.code}] {exc.location()}: {exc}\n")
+    else:
+        assert raw_report_to_dict(raw)["removed"] == 0
+        assert (code, json.loads(out)["raw"]) == (0, raw_report_to_dict(raw))
+        assert err == "".join(f"warning: {report}: {warning}\n" for warning in diagnostics.warnings)
 
 
 _PORT_OUT_OF_RANGE = (
@@ -927,6 +954,33 @@ def test_parse_builds_trace_notes_only_under_verbose(capsys, data_dir, monkeypat
     raw = json.loads(out)["raw"]
     # One note per scored rule and one for the tally of excluded results.
     assert len(notes) == (raw["pass_count"] + raw["fail_count"] + 1 if verbose else 0)
+
+
+def _large_xccdf(tmp_path):
+    report = tmp_path / "cis.xml"
+    report.write_text(render_xccdf(ScapReport(ScapProfile.CIS, 15000, 5000)))
+    return report
+
+
+@pytest.mark.parametrize(
+    "report, verbose, trees",
+    [
+        ("oscap-cis-baseline.xml", False, 0),
+        ("20,000 rules", False, 0),
+        ("oscap-cis-baseline.xml", True, 1),
+        ("20,000 rules", True, 1),
+        ("oscap-warnings.xml", False, 1),
+    ],
+)
+def test_parse_builds_an_xccdf_tree_only_to_trace_or_warn(
+    capsys, data_dir, tmp_path, report, verbose, trees
+):
+    # A plain result is tallied by a flat scan; notes and warnings need the tree.
+    path = _large_xccdf(tmp_path) if report == "20,000 rules" else data_dir / report
+    argv = ["parse", "--tool", "openscap-cis", str(path)] + (["--verbose"] if verbose else [])
+    with mock.patch.object(parsers, "_xml_root", wraps=parsers._xml_root) as built:
+        code, _, _ = run_cli(capsys, *argv)
+    assert (code, built.call_count) == (0, trees)
 
 
 def _run_with_stdout(stdout, *argv):
@@ -1734,11 +1788,12 @@ def test_cli_import_loads_the_layers_and_defers_what_few_commands_use():
 # ---------------------------------------------------------------------------
 
 
-def test_parse_of_a_large_xccdf_makes_no_collector_pass(capsys, tmp_path):
+@pytest.mark.parametrize("verbose", [False, True], ids=["plain", "verbose"])
+def test_parse_of_a_large_xccdf_makes_no_collector_pass(capsys, tmp_path, verbose):
     # An element tree holds no reference cycles, so every pass over it is
-    # wasted work: the paused collector makes none while the command runs.
-    report = tmp_path / "cis.xml"
-    report.write_text(render_xccdf(ScapReport(ScapProfile.CIS, 15000, 5000)))
+    # wasted work: the paused collector makes none while the command runs,
+    # whether it tallies by the flat scan or, under --verbose, by the tree.
+    report = _large_xccdf(tmp_path)
     passes = []
 
     def count(phase, info):
@@ -1748,7 +1803,10 @@ def test_parse_of_a_large_xccdf_makes_no_collector_pass(capsys, tmp_path):
     gc.collect()
     gc.callbacks.append(count)
     try:
-        code = main(["parse", "--tool", "openscap-cis", str(report), "--json"])
+        code = main(
+            ["parse", "--tool", "openscap-cis", str(report), "--json"]
+            + (["--verbose"] if verbose else [])
+        )
     finally:
         gc.callbacks.remove(count)
     capsys.readouterr()
