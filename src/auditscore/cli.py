@@ -85,8 +85,8 @@ def _flush_stdout() -> None:
 
 def _read_text(path: Path) -> str:
     # Decoded from the bytes, untranslated: a lone ``\r`` is a character of
-    # its line, as it is to the parsers.
-    return path.read_bytes().decode("utf-8", errors="replace")
+    # its line, as it is to the parsers. A leading byte order mark is not report text.
+    return path.read_bytes().decode("utf-8-sig", errors="replace")
 
 
 def _score_report(

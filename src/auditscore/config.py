@@ -19,7 +19,15 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
 from .errors import ValidationError
-from .model import PENALTY_FIELDS, Frozen, Severity, ToolKind, WeightProfile
+from .model import (
+    DEFAULT_SEVERITY_WEIGHTS,
+    DEFAULT_TOOL_WEIGHTS,
+    PENALTY_FIELDS,
+    Frozen,
+    Severity,
+    ToolKind,
+    WeightProfile,
+)
 from .runner import ToolInvocation
 from .scoring import TOOLS
 
@@ -136,18 +144,18 @@ def weights_from_mapping(data: Any, context: str = "weights") -> WeightProfile:
     """Build a profile from a config mapping; defaults fill gaps."""
     data = _require_mapping(data, context)
     _reject_unknown(data, {"tool_weights", "severity_weights", *PENALTY_FIELDS}, context)
-    defaults = WeightProfile()
-    tool_weights = dict(defaults.tool_weights)
+    tool_weights = dict(DEFAULT_TOOL_WEIGHTS)
     section = _require_mapping(data.get("tool_weights", {}), f"{context}.tool_weights")
     for tool, name, value in _entries(section, _tool_by_name, context):
         tool_weights[tool] = _number(value, float, f"{context}.tool_weights.{name}")
-    severity_weights = dict(defaults.severity_weights)
+    severity_weights = dict(DEFAULT_SEVERITY_WEIGHTS)
     section = _require_mapping(data.get("severity_weights", {}), f"{context}.severity_weights")
     for severity, name, value in _entries(section, _severity_by_name, context):
         severity_weights[severity] = _number(value, float, f"{context}.severity_weights.{name}")
     penalties = {
-        name: _number(data.get(name, getattr(defaults, name)), float, f"{context}.{name}")
+        name: _number(data[name], float, f"{context}.{name}")
         for name in PENALTY_FIELDS
+        if name in data
     }
     return WeightProfile(tool_weights, severity_weights, **penalties)
 
@@ -216,70 +224,60 @@ def _load_yaml(path: Path) -> Any:
         raise _invalid(f"{path}: nested too deeply") from None
 
 
+def _check(tool: ToolKind, entry: Any, output_dir: Path, context: str) -> ToolInvocation:
+    """``tool``'s check invocation: its ``runner.tools`` entry over its
+    defaults in ``TOOLS``; the default timeout is ``ToolInvocation``'s."""
+    entry = _require_mapping(entry, context)
+    _reject_unknown(entry, {"command", "timeout", "exit_codes", "output"}, context)
+    spec = TOOLS[tool]
+    exit_codes = entry.get("exit_codes", spec.exit_codes)
+    if not isinstance(exit_codes, (list, frozenset)):
+        raise _invalid(f"{context}.exit_codes must be a list")
+    timeout = [_number(entry["timeout"], float, f"{context}.timeout")] if "timeout" in entry else []
+    command = _text(entry.get("command", spec.command), f"{context}.command")
+    output = output_dir / _text(entry.get("output", spec.output_name), f"{context}.output")
+    codes = frozenset(_number(code, int, f"{context}.exit_codes") for code in exit_codes)
+    try:  # ``ToolInvocation`` checks the timeout's range
+        return ToolInvocation(tool, command, output, *timeout, exit_code_policy=codes)
+    except ValidationError as exc:
+        raise _invalid(f"{context}: {exc}") from None
+
+
 def _runner_from_mapping(data: Any) -> tuple[Mapping, Mapping, Mapping]:
-    """``AppConfig``'s ``checks``, ``inits`` and ``substitutions``."""
+    """``AppConfig``'s ``checks``, ``inits`` and ``substitutions``. Entries are
+    checked in the order of the file, ``tools`` first: the first bad one is named."""
     data = _require_mapping(data, "runner")
     _reject_unknown(data, {"output_dir", "target", "datastream", "tools", "init"}, "runner")
     output_dir = Path(_text(data.get("output_dir", DEFAULT_OUTPUT_DIR), "runner.output_dir"))
+    section = _require_mapping(data.get("tools", {}), "runner.tools")
     checks = {
-        tool: ToolInvocation(
-            tool, spec.command, output_dir / spec.output_name, exit_code_policy=spec.exit_codes
-        )
-        for tool, spec in TOOLS.items()
+        tool: _check(tool, entry, output_dir, f"runner.tools.{name}")
+        for tool, name, entry in _entries(section, _tool_by_name, "runner.tools")
     }
-    tools = _require_mapping(data.get("tools", {}), "runner.tools")
-    for tool, name, entry in _entries(tools, _tool_by_name, "runner.tools"):
-        context = f"runner.tools.{name}"
-        entry = _require_mapping(entry, context)
-        _reject_unknown(entry, {"command", "timeout", "exit_codes", "output"}, context)
-        base = checks[tool]
-        exit_codes = entry.get("exit_codes", base.exit_code_policy)
-        if not isinstance(exit_codes, (list, frozenset)):
-            raise _invalid(f"{context}.exit_codes must be a list")
-        timeout = _number(entry.get("timeout", base.timeout), float, f"{context}.timeout")
-        try:  # ``ToolInvocation`` checks the range
-            base = base.replace(timeout=timeout)
-        except ValidationError as exc:
-            raise _invalid(f"{context}: {exc}") from None
-        checks[tool] = ToolInvocation(
-            tool,
-            _text(entry.get("command", base.command_template), f"{context}.command"),
-            output_dir / _text(entry["output"], f"{context}.output")
-            if "output" in entry
-            else base.output_path,
-            base.timeout,
-            frozenset(_number(code, int, f"{context}.exit_codes") for code in exit_codes),
-        )
-    # An init logs next to the reports, accepts only exit 0 and gets the
-    # time its check command gets.
+    checks = {tool: checks.get(tool) or _check(tool, {}, output_dir, "") for tool in TOOLS}
     hostname = os.uname().nodename
-    inits = {
-        tool: (
-            ToolInvocation(
-                tool,
-                spec.init_command,
-                output_dir / f"{tool.value}-init.log",
-                checks[tool].timeout,
-                frozenset({0}),
-            ),
-            Path(spec.database.format(hostname=hostname)),
-        )
+    init = {
+        tool: {"command": spec.init_command, "database": spec.database.format(hostname=hostname)}
         for tool, spec in TOOLS.items()
         if spec.init_command
     }
-    init = _require_mapping(data.get("init", {}), "runner.init")
-    for tool, name, entry in _entries(init, _tool_by_name, "runner.init"):
+    section = _require_mapping(data.get("init", {}), "runner.init")
+    for tool, name, entry in _entries(section, _tool_by_name, "runner.init"):
         context = f"runner.init.{name}"
-        if tool not in inits:
+        if tool not in init:
             raise _invalid(f"{context}: {tool.value} has no integrity database")
         entry = _require_mapping(entry, context)
         _reject_unknown(entry, {"command", "database"}, context)
-        invocation, database = inits[tool]
-        command = _text(entry.get("command", invocation.command_template), f"{context}.command")
-        inits[tool] = (
-            invocation.replace(command_template=command),
-            Path(_text(entry.get("database", database), f"{context}.database")),
-        )
+        for key in ("command", "database"):
+            if key in entry:
+                init[tool][key] = _text(entry[key], f"{context}.{key}")
+    # An init logs next to the reports, accepts only exit 0 and gets the
+    # time its check command gets.
+    inits = {}
+    for tool, entry in init.items():
+        log = output_dir / f"{tool.value}-init.log"
+        invocation = ToolInvocation(tool, entry["command"], log, checks[tool].timeout)
+        inits[tool] = invocation, Path(entry["database"])
     substitutions = {
         "target": _text(data.get("target", DEFAULT_TARGET), "runner.target"),
         "datastream": _text(data.get("datastream", DEFAULT_DATASTREAM), "runner.datastream"),

@@ -33,7 +33,6 @@ import contextlib
 import json
 import os
 import stat
-import tempfile
 import time
 from pathlib import Path
 from typing import Collection
@@ -243,6 +242,8 @@ def _write_index(index_path: Path, index: dict, digest, added, mode: int) -> Non
     byte is hashed twice in one read. Nothing is hashed or serialized when
     the directory takes no new file.
     """
+    import tempfile  # imported here: only index writes use it, and it loads shutil and random
+
     try:
         handle, temporary = tempfile.mkstemp(dir=index_path.parent, prefix=index_path.name + ".")
     except OSError:

@@ -178,6 +178,42 @@ def test_parse_reads_a_lone_carriage_return_as_the_library_does(
         assert err == "".join(f"warning: {report}: {warning}\n" for warning in diagnostics.warnings)
 
 
+_BOM = b"\xef\xbb\xbf"
+
+
+def test_parse_reads_an_aide_report_after_a_byte_order_mark(capsys, tmp_path):
+    # With the mark left in, line 1's key was not found: 0 added and 100.00.
+    report = tmp_path / "aide-check.txt"
+    report.write_bytes(_BOM + b"Added entries: 3\nRemoved entries: 0\nChanged entries: 1\n")
+    code, out, err = run_cli(capsys, "parse", "--tool", "aide", str(report))
+    assert (code, err) == (0, "")
+    assert "added: 3\n" in out
+    assert "score: 93.98\n" in out
+
+
+def test_parse_reads_a_one_line_lynis_report_after_a_byte_order_mark(capsys, tmp_path):
+    report = tmp_path / "lynis-report.dat"
+    report.write_bytes(_BOM + b"hardening_index=67\n")
+    code, out, err = run_cli(capsys, "parse", "--tool", "lynis", str(report))
+    assert (code, err) == (0, "")
+    assert "hardening_index: 67\n" in out
+
+
+def test_parse_tallies_a_plain_xccdf_result_after_a_byte_order_mark_without_a_tree(
+    capsys, data_dir, tmp_path
+):
+    plain = data_dir / "oscap-cis-baseline.xml"
+    marked = tmp_path / "oscap-cis.xml"
+    marked.write_bytes(_BOM + plain.read_bytes())
+    raws = []
+    for path in (plain, marked):
+        with mock.patch.object(parsers, "_xml_root", wraps=parsers._xml_root) as built:
+            code, out, _ = run_cli(capsys, "parse", "--tool", "openscap-cis", str(path), "--json")
+        assert (code, built.call_count) == (0, 0)
+        raws.append(json.loads(out)["raw"])
+    assert raws[0] == raws[1]
+
+
 _PORT_OUT_OF_RANGE = (
     '<nmaprun><host><ports><port protocol="tcp" portid="70000">'
     '<state state="open"/><service name="http"/>'
@@ -901,6 +937,46 @@ def test_compare_child_on_a_settled_history_never_imports_hashlib(
         [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, timeout=60
     )
     assert completed.stderr.splitlines() == ["0 False"]
+    assert completed.stdout == run_cli(capsys, *argv)[1]
+
+
+# What a trusted history query never needs: hashing, YAML, XML, processes
+# and index writes are for other commands or for a changed history.
+_UNUSED_BY_HISTORY_QUERIES = (
+    "hashlib",
+    "yaml",
+    "xml.etree.ElementTree",
+    "subprocess",
+    "shlex",
+    "concurrent.futures",
+    "tempfile",
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["compare", "a", "b"], ["history", "--host", "h2"], ["report", "a", "b"]],
+    ids=["compare", "history-host", "report"],
+)
+def test_query_child_on_a_settled_history_loads_nothing_it_does_not_use(
+    capsys, monkeypatch, two_host_history, argv
+):
+    _settle(two_host_history, monkeypatch, capsys)
+    # The snapshot is the probe's own: site may load some of these first.
+    probe = (
+        "import sys; before = set(sys.modules); from auditscore.cli import main; "
+        "code = main(sys.argv[1:]); "
+        "print(code, *sorted(set(sys.modules) - before), file=sys.stderr)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(auditscore.__file__).parents[1]))
+    env.pop("AUDITSCORE_CONFIG", None)
+    argv = [*argv, "--history", str(two_host_history)]
+    completed = subprocess.run(
+        [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    code, *loaded = completed.stderr.split()
+    assert code == "0"
+    assert [name for name in _UNUSED_BY_HISTORY_QUERIES if name in loaded] == []
     assert completed.stdout == run_cli(capsys, *argv)[1]
 
 
@@ -1729,8 +1805,9 @@ def test_subcommand_takes_only_the_options_it_reads(capsys, command, option, kep
 # cold start: what importing the CLI loads
 # ---------------------------------------------------------------------------
 
-# Only ``parse``, ``score``, ``run``, ``init-integrity-db`` or a YAML file
-# need these; every history query is a fresh process and would pay for them.
+# Only ``parse``, ``score``, ``run``, ``init-integrity-db``, a YAML file or a
+# line index write need these; every history query is a fresh process and
+# would pay for them.
 # No command needs ``dataclasses`` or the modules it loads.
 _DEFERRED_MODULES = (
     "yaml",
@@ -1738,6 +1815,7 @@ _DEFERRED_MODULES = (
     "shlex",
     "concurrent.futures",
     "xml.etree.ElementTree",
+    "tempfile",
     "socket",
     "dataclasses",
     "inspect",

@@ -789,7 +789,7 @@ def test_index_is_written_with_the_history_mode(tmp_path):
 def test_reader_that_cannot_write_the_index_hashes_nothing(tmp_path):
     path = _history(tmp_path)
     with (
-        mock.patch.object(store.tempfile, "mkstemp", side_effect=PermissionError),
+        mock.patch("tempfile.mkstemp", side_effect=PermissionError),
         mock.patch.object(store, "_new_digest", side_effect=AssertionError("hashed")),
     ):
         assert len(load_history(path, host_filter="node-0").records) == 2
