@@ -117,7 +117,8 @@ def _score_matrix(records: Sequence[HistoryRecord]) -> list[list[str]]:
 
 
 def _markdown_table(rows: list[list[str]]) -> str:
-    header, *body = rows
+    """A GFM table; a ``|`` inside a cell is written ``\\|``, so it splits no cell."""
+    header, *body = [[cell.replace("|", "\\|") for cell in row] for row in rows]
     lines = ["| " + " | ".join(header) + " |"]
     lines.append("| " + " | ".join([":--"] + ["--:"] * (len(header) - 1)) + " |")
     for row in body:

@@ -23,8 +23,8 @@ only when it is decoded, and the history is read whole only without a
 usable index. An index that this module wrote never
 changes a result, and deleting it is always safe; one owned by anyone but
 the reader or the history's owner is ignored.
-Single-writer contract; concurrent readers are fine, cross-process
-locking is out of scope.
+Appends hold an exclusive ``flock`` on the history, so concurrent writers
+append whole lines in turn; readers take no lock.
 """
 
 from __future__ import annotations
@@ -119,22 +119,28 @@ def append_record(path: Path | str, record: HistoryRecord) -> None:
 
     A regular file whose last line has no ``\\n`` (an interrupted write) gets
     one first, so the record does not join that line and get lost with it.
+    An exclusive ``flock`` on a regular file, held from that check through
+    the write and the ``fsync``, orders the appends of concurrent writers.
     """
     try:
         line = record_to_json(record)
     except (TypeError, ValueError) as exc:
         raise StoreError("SERIALIZATION_FAILURE", str(exc)) from exc
     path = Path(path)
+    import fcntl  # imported here: only appends lock, so queries never load it
+
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "a+", encoding="utf-8") as handle:
-            info = os.fstat(handle.fileno())
-            if stat.S_ISREG(info.st_mode) and info.st_size:
-                if os.pread(handle.fileno(), 1, info.st_size - 1) != b"\n":
+            fd = handle.fileno()
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fcntl.flock(fd, fcntl.LOCK_EX)  # released when the file is closed
+                size = os.fstat(fd).st_size
+                if size and os.pread(fd, 1, size - 1) != b"\n":
                     line = "\n" + line
             handle.write(line + "\n")
             handle.flush()
-            os.fsync(handle.fileno())
+            os.fsync(fd)
     except OSError as exc:
         raise StoreError("IO_FAILURE", f"cannot append to {path}: {exc}") from exc
 
@@ -277,9 +283,11 @@ def _scan(
 ) -> tuple[HistoryLoad, dict]:
     """The records a :func:`load_history` query keeps, and the index of the file.
 
-    ``tail`` is the file's bytes after the prefix that ``index`` covers; it
-    is scanned line by line. Lines of the prefix are read from ``fd`` only
-    when wanted. Wanted lines are decoded in file order, or, with
+    ``tail`` is the file's bytes after the prefix that ``index`` covers.
+    One stream yields ``(start, stop, keys, parsed)`` for each wanted line,
+    in file order: an indexed line with ``parsed`` None, to be read from
+    ``fd`` only if it is decoded, and a line of ``tail`` with the payload
+    its scan parsed. Wanted lines are decoded in file order, or, with
     ``newest_of``, newest first until each label has a record, and older
     lines are not decoded. Raises :class:`_StaleIndex` when a decoded
     indexed line does not start just after a ``\\n``, end at one, or pass
@@ -294,30 +302,49 @@ def _scan(
             newest_of is None or label in newest_of
         )
 
-    def payload(start: int, stop: int, keys: tuple[str, str]):
-        """The parsed line from file offset ``start`` to ``stop``, whose keys are ``keys``.
+    def stream():
+        entries = index["lines"]
+        for at, (start, host_label, label) in enumerate(entries):
+            if wanted(host_label, label):
+                stop = entries[at + 1][0] if at + 1 < len(entries) else covered
+                yield start, stop, (host_label, label), None
+        stop = 0
+        while stop < len(tail):
+            start, stop = stop, tail.find(b"\n", stop) + 1 or len(tail)
+            complete = covered + stop <= grown["covered"]  # a final line with no b"\n" may grow
+            try:
+                parsed = _parse_line(tail[start:stop])
+                if parsed is None:
+                    continue
+                keys = _line_keys(parsed)
+            except _CORRUPT:
+                result.skipped += 1
+                grown["skipped"] += complete
+                continue
+            if complete:
+                grown["lines"].append([covered + start, *keys])
+            if wanted(*keys):
+                yield covered + start, covered + stop, keys, parsed
 
-        A line of ``tail`` was checked when it was scanned. An indexed line
-        is read with ``pread`` up to ``stop``, the next entry's offset: it
-        must follow a ``\\n``, end at one and have the keys of its entry.
+    def decode(start: int, stop: int, keys: tuple[str, str], parsed) -> bool:
+        """Add the record of a wanted line, or count the line as skipped.
+
+        An indexed line is read with ``pread`` up to ``stop``, the next
+        entry's offset: it must follow a ``\\n``, end at one and have the
+        keys of its entry.
         """
-        if start >= covered:
-            return _parse_line(tail[start - covered : stop - covered])
-        before = max(start - 1, 0)
-        chunk = os.pread(fd, stop - before, before)
-        end = chunk.find(b"\n", start - before)
-        if (start and chunk[:1] != b"\n") or end < 0:
-            raise _StaleIndex(start)
-        try:
-            parsed = _parse_line(chunk[start - before : end])
-            if _line_keys(parsed) == keys:
-                return parsed
-        except _CORRUPT as exc:
-            raise _StaleIndex(start) from exc
-        raise _StaleIndex(start)
-
-    def decode(parsed, keys: tuple[str, str]) -> bool:
-        """Add the record of a wanted line, or count the line as skipped."""
+        if parsed is None:
+            before = max(start - 1, 0)
+            chunk = os.pread(fd, stop - before, before)
+            end = chunk.find(b"\n", start - before)
+            if (start and chunk[:1] != b"\n") or end < 0:
+                raise _StaleIndex(start)
+            try:
+                parsed = _parse_line(chunk[start - before : end])
+                if _line_keys(parsed) != keys:
+                    raise _StaleIndex(start)
+            except _CORRUPT as exc:
+                raise _StaleIndex(start) from exc
         try:
             result.records.append(_record_from_payload(parsed, keys))
         except _CORRUPT:
@@ -325,42 +352,13 @@ def _scan(
             return False
         return True
 
-    # With ``newest_of``, the wanted lines are only noted here, as
-    # ``(start, stop, keys)``, and decoded newest first below.
-    noted = []
-    entries = index["lines"]
-    for at, (start, host_label, label) in enumerate(entries):
-        keys = host_label, label
-        if wanted(*keys):
-            stop = entries[at + 1][0] if at + 1 < len(entries) else covered
-            if newest_of is None:
-                decode(payload(start, stop, keys), keys)
-            else:
-                noted.append((start, stop, keys))
-    stop = 0
-    while stop < len(tail):
-        start, stop = stop, tail.find(b"\n", stop) + 1 or len(tail)
-        complete = covered + stop <= grown["covered"]  # a final line with no b"\n" may still grow
-        try:
-            parsed = _parse_line(tail[start:stop])
-            if parsed is None:
-                continue
-            keys = _line_keys(parsed)
-        except _CORRUPT:
-            result.skipped += 1
-            grown["skipped"] += complete
-            continue
-        if complete:
-            grown["lines"].append([covered + start, *keys])
-        if wanted(*keys):
-            if newest_of is None:
-                decode(parsed, keys)
-            else:
-                noted.append((covered + start, covered + stop, keys))
-    if newest_of is not None:
+    if newest_of is None:
+        for line in stream():
+            decode(*line)
+    else:
         done = set()
-        for start, stop, keys in reversed(noted):
-            if keys[1] not in done and decode(payload(start, stop, keys), keys):
+        for start, stop, keys, parsed in reversed(list(stream())):
+            if keys[1] not in done and decode(start, stop, keys, parsed):
                 done.add(keys[1])
         result.records.reverse()
     return result, grown

@@ -1,7 +1,9 @@
 import gc
 import io
+import itertools
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -940,9 +942,11 @@ def test_compare_child_on_a_settled_history_never_imports_hashlib(
     assert completed.stdout == run_cli(capsys, *argv)[1]
 
 
-# What a trusted history query never needs: hashing, YAML, XML, processes
-# and index writes are for other commands or for a changed history.
+# What a trusted history query never needs: hashing, YAML, XML, processes,
+# index writes and the append lock are for other commands or for a changed
+# history.
 _UNUSED_BY_HISTORY_QUERIES = (
+    "fcntl",
     "hashlib",
     "yaml",
     "xml.etree.ElementTree",
@@ -951,6 +955,24 @@ _UNUSED_BY_HISTORY_QUERIES = (
     "concurrent.futures",
     "tempfile",
 )
+
+
+def _child(*argv):
+    """Run ``main(argv)`` in a fresh interpreter without ``AUDITSCORE_CONFIG``:
+    its exit code, the modules it loaded and its stdout."""
+    # The snapshot is the probe's own: site may load some of these first.
+    probe = (
+        "import sys; before = set(sys.modules); from auditscore.cli import main; "
+        "code = main(sys.argv[1:]); "
+        "print(code, *sorted(set(sys.modules) - before), file=sys.stderr)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(auditscore.__file__).parents[1]))
+    env.pop("AUDITSCORE_CONFIG", None)
+    completed = subprocess.run(
+        [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    code, *loaded = completed.stderr.splitlines()[-1].split()
+    return code, loaded, completed.stdout
 
 
 @pytest.mark.parametrize(
@@ -962,22 +984,61 @@ def test_query_child_on_a_settled_history_loads_nothing_it_does_not_use(
     capsys, monkeypatch, two_host_history, argv
 ):
     _settle(two_host_history, monkeypatch, capsys)
-    # The snapshot is the probe's own: site may load some of these first.
-    probe = (
-        "import sys; before = set(sys.modules); from auditscore.cli import main; "
-        "code = main(sys.argv[1:]); "
-        "print(code, *sorted(set(sys.modules) - before), file=sys.stderr)"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(auditscore.__file__).parents[1]))
-    env.pop("AUDITSCORE_CONFIG", None)
     argv = [*argv, "--history", str(two_host_history)]
-    completed = subprocess.run(
-        [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, timeout=60
-    )
-    code, *loaded = completed.stderr.split()
+    code, loaded, out = _child(*argv)
     assert code == "0"
     assert [name for name in _UNUSED_BY_HISTORY_QUERIES if name in loaded] == []
-    assert completed.stdout == run_cli(capsys, *argv)[1]
+    assert out == run_cli(capsys, *argv)[1]
+
+
+def test_parse_child_on_a_plain_result_loads_nothing_it_does_not_use():
+    result = str(DATA_DIR / "oscap-cis-baseline.xml")
+    code, loaded, _ = _child("parse", "--tool", "openscap-cis", result)
+    assert code == "0"
+    # A plain XCCDF result is tallied without a tree, and parse reads no YAML.
+    assert [name for name in _UNUSED_BY_HISTORY_QUERIES if name in loaded] == []
+
+
+# Neither scoring a manifest nor appending its record hashes, runs a process
+# or writes an index.
+_UNUSED_BY_SCORE = ("hashlib", "subprocess", "shlex", "concurrent.futures", "tempfile")
+
+
+@pytest.mark.parametrize("save", [False, True], ids=["print", "history"])
+def test_score_child_loads_nothing_it_does_not_use(tmp_path, save):
+    history = tmp_path / "history.jsonl"
+    argv = ["score", "--manifest", str(DATA_DIR / "manifest-baseline.yaml")]
+    code, loaded, _ = _child(*argv, *(["--history", str(history)] if save else []))
+    assert code == "0"
+    assert [name for name in _UNUSED_BY_SCORE if name in loaded] == []
+    assert history.exists() == save
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--tools", "lynis"], ["init-integrity-db", "--tool", "aide"]],
+    ids=["run", "init-integrity-db"],
+)
+def test_runner_child_loads_nothing_it_does_not_use(tmp_path, argv):
+    lynis = _fake_tool(tmp_path, "fake-lynis", 'echo "hardening_index=61" > "$1"\n')
+    init = _fake_tool(tmp_path, "fake-aide-init", 'echo "new baseline written"\n')
+    config = tmp_path / "config.yaml"
+    config.write_text(
+        f"runner:\n"
+        f"  output_dir: {tmp_path / 'reports'}\n"
+        f"  tools:\n"
+        f"    lynis:\n"
+        f"      command: '{lynis} {{output}}'\n"
+        f"  init:\n"
+        f"    aide:\n"
+        f"      command: '{init}'\n"
+        f"      database: {tmp_path / 'aide.db'}\n"
+    )
+    code, loaded, _ = _child(*argv, "--config", str(config))
+    assert code == "0"
+    # One tool runs in this process: no pool, and neither XML nor a digest.
+    unused = ("xml.etree.ElementTree", "hashlib", "concurrent.futures", "tempfile")
+    assert [name for name in unused if name in loaded] == []
 
 
 @pytest.mark.parametrize(
@@ -1406,6 +1467,25 @@ def test_report_keeps_emphasis_marks_in_labels(
     lines = out.splitlines()
     assert header in lines
     assert composite_row in lines
+
+
+def test_report_markdown_keeps_a_pipe_in_a_label_inside_its_cell(capsys, data_dir, tmp_path):
+    history = tmp_path / "history.jsonl"
+    for name, label in (("manifest-baseline-literal.yaml", "a|b"), ("manifest-full.yaml", "c")):
+        argv = ["score", "--manifest", str(data_dir / name), "--label", label]
+        assert main([*argv, "--history", str(history)]) == 0
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, "report", "a|b", "c", "--history", str(history))
+    assert code == 0
+    # A GFM row splits at each "|" that no backslash escapes; every row of a
+    # table has as many cells as its header.
+    cells = [
+        len(re.findall(r"(?<!\\)\|", line)) - 1 if line.startswith("|") else 0
+        for line in out.splitlines()
+    ]
+    tables = [list(rows) for is_row, rows in itertools.groupby(cells, bool) if is_row]
+    assert [set(rows) for rows in tables] == [{4}, {2}, {4}]
+    assert "| Tool | a\\|b | c | Change |" in out.splitlines()
 
 
 # ---------------------------------------------------------------------------
