@@ -16,12 +16,14 @@ result carries one per rule. Warnings are always kept.
 
 Without notes, a plain XCCDF result is tallied by one flat scan of its
 text, with no element tree: a document with no DOCTYPE, comment, CDATA
-section or processing instruction (a leading XML declaration is fine),
-``rule-result`` and ``TestResult`` only as unprefixed elements, at most one
-``TestResult`` and no rule-result before it, each rule-result's first child
-a bare ``<result>`` holding a known value, and that expat accepts. Any
-other document is read through the tree, and the counts, warnings and
-errors are the same on both paths.
+section or processing instruction (a leading XML declaration is fine;
+expat's handlers reject the rest during its one pass), ``rule-result`` and
+``TestResult`` only as unprefixed elements, at most one ``TestResult`` and
+no rule-result before it, each rule-result's first child a bare
+``<result>`` holding a known value, and that expat accepts. Any other
+document is read through the tree, and the counts, warnings and errors are
+the same on both paths. Each nmap pattern runs only where an exact
+substring test finds what any match of it contains.
 """
 
 from __future__ import annotations
@@ -182,35 +184,29 @@ def _xml_root(text: str, source: str) -> ET.Element:
         raise ParseError("MALFORMED_XML", str(exc), source) from None
 
 
-# A doctype, comment, CDATA section or processing instruction: markup that
-# may hide tags or make them, which the plain scan never reads past.
-_MARKUP_DECLARATION = re.compile(r"<[!?]")
 # A plain document's rule-results, each with ``<result>`` as its first child tag.
 _PLAIN_RESULT = re.compile(r"<rule-result[\s>][^<]*<result>([^<]*)<")
 
 
-def _plain_values(text: str) -> list[str] | None:
-    """The stripped ``result`` values the tree walk of :func:`parse_xccdf`
+def _plain_values(text: str) -> Counter[str] | None:
+    """A tally of the stripped ``result`` values the tree walk of :func:`parse_xccdf`
     would score, read without building a tree, or ``None`` unless the text
     shows they are the same and need neither a warning nor a note.
 
     Sound because ``<`` never appears raw in character data or attribute
-    values (XML 1.0 sections 2.4 and 3.1): with no ``<!`` and no ``<?``
-    beyond a leading declaration free of ``<``, every ``<`` opens a tag. If
-    ``rule-result`` occurs only in ``<rule-result``…``</rule-result>`` pairs
-    and ``TestResult`` at most once as a pair starting before the first
-    rule-result, every rule-result element is scored and none is prefixed
-    or self-closing; one match per end tag means each one's first child
-    tag is a bare ``<result>``, whose text runs to the next ``<``. A known
-    value has no ``&``, so entities and line-end normalization cannot change
-    it once stripped. Last, expat must accept the document as ET would.
+    values (XML 1.0 sections 2.4 and 3.1): in a document that expat accepts
+    with no DOCTYPE, comment, CDATA section or processing instruction (its
+    handlers for them reject the document during its one pass), every ``<``
+    but a leading declaration's opens a tag. If ``rule-result`` occurs only
+    in ``<rule-result``…``</rule-result>`` pairs and ``TestResult`` at most
+    once as a pair starting before the first rule-result, every rule-result
+    element is scored and none is prefixed or self-closing; one match per
+    end tag means each one's first child tag is a bare ``<result>``, whose
+    text runs to the next ``<``. A known value has no ``&``, so entities
+    and line-end normalization cannot change it once stripped.
     """
     head = text.find("?>") if text.startswith("<?") else 0  # a leading declaration
-    if (
-        text.startswith("<!")
-        or text.find("<", 1, head) != -1
-        or _MARKUP_DECLARATION.search(text, 1)
-    ):
+    if text.startswith("<!") or text.find("<", 1, head) != -1:
         return None
     rule_results = text.count("</rule-result>")
     if text.count("rule-result") != 2 * rule_results:
@@ -218,20 +214,28 @@ def _plain_values(text: str) -> list[str] | None:
     test_result = text.count("TestResult")
     if test_result and not (
         test_result == 2
-        and "</TestResult>" in text
+        and text.rfind("</TestResult>") != -1
         and -1 < text.find("<TestResult") < text.find("<rule-result")
     ):
         return None
-    values = [value.strip() for value in _PLAIN_RESULT.findall(text)]
-    if not values or len(values) != rule_results or not _XCCDF_KNOWN.issuperset(values):
+    tally: Counter[str] = Counter()
+    for value, count in Counter(_PLAIN_RESULT.findall(text)).items():  # in first-seen order
+        tally[value.strip()] += count
+    if not tally or sum(tally.values()) != rule_results or not _XCCDF_KNOWN.issuperset(tally):
         return None
     import xml.parsers.expat  # the tree's parser, without the tree
 
+    def refuse(*markup: object) -> None:
+        raise xml.parsers.expat.ExpatError(markup)
+
+    parser = xml.parsers.expat.ParserCreate(namespace_separator="}")
+    parser.CommentHandler = parser.StartCdataSectionHandler = refuse
+    parser.ProcessingInstructionHandler = parser.StartDoctypeDeclHandler = refuse
     try:
-        xml.parsers.expat.ParserCreate(namespace_separator="}").Parse(text, True)
+        parser.Parse(text, True)
     except (xml.parsers.expat.ExpatError, UnicodeEncodeError):
-        return None  # the tree walk raises it, in ET's words
-    return values
+        return None  # not plain, or the tree walk raises it in ET's words
+    return tally
 
 
 def parse_xccdf(
@@ -250,9 +254,10 @@ def parse_xccdf(
     text without building a tree, with the same result.
     """
     diagnostics = ParseDiagnostics()
-    values = None if trace else _plain_values(result_xml)
+    tally = None if trace else _plain_values(result_xml)
     rule_results: list[ET.Element] = []  # the tree's; only they are warned of or noted
-    if values is None:
+    values: list[str] = []  # per rule-result: its first direct ``result`` child's text, stripped
+    if tally is None:
         root = _xml_root(result_xml, source)
         # Real results run to tens of thousands of rules but a few dozen
         # distinct tags, so each tag is split once.
@@ -271,7 +276,6 @@ def parse_xccdf(
             )
         if not rule_results:
             raise ParseError("NO_TEST_RESULT", "document contains no rule-result elements", source)
-        values = []  # per rule-result: its first direct ``result`` child's text, stripped
         for element in rule_results:
             for child in element:
                 if names[child.tag] == "result":
@@ -279,7 +283,7 @@ def parse_xccdf(
                     break
             else:
                 values.append("")
-    tally = Counter(values)
+        tally = Counter(values)
     if not tally.keys() <= _XCCDF_KNOWN:  # a blank or unknown value: warn of each
         for element, value in zip(rule_results, values):
             if value not in _XCCDF_KNOWN:
@@ -464,16 +468,22 @@ def _script_findings(
     nested = " ".join(text.strip() for text in script_el.itertext() if text.strip())
     text = output if not nested else output + "\n" + nested
 
-    confirmed = bool(_VULNERABLE_MARKER.search(_NOT_VULNERABLE.sub("", text)))
-    keyword = _SEVERITY_KEYWORD.search(text)
+    # Each pattern runs only where a substring test finds what it needs; a lowercase one
+    # is exact on ASCII text alone: IGNORECASE matches "ſ" to "s", the Kelvin sign to "k".
+    folded = text.lower() if text.isascii() else None
+    unmarked = _NOT_VULNERABLE.sub("", text) if "VULNERABLE" in text else ""
+    confirmed = bool(_VULNERABLE_MARKER.search(unmarked))
+    keyword = (
+        folded is None or "severity" in folded or "risk factor" in folded
+    ) and _SEVERITY_KEYWORD.search(text)
     keyword_severity = Severity(keyword.group(1).lower()) if keyword else None
     description = _first_descriptive_line(output)
 
     # CVE identifiers, deduplicated per script, with a CVSS value when one
     # appears on the same line (tabular script output lists one per line).
     cves: dict[str, float | None] = {}
-    for line in text.split("\n"):
-        tokens = _CVE_TOKEN.findall(line)
+    for line in text.split("\n") if "CVE-" in text else ():
+        tokens = "CVE-" in line and _CVE_TOKEN.findall(line)
         if not tokens:
             continue
         line_cvss: float | None = None
@@ -487,7 +497,7 @@ def _script_findings(
                 cves[token] = line_cvss
 
     global_cvss: float | None = None
-    global_match = _GLOBAL_CVSS.search(text)
+    global_match = (folded is None or "cvss" in folded) and _GLOBAL_CVSS.search(text)
     if global_match:
         value = float(global_match.group(1))
         if 0.0 <= value <= 10.0:

@@ -289,7 +289,8 @@ def _scan(
     ``fd`` only if it is decoded, and a line of ``tail`` with the payload
     its scan parsed. Wanted lines are decoded in file order, or, with
     ``newest_of``, newest first until each label has a record, and older
-    lines are not decoded. Raises :class:`_StaleIndex` when a decoded
+    lines are not decoded; such a read holds the payload of only each
+    label's newest line. Raises :class:`_StaleIndex` when a decoded
     indexed line does not start just after a ``\\n``, end at one, or pass
     the checks or have the keys its entry claims.
     """
@@ -331,9 +332,11 @@ def _scan(
 
         An indexed line is read with ``pread`` up to ``stop``, the next
         entry's offset: it must follow a ``\\n``, end at one and have the
-        keys of its entry.
+        keys of its entry. A tail line given no payload is parsed again.
         """
-        if parsed is None:
+        if parsed is None and start >= covered:
+            parsed = _parse_line(tail[start - covered : stop - covered])
+        elif parsed is None:
             before = max(start - 1, 0)
             chunk = os.pread(fd, stop - before, before)
             end = chunk.find(b"\n", start - before)
@@ -356,9 +359,15 @@ def _scan(
         for line in stream():
             decode(*line)
     else:
+        # Each label's newest payload alone is held, for its first line newest
+        # first; an older tail line is parsed again if a newer one fails.
+        lines, newest = [], {}
+        for start, stop, keys, parsed in stream():
+            lines.append((start, stop, keys))
+            newest[keys[1]] = parsed
         done = set()
-        for start, stop, keys, parsed in reversed(list(stream())):
-            if keys[1] not in done and decode(start, stop, keys, parsed):
+        for start, stop, keys in reversed(lines):
+            if keys[1] not in done and decode(start, stop, keys, newest.pop(keys[1], None)):
                 done.add(keys[1])
         result.records.reverse()
     return result, grown

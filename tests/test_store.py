@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import stat
 import time
+import tracemalloc
 import zlib
 from unittest import mock
 
@@ -971,3 +972,42 @@ def test_index_owned_by_another_user_is_ignored(tmp_path):
     os.chown(index, 12345, 12345)
     with mock.patch.object(store.os, "replace", side_effect=PermissionError):  # a sticky directory
         assert len(load_history(path, host_filter="node-0").records) == 2
+
+
+def test_newest_first_read_with_no_index_holds_one_payload_per_label(tmp_path, monkeypatch):
+    """With no usable index (here, a symlinked path) a newest-first read
+    scans every line but holds the parsed payload of only the newest line
+    of each label; an older line is parsed again only when every newer
+    line of its label fails to decode."""
+    path = tmp_path / "history.jsonl"
+    line = record_to_json(_record(label="only"))
+    payload = json.loads(line)
+    payload["assessment"]["composite"] = 12.0  # the keys, but broken invariants
+    broken = json.dumps(payload)
+    lines = 2_000
+    path.write_text((line + "\n") * (lines - 2) + (broken + "\n") * 2)
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(path)
+    expected = _plain_load(path, None, {"only"})
+    parsed = []
+    parse = store._parse_line
+
+    def counting(line):
+        parsed.append(len(line))
+        return parse(line)
+
+    monkeypatch.setattr(store, "_parse_line", counting)
+    tracemalloc.start()
+    try:
+        loaded = load_history(link, newest_of={"only"})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded == expected
+    assert loaded.skipped == 2
+    # The file's bytes and a few offsets per line, not a payload per line
+    # (about seven times the file's size).
+    assert peak < 3 * path.stat().st_size
+    # Each line once in the scan, then the older broken line and the kept
+    # line once more.
+    assert len(parsed) == lines + 2

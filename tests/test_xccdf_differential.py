@@ -12,8 +12,11 @@ With ``trace=False`` a plain document is tallied by a flat scan of its
 text instead of the tree walk. Most generated documents have no DOCTYPE,
 so they can reach that scan, and a second generator builds plain documents
 with one or more look-alike parts that the scan must either read as the
-walk does or leave to it. A fixed list of plain documents pins that the
-scan does answer, so these tests cannot pass by its always falling back.
+walk does or leave to it: among them comments, CDATA sections, processing
+instructions and DOCTYPEs with an internal subset, which only expat's
+handlers find during its pass. A fixed list of plain documents pins that
+the scan does answer, so these tests cannot pass by its always falling
+back, and a second list pins that documents with such markup take the tree.
 """
 
 from __future__ import annotations
@@ -243,6 +246,23 @@ _LOOK_ALIKES = (
     "<TestResult><rule-result idref='second'><result>pass</result></rule-result></TestResult>",
     "<TestResult/>",
     "\x01",
+    "<?pi between?>",
+    "<!-- </rule-result> -->",
+    "<![CDATA[</rule-result>]]>",
+    "<rule-result idref='closed' /><result>pass</result>",
+    "<target note='rule-result' role='TestResult'>rule-result TestResult</target>",
+)
+
+
+# Nothing, or markup that only expat's pass finds, after the last
+# rule-result or after the root's end tag.
+_LAST = ("", "", "", "<!-- last -->", "<?pi last?>", "\n<!-- </rule-result> -->\n")
+# DOCTYPEs with an internal subset; the second declares a rule-result that
+# each ``&rr;`` in the body expands to, and that the text shows just once.
+_SUBSETS = (
+    "<!DOCTYPE d [<!ELEMENT d ANY>]>\n",
+    "<!DOCTYPE d [<!ENTITY rr '<rule-result idref=\"e\"><result>pass</result>"
+    "</rule-result>'>]>\n",
 )
 
 
@@ -261,6 +281,7 @@ def _plain_documents(draw) -> str:
     parts = draw(st.lists(_plain_rule_result(), min_size=1, max_size=6))
     for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2]))):
         parts.insert(draw(st.integers(0, len(parts))), draw(st.sampled_from(_LOOK_ALIKES)))
+    parts.append(draw(st.sampled_from(_LAST)))  # after the last rule-result
     split = draw(st.integers(0, len(parts)))
     before, inside = "".join(parts[:split]), "".join(parts[split:])
     shape = draw(st.sampled_from(["TestResult", "Benchmark", "bare Benchmark", "arf"]))
@@ -277,7 +298,9 @@ def _plain_documents(draw) -> str:
             f"{before}{test_result}</arf:report></arf:asset-report-collection>"
         )
     declaration = draw(st.sampled_from(["", "<?xml version='1.0' encoding='UTF-8'?>\n"]))
-    return _truncated(draw, declaration + body)
+    if declaration and draw(st.booleans()):  # a DOCTYPE the leading checks do not see
+        declaration += draw(st.sampled_from(_SUBSETS))
+    return _truncated(draw, declaration + body + draw(st.sampled_from(_LAST)))
 
 
 def _outcome(document: str, profile: ScapProfile, parse=parse_xccdf, **options):
@@ -370,6 +393,13 @@ _PLAIN_DOCUMENTS = (
     "<rule-result idref='inner'><result>unknown<sub/>pass</result></rule-result>"
     "</rule-result></TestResult>",
     "<TestResult><rule-result><result>informational</result></rule-result></TestResult>",
+    # Padded values whose stripped keys merge, in first-seen order.
+    "<TestResult><rule-result><result> notchecked</result></rule-result>"
+    "<rule-result><result>pass\n</result></rule-result>"
+    "<rule-result><result>\tnotchecked </result></rule-result>"
+    "<rule-result><result>notchecked</result></rule-result>"
+    "<rule-result><result> pass </result></rule-result>"
+    "<rule-result><result>notapplicable</result></rule-result></TestResult>",
 )
 
 
@@ -379,6 +409,43 @@ def test_plain_documents_are_tallied_without_a_tree(monkeypatch, document):
     monkeypatch.setattr(parsers, "_xml_root", mock.Mock(side_effect=AssertionError("tree built")))
     report, warnings, _, excluded = expected
     assert _outcome(document, ScapProfile.CIS, trace=False) == (report, warnings, [], excluded)
+
+
+_DECLARATION = "<?xml version='1.0' encoding='UTF-8'?>\n"
+_SELF_CLOSED = "<rule-result idref='closed' /><result>pass</result>"
+
+# Plain documents but for markup that only expat's handlers, or the checks
+# on the text, find. In the first five the text checks all pass: a comment,
+# CDATA section, processing instruction or DOCTYPE shows one more
+# ``</rule-result>`` and ``<result>`` than the tree holds.
+_TREE_DOCUMENTS = (
+    f"<TestResult>{_SELF_CLOSED}{_PLAIN_RESULTS}<!-- </rule-result> --></TestResult>",
+    f"<TestResult>{_SELF_CLOSED}<![CDATA[</rule-result>]]>{_PLAIN_RESULTS}</TestResult>",
+    f"<TestResult>{_SELF_CLOSED}{_PLAIN_RESULTS}</TestResult><?pi </rule-result>?>",
+    f"{_DECLARATION}{_SUBSETS[1]}<Benchmark>&rr;&rr;{_PLAIN_RESULTS}</Benchmark>",
+    f"{_DECLARATION}{_SUBSETS[1]}<Benchmark>{_PLAIN_RESULTS}</Benchmark>",
+    f"{_DECLARATION}{_SUBSETS[0]}<TestResult>{_PLAIN_RESULTS}</TestResult>",
+    f"{_SUBSETS[0]}<TestResult>{_PLAIN_RESULTS}</TestResult>",
+    f"<TestResult>{_PLAIN_RESULTS}<!-- last --></TestResult>",
+    f"<TestResult>{_PLAIN_RESULTS}<?pi last?></TestResult>",
+    f"<TestResult>{_PLAIN_RESULTS}</TestResult><!-- after the root -->",
+    f"{_DECLARATION}<TestResult>{_PLAIN_RESULTS}</TestResult>\n<?pi after the root?>\n",
+    f"<TestResult><rule-result idref='a'><result>pass</result></rule-result><?pi between?>"
+    f"{_PLAIN_RESULTS}</TestResult>",
+    f"<TestResult>{_SELF_CLOSED}{_PLAIN_RESULTS}</TestResult>",
+    f"<TestResult><target note='rule-result'/>{_PLAIN_RESULTS}</TestResult>",
+    f"<TestResult note='TestResult'>{_PLAIN_RESULTS}</TestResult>",
+    f"<TestResult>{_PLAIN_RESULTS}<message>rule-result TestResult</message></TestResult>",
+)
+
+
+@pytest.mark.parametrize("document", _TREE_DOCUMENTS, ids=range(len(_TREE_DOCUMENTS)))
+def test_documents_with_hidden_markup_take_the_tree_path(monkeypatch, document):
+    _check_against_the_oracle(document, ScapProfile.CIS)
+    xml_root = mock.Mock(wraps=parsers._xml_root)
+    monkeypatch.setattr(parsers, "_xml_root", xml_root)
+    parse_xccdf(document, ScapProfile.CIS, "doc.xml", trace=False)
+    xml_root.assert_called_once()
 
 
 def test_sample_document_exercises_every_branch():
