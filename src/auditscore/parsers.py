@@ -197,17 +197,15 @@ def _plain_values(text: str) -> Counter[str] | None:
     values (XML 1.0 sections 2.4 and 3.1): in a document that expat accepts
     with no DOCTYPE, comment, CDATA section or processing instruction (its
     handlers for them reject the document during its one pass), every ``<``
-    but a leading declaration's opens a tag. If ``rule-result`` occurs only
-    in ``<rule-result``…``</rule-result>`` pairs and ``TestResult`` at most
+    but the XML declaration's opens a tag; a declaration naming either
+    element fails the counts. If ``rule-result`` occurs only in
+    ``<rule-result``…``</rule-result>`` pairs and ``TestResult`` at most
     once as a pair starting before the first rule-result, every rule-result
     element is scored and none is prefixed or self-closing; one match per
     end tag means each one's first child tag is a bare ``<result>``, whose
     text runs to the next ``<``. A known value has no ``&``, so entities
     and line-end normalization cannot change it once stripped.
     """
-    head = text.find("?>") if text.startswith("<?") else 0  # a leading declaration
-    if text.startswith("<!") or text.find("<", 1, head) != -1:
-        return None
     rule_results = text.count("</rule-result>")
     if text.count("rule-result") != 2 * rule_results:
         return None

@@ -116,9 +116,14 @@ def _score_matrix(records: Sequence[HistoryRecord]) -> list[list[str]]:
     return rows
 
 
+# In a GFM table cell a "|" would split the cell, and "\r\n", "\r" or "\n" the row.
+_MARKDOWN_CELL = str.maketrans({"|": "\\|", "\r": "<br>", "\n": "<br>"})
+
+
 def _markdown_table(rows: list[list[str]]) -> str:
-    """A GFM table; a ``|`` inside a cell is written ``\\|``, so it splits no cell."""
-    header, *body = [[cell.replace("|", "\\|") for cell in row] for row in rows]
+    """A GFM table; no ``|`` or line break in a cell splits a cell or a row."""
+    cells = [[cell.replace("\r\n", "\n").translate(_MARKDOWN_CELL) for cell in row] for row in rows]
+    header, *body = cells
     lines = ["| " + " | ".join(header) + " |"]
     lines.append("| " + " | ".join([":--"] + ["--:"] * (len(header) - 1)) + " |")
     for row in body:

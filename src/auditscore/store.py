@@ -14,15 +14,14 @@ the lines it keeps.
 Because the file only grows, a filtered read keeps a sidecar line index,
 ``<history>.idx``: the host and assessment labels of every checked line
 of the prefix up to the last ``\\n``, valid only while the sha256 recorded
-with it still matches that prefix. The next filtered read reads the prefix
-only to hash it, scans only the tail after it and extends the index. Once
-the history has settled (unchanged for ``_SETTLE_NS``), the index also
-records its identity, and a read whose ``fstat`` finds the same identity
-neither reads nor hashes the history. Either way, an indexed line is read
-only when it is decoded, and the history is read whole only without a
-usable index. An index that this module wrote never
-changes a result, and deleting it is always safe; one owned by anyone but
-the reader or the history's owner is ignored.
+with it still matches that prefix. The next filtered read reads the
+history once, hashes the prefix, scans only the tail after it and extends
+the index. Once the history has settled (unchanged for ``_SETTLE_NS``), the
+index also records its identity, and a read whose ``fstat`` finds the same
+identity neither reads nor hashes the history: it reads an indexed line,
+by its offset, only when it decodes it. An index that this module wrote
+never changes a result, and deleting it is always safe; one owned by
+anyone but the reader or the history's owner is ignored.
 Appends hold an exclusive ``flock`` on the history, so concurrent writers
 append whole lines in turn; readers take no lock.
 """
@@ -275,7 +274,7 @@ def _parse_line(line: bytes):
 
 
 def _scan(
-    tail: bytes,
+    data: bytes,
     fd: int,
     index: dict,
     host_filter: str | None,
@@ -283,20 +282,22 @@ def _scan(
 ) -> tuple[HistoryLoad, dict]:
     """The records a :func:`load_history` query keeps, and the index of the file.
 
-    ``tail`` is the file's bytes after the prefix that ``index`` covers.
-    One stream yields ``(start, stop, keys, parsed)`` for each wanted line,
-    in file order: an indexed line with ``parsed`` None, to be read from
-    ``fd`` only if it is decoded, and a line of ``tail`` with the payload
-    its scan parsed. Wanted lines are decoded in file order, or, with
-    ``newest_of``, newest first until each label has a record, and older
-    lines are not decoded; such a read holds the payload of only each
-    label's newest line. Raises :class:`_StaleIndex` when a decoded
-    indexed line does not start just after a ``\\n``, end at one, or pass
-    the checks or have the keys its entry claims.
+    ``data`` is the whole file, or empty when a trusted index lets the read
+    skip it; only its bytes after the prefix that ``index`` covers are
+    scanned. One stream yields ``(start, stop, keys, parsed)`` for each
+    wanted line, in file order: an indexed line with ``parsed`` None, to be
+    taken from ``data`` or read from ``fd`` only if it is decoded, and a
+    scanned line with the payload its scan parsed. Wanted lines are decoded
+    in file order, or, with ``newest_of``, newest first until each label has
+    a record, and older lines are not decoded; such a read holds the payload
+    of only each label's newest line. Raises :class:`_StaleIndex` when a
+    decoded indexed line does not start just after a ``\\n``, end at one, or
+    pass the checks or have the keys its entry claims.
     """
     covered = index["covered"]
     result = HistoryLoad(skipped=index["skipped"])
-    grown = dict(index, covered=covered + tail.rfind(b"\n") + 1, lines=list(index["lines"]))
+    grown = dict(index, lines=list(index["lines"]))
+    grown["covered"] = data.rfind(b"\n", covered) + 1 or covered  # just past the last b"\n"
 
     def wanted(host_label: str, label: str) -> bool:
         return (host_filter is None or host_label == host_filter) and (
@@ -309,12 +310,12 @@ def _scan(
             if wanted(host_label, label):
                 stop = entries[at + 1][0] if at + 1 < len(entries) else covered
                 yield start, stop, (host_label, label), None
-        stop = 0
-        while stop < len(tail):
-            start, stop = stop, tail.find(b"\n", stop) + 1 or len(tail)
-            complete = covered + stop <= grown["covered"]  # a final line with no b"\n" may grow
+        stop = covered
+        while stop < len(data):
+            start, stop = stop, data.find(b"\n", stop) + 1 or len(data)
+            complete = stop <= grown["covered"]  # a final line with no b"\n" may grow
             try:
-                parsed = _parse_line(tail[start:stop])
+                parsed = _parse_line(data[start:stop])
                 if parsed is None:
                     continue
                 keys = _line_keys(parsed)
@@ -323,28 +324,25 @@ def _scan(
                 grown["skipped"] += complete
                 continue
             if complete:
-                grown["lines"].append([covered + start, *keys])
+                grown["lines"].append([start, *keys])
             if wanted(*keys):
-                yield covered + start, covered + stop, keys, parsed
+                yield start, stop, keys, parsed
 
     def decode(start: int, stop: int, keys: tuple[str, str], parsed) -> bool:
         """Add the record of a wanted line, or count the line as skipped.
 
-        An indexed line is read with ``pread`` up to ``stop``, the next
-        entry's offset: it must follow a ``\\n``, end at one and have the
-        keys of its entry. A tail line given no payload is parsed again.
+        A line given no payload is taken up to ``stop``, for an indexed line
+        the next entry's offset, from ``data`` or, if nothing was read, with
+        ``pread``: it must follow a ``\\n``, end at one and have the keys it
+        was listed with.
         """
-        if parsed is None and start >= covered:
-            parsed = _parse_line(tail[start - covered : stop - covered])
-        elif parsed is None:
+        if parsed is None:
             before = max(start - 1, 0)
-            chunk = os.pread(fd, stop - before, before)
+            chunk = data[before:stop] if data else os.pread(fd, stop - before, before)
             end = chunk.find(b"\n", start - before)
-            if (start and chunk[:1] != b"\n") or end < 0:
-                raise _StaleIndex(start)
             try:
                 parsed = _parse_line(chunk[start - before : end])
-                if _line_keys(parsed) != keys:
+                if (start and chunk[:1] != b"\n") or end < 0 or _line_keys(parsed) != keys:
                     raise _StaleIndex(start)
             except _CORRUPT as exc:
                 raise _StaleIndex(start) from exc
@@ -360,7 +358,7 @@ def _scan(
             decode(*line)
     else:
         # Each label's newest payload alone is held, for its first line newest
-        # first; an older tail line is parsed again if a newer one fails.
+        # first; an older scanned line is parsed again if a newer one fails.
         lines, newest = [], {}
         for start, stop, keys, parsed in stream():
             lines.append((start, stop, keys))
@@ -396,10 +394,10 @@ def load_history(
     A filtered read of a regular file takes the checked lines of an
     unchanged prefix from the ``<history>.idx`` index, scans only the rest
     and extends the index; of a settled file whose identity the index
-    records, it reads only the lines it decodes. An unfiltered read scans
-    the whole file and leaves the index alone. An index entry that does not
-    match its line, found when the line is decoded, drops the index for a
-    full scan.
+    records, it reads only the lines it decodes, and any other read reads
+    the file once. An unfiltered read scans the whole file and leaves the
+    index alone. An index entry that does not match its line, found when
+    the line is decoded, drops the index for a full scan.
     """
     path = Path(path)
     filtered = host_filter is not None or newest_of is not None
@@ -428,26 +426,20 @@ def load_history(
             # An index of this very file, unchanged since it settled, is
             # trusted: the history is neither read whole nor hashed.
             trusted = index["identity"] == _identity(info) and index["covered"] == info.st_size
+            data = b"" if trusted else handle.read()
             digest = None
             if index["covered"] and not trusted:
                 digest = _new_digest()
-                digest.update(os.pread(fd, index["covered"], 0))
+                digest.update(memoryview(data)[: index["covered"]])
                 if digest.hexdigest() != index["sha256"]:
                     index, digest = unindexed, None
-            if index["covered"]:
-                # Only the bytes after the indexed prefix are scanned, up to
-                # the size fstat found. A read falls short of it past 2 GiB,
-                # or if the file was cut since.
-                tail = os.pread(fd, info.st_size - index["covered"], index["covered"])
-                if len(tail) < info.st_size - index["covered"]:
-                    index, digest = unindexed, None
-            if not index["covered"]:
-                tail = handle.read()
             try:
-                result, grown = _scan(tail, fd, index, host_filter, newest_of)
+                result, grown = _scan(data, fd, index, host_filter, newest_of)
             except _StaleIndex:
-                index, digest, trusted, tail = unindexed, None, False, handle.read()
-                result, grown = _scan(tail, fd, index, host_filter, newest_of)
+                if trusted:
+                    data = handle.read()
+                index, digest, trusted = unindexed, None, False
+                result, grown = _scan(data, fd, index, host_filter, newest_of)
     except OSError as exc:
         raise StoreError("IO_FAILURE", f"cannot read {path}: {exc}") from exc
 
@@ -458,6 +450,6 @@ def load_history(
     settled = 0 < grown["covered"] == info.st_size and began - info.st_ctime_ns > _SETTLE_NS
     if index_path and (grown["covered"] > covered or (settled and not trusted)):
         grown["identity"] = _identity(info) if settled else None
-        added = memoryview(tail)[: grown["covered"] - covered]
+        added = memoryview(data)[covered : grown["covered"]]
         _write_index(index_path, grown, digest, added, stat.S_IMODE(info.st_mode) & 0o666)
     return result

@@ -683,6 +683,24 @@ def test_history_lists_records_in_order(capsys, populated_history):
     assert "composite=68.17" in out
 
 
+def test_history_and_score_write_a_character_stdout_cannot_encode_escaped(
+    capsys, data_dir, tmp_path
+):
+    # JSON takes a lone surrogate escape, and an argument's undecodable byte
+    # becomes one; a strict UTF-8 stdout can write neither.
+    history = tmp_path / "history.jsonl"
+    assert main(["score", "--manifest", str(data_dir / "manifest-full.yaml"), "--json"]) == 0
+    history.write_text(capsys.readouterr().out.replace('"label":"full"', '"label":"\\ud800x"'))
+    code, out, err = run_cli(capsys, "history", "--history", str(history))
+    assert (code, err) == (0, "")
+    assert out.startswith("\\ud800x ")
+    code, out, _ = run_cli(
+        capsys, "score", "--manifest", str(data_dir / "manifest-full.yaml"), "--label", "bad\udcff"
+    )
+    assert code == 0
+    assert "label: bad\\udcff" in out.splitlines()
+
+
 def test_history_json_lines_round_trip(capsys, populated_history, tmp_path):
     code, out, _ = run_cli(capsys, "history", "--history", str(populated_history), "--json")
     assert code == 0
@@ -1486,6 +1504,22 @@ def test_report_markdown_keeps_a_pipe_in_a_label_inside_its_cell(capsys, data_di
     tables = [list(rows) for is_row, rows in itertools.groupby(cells, bool) if is_row]
     assert [set(rows) for rows in tables] == [{4}, {2}, {4}]
     assert "| Tool | a\\|b | c | Change |" in out.splitlines()
+
+
+def test_report_markdown_writes_a_line_break_in_a_label_as_br(capsys, data_dir, tmp_path):
+    history = tmp_path / "history.jsonl"
+    labels = ("two\nlines", "c\r\nd", "e\rf")
+    names = ("manifest-baseline-literal.yaml", "manifest-partial.yaml", "manifest-full.yaml")
+    for name, label in zip(names, labels):
+        argv = ["score", "--manifest", str(data_dir / name), "--label", label]
+        assert main([*argv, "--history", str(history)]) == 0
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, "report", *labels, "--history", str(history))
+    assert code == 0
+    assert "| Tool | two<br>lines | c<br>d | e<br>f | Change |" in out.splitlines()
+    # Every line of a table is a whole row.
+    rows = [line for line in out.splitlines() if "|" in line]
+    assert all(row.startswith("| ") and row.endswith(" |") for row in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -245,8 +245,14 @@ _JSON_TOKENS = ["NaN", "Infinity", "-Infinity", "1e999", "-1e999", "9" * 5000, "
 @st.composite
 def _history_line(draw) -> bytes:
     line = draw(st.sampled_from(_RECORD_LINES))
-    kind = draw(st.sampled_from(["valid", "valid", "spoiled", "spoiled", "deep", "junk"]))
-    if kind == "spoiled":
+    kinds = ["valid", "valid", "spoiled", "spoiled", "deep", "junk", "surrogate"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "surrogate":
+        # A label or host that JSON takes but a strict UTF-8 stdout cannot write.
+        key = draw(st.sampled_from(['"label":"', '"host_label":"']))
+        start = line.index(key) + len(key)
+        line = line[:start] + "\\ud800x" + line[line.index('"', start) :]
+    elif kind == "spoiled":
         spans = [m.span() for m in _JSON_NUMBER.finditer(line)]
         for start, end in sorted(draw(st.sets(st.sampled_from(spans), max_size=3)), reverse=True):
             line = line[:start] + draw(st.sampled_from(_JSON_TOKENS)) + line[end:]

@@ -899,6 +899,33 @@ def test_format_3_index_in_the_earlier_key_order_is_trusted_and_written_alike(
     assert store._read_index(index, path.stat()) == json.loads(body)
 
 
+@contextlib.contextmanager
+def _history_reads():
+    """Record ``(kind, bytes)`` for each ``read`` and ``pread`` of a history
+    that ``store`` opens; its index is opened with an opener, and not counted."""
+    reads = []
+    pread = os.pread
+
+    class Counted(io.FileIO):
+        def read(self, size=-1):
+            chunk = super().read(size)
+            reads.append(("read", len(chunk)))
+            return chunk
+
+    def history_open(file, mode="r", *args, opener=None, **kwargs):
+        return open(file, mode, *args, opener=opener, **kwargs) if opener else Counted(file)
+
+    def counted_pread(fd, size, offset):
+        chunk = pread(fd, size, offset)
+        reads.append(("pread", len(chunk)))
+        return chunk
+
+    with mock.patch.object(store, "open", history_open, create=True), mock.patch.object(
+        store.os, "pread", counted_pread
+    ):
+        yield reads
+
+
 @pytest.mark.parametrize(
     "host_filter, newest_of, parses",
     [("alpha", None, 4), (None, {"baseline", "full"}, 2), ("beta", {"partial", "full"}, 3)],
@@ -911,7 +938,8 @@ def test_filtered_read_after_an_append_parses_only_the_new_line_and_the_kept_one
     _settle(path, monkeypatch)
     load_history(path, host_filter="alpha")  # an index that records the identity
     append_record(path, _record(label="full", host="alpha", values=(60, 70, 80, 80, 60, 10)))
-    appended = path.read_bytes().splitlines()[-1]
+    data = path.read_bytes()
+    appended = data.splitlines()[-1]
     expected = _plain_load(path, host_filter, newest_of)
     parsed = []
     parse = store._parse_line
@@ -920,40 +948,40 @@ def test_filtered_read_after_an_append_parses_only_the_new_line_and_the_kept_one
         parsed.append(bytes(line))
         return parse(line)
 
-    class Unread(io.FileIO):
-        def read(self, size=-1):
-            raise AssertionError("the history was read whole")
-
-    def history_open(file, mode="r", *args, opener=None, **kwargs):
-        return open(file, mode, *args, opener=opener, **kwargs) if opener else Unread(file)
-
     monkeypatch.setattr(store, "_parse_line", counting)
-    monkeypatch.setattr(store, "open", history_open, raising=False)
-    loaded = load_history(path, host_filter=host_filter, newest_of=newest_of)
+    with _history_reads() as reads:
+        loaded = load_history(path, host_filter=host_filter, newest_of=newest_of)
     assert loaded == expected
     # Besides the new line, which is scanned, only the lines of the records
     # kept are parsed, each once: a kept new line is decoded from its scan.
     kept = {record_to_json(record).encode() for record in loaded.records}
     assert {line.rstrip(b"\n") for line in parsed} == kept | {appended}
     assert len(parsed) == parses
+    # The history is read once, to check the digest and scan the new line;
+    # the kept indexed lines are taken from those bytes, not read again.
+    assert reads == [("read", len(data))]
 
 
 def test_tail_that_one_pread_cannot_return_is_read_whole(tmp_path, monkeypatch):
-    # One pread returns at most 0x7ffff000 bytes on Linux; a cap of 100 on
-    # the read of the tail stands in for a tail that long.
+    # One pread returns at most 0x7ffff000 bytes on Linux, so a tail that
+    # long cannot come from one pread at the tail's offset. No read makes
+    # one: the tail comes from the one read of the whole history.
     path = _labelled_history(tmp_path)
     load_history(path, host_filter="alpha")
     covered = path.stat().st_size
     append_record(path, _record(label="full", host="alpha", values=(60, 70, 80, 80, 60, 10)))
     pread = os.pread
+    at_tail = []
 
-    def capped(fd, size, offset):
-        return pread(fd, min(size, 100) if offset == covered else size, offset)
+    def recorded(fd, size, offset):
+        at_tail.append(offset == covered)
+        return pread(fd, size, offset)
 
-    monkeypatch.setattr(store.os, "pread", capped)
+    monkeypatch.setattr(store.os, "pread", recorded)
     for host_filter, newest_of in (("alpha", None), (None, {"full"})):
         loaded = load_history(path, host_filter=host_filter, newest_of=newest_of)
         assert loaded == _plain_load(path, host_filter, newest_of)
+    assert not any(at_tail)
 
 
 @pytest.mark.skipif(os.geteuid() != 0, reason="giving a file to another user needs root")
@@ -1011,3 +1039,53 @@ def test_newest_first_read_with_no_index_holds_one_payload_per_label(tmp_path, m
     # Each line once in the scan, then the older broken line and the kept
     # line once more.
     assert len(parsed) == lines + 2
+
+
+def test_each_read_reads_the_history_whole_at_most_once(tmp_path, monkeypatch):
+    """A read that trusts the index reads only the lines it decodes. Any
+    other read, the full scan after a stale index included, calls ``read``
+    once; no read reads the indexed prefix or the tail by offset."""
+    path = _labelled_history(tmp_path)
+    index = tmp_path / "history.jsonl.idx"
+    preads = []
+
+    def reads_whole(times):
+        with _history_reads() as reads:
+            loaded = load_history(path, host_filter="alpha")
+        assert loaded == _plain_load(path, "alpha")
+        assert [size for kind, size in reads if kind == "read"] == [path.stat().st_size] * times
+        preads.extend(size for kind, size in reads if kind == "pread")
+
+    appended = _record(label="full", host="alpha", values=(60, 70, 80, 80, 60, 10))
+    reads_whole(1)  # cold
+    reads_whole(1)  # hashed: the history has not settled
+    append_record(path, appended)
+    reads_whole(1)  # appended
+    append_record(path, appended)
+    load_history(path, host_filter="alpha")
+    _edit_index(path, index, _reverse_keys, True)
+    reads_whole(1)  # hashed, then a full scan of the same bytes: the entries are stale
+    _settle(path, monkeypatch)
+    load_history(path, host_filter="alpha")  # records the identity
+    reads_whole(0)  # trusted
+    _edit_index(path, index, _reverse_keys, True)
+    reads_whole(1)  # trusted, then a full scan: the entries are stale
+    longest = max(map(len, path.read_bytes().split(b"\n")))
+    assert preads and max(preads) < 3 * longest
+
+
+def test_newest_first_read_through_a_pipe_falls_back_to_an_older_line(tmp_path):
+    """A pipe cannot be read by offset: when the newest line of a label
+    fails to decode, the older line comes from the bytes already read."""
+    line = record_to_json(_record(label="only"))
+    payload = json.loads(line)
+    payload["assessment"]["composite"] = 12.0  # the keys, but broken invariants
+    reader, writer = os.pipe()
+    try:
+        os.write(writer, (line + "\n" + json.dumps(payload) + "\n").encode())
+        os.close(writer)
+        loaded = load_history(f"/dev/fd/{reader}", newest_of={"only"})
+    finally:
+        os.close(reader)
+    assert loaded.records == [_record(label="only")]
+    assert loaded.skipped == 1

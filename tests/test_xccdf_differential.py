@@ -298,7 +298,7 @@ def _plain_documents(draw) -> str:
             f"{before}{test_result}</arf:report></arf:asset-report-collection>"
         )
     declaration = draw(st.sampled_from(["", "<?xml version='1.0' encoding='UTF-8'?>\n"]))
-    if declaration and draw(st.booleans()):  # a DOCTYPE the leading checks do not see
+    if declaration and draw(st.booleans()):  # a DOCTYPE after the declaration
         declaration += draw(st.sampled_from(_SUBSETS))
     return _truncated(draw, declaration + body + draw(st.sampled_from(_LAST)))
 
@@ -436,6 +436,14 @@ _TREE_DOCUMENTS = (
     f"<TestResult><target note='rule-result'/>{_PLAIN_RESULTS}</TestResult>",
     f"<TestResult note='TestResult'>{_PLAIN_RESULTS}</TestResult>",
     f"<TestResult>{_PLAIN_RESULTS}<message>rule-result TestResult</message></TestResult>",
+    # Leading markup before a plain document: expat's handlers refuse the
+    # first three, and a declaration that names either element fails the
+    # counts (pyexpat takes any encoding name for text it is given as str).
+    f"<!DOCTYPE d><TestResult>{_PLAIN_RESULTS}</TestResult>",
+    f"<!-- a leading comment --><TestResult>{_PLAIN_RESULTS}</TestResult>",
+    f"<?xml-stylesheet?><TestResult>{_PLAIN_RESULTS}</TestResult>",
+    f"<?xml version='1.0' encoding='rule-result'?><TestResult>{_PLAIN_RESULTS}</TestResult>",
+    f"<?xml version='1.0' encoding='TestResult'?><TestResult>{_PLAIN_RESULTS}</TestResult>",
 )
 
 
