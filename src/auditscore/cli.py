@@ -48,6 +48,7 @@ from .render import (
     render_report_json,
     render_report_markdown,
     render_report_text,
+    text_line,
 )
 from .runner import init_integrity_database, orchestrate_scan
 from .scoring import TOOLS, aggregate, normalize_report
@@ -205,14 +206,13 @@ def _last_in_file(reference: str) -> CompositeAssessment:
 def cmd_compare(args: argparse.Namespace, config: AppConfig) -> int:
     # A reference names a record file when one exists there, else a stored
     # label; the history is read once, and only for labels.
-    references = (args.from_ref, args.to_ref)
-    is_file = [Path(reference).is_file() for reference in references]
-    labels = [reference for reference, file in zip(references, is_file) if not file]
-    labeled = iter(_latest_by_label(config.history_path, labels) if labels else ())
-    from_assessment, to_assessment = (
-        _last_in_file(reference) if file else next(labeled).assessment
-        for reference, file in zip(references, is_file)
-    )
+    references = [args.from_ref, args.to_ref]
+    labels = [reference for reference in references if not Path(reference).is_file()]
+    labeled = dict(zip(labels, _latest_by_label(config.history_path, labels) if labels else ()))
+    from_assessment, to_assessment = [
+        labeled[reference].assessment if reference in labeled else _last_in_file(reference)
+        for reference in references
+    ]
     decomposition = decompose_delta(from_assessment, to_assessment)
     if args.json:
         _out(json.dumps(compare_to_dict(decomposition), indent=2))
@@ -230,8 +230,8 @@ def cmd_history(args: argparse.Namespace, config: AppConfig) -> int:
         for record in loaded.records:
             assessment = record.assessment
             _out(
-                f"{assessment.label:<16} {assessment.timestamp.isoformat()} "
-                f"composite={assessment.composite:.2f} host={record.host_label}"
+                f"{text_line(assessment.label):<16} {assessment.timestamp.isoformat()} "
+                f"composite={assessment.composite:.2f} host={text_line(record.host_label)}"
             )
     return 0
 
@@ -284,6 +284,7 @@ _SHARED_OPTIONS = {
     "--weights": dict(type=Path, help="weight profile file overriding the config"),
     "--json": dict(action="store_true", help="machine-readable output"),
     "--verbose": dict(action="store_true", help="print parser trace diagnostics to stderr"),
+    "--history": dict(type=Path),
 }
 
 
@@ -335,22 +336,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("compare", help="decompose the composite delta between two assessments")
-    _add_shared_options(p, "--config", "--json")
+    _add_shared_options(p, "--config", "--json", "--history")
     p.add_argument("from_ref", metavar="FROM", help="stored label or record file")
     p.add_argument("to_ref", metavar="TO", help="stored label or record file")
-    p.add_argument("--history", type=Path, default=None)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("history", help="list stored assessments")
-    _add_shared_options(p, "--config", "--json")
-    p.add_argument("--history", type=Path, default=None)
+    _add_shared_options(p, "--config", "--json", "--history")
     p.add_argument("--host", default=None, help="only records for this host label")
     p.set_defaults(func=cmd_history)
 
     p = sub.add_parser("report", help="render a score table with trends and change drivers")
-    _add_shared_options(p, "--config")
+    _add_shared_options(p, "--config", "--history")
     p.add_argument("labels", nargs="+", metavar="LABEL")
-    p.add_argument("--history", type=Path, default=None)
     p.add_argument("--format", choices=["markdown", "json", "text"], default="markdown")
     p.add_argument(
         "--timestamps", action="store_true", help="include record timestamps in the body"

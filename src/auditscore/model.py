@@ -431,7 +431,8 @@ class CompositeAssessment(Frozen):
     """A timestamped composite record: six scores, weights, contributions.
 
     The composite is stored redundantly with the per-tool contributions
-    for audit-trail readability; construction enforces that they agree.
+    for audit-trail readability; construction enforces that they agree, and
+    that each contribution is its tool's weight times its score.
     """
 
     __slots__ = ("label", "timestamp", "scores", "weights", "composite", "contributions")
@@ -461,6 +462,13 @@ class CompositeAssessment(Frozen):
         absent = [tool.value for tool in TOOL_KINDS if tool not in contributions]
         if absent:
             raise ValidationError("TOOL_MISSING", "no contribution for: " + ", ".join(absent))
+        # Checked before they are summed; a float, the usual case, calls nothing.
+        if type(composite) is not float:
+            _require_kind("composite", composite, float)
+        for tool in TOOL_KINDS:
+            value = contributions[tool]
+            if type(value) is not float and not _is_number(value):
+                _require_kind(f"contributions[{tool.value}]", value, float)
         total = sum(contributions[tool] for tool in TOOL_KINDS)
         if not abs(composite - total) <= COMPOSITE_TOLERANCE:  # NaN when inf meets -inf
             raise ValidationError(
@@ -470,6 +478,19 @@ class CompositeAssessment(Frozen):
             raise ValidationError(
                 "VALUE_OUT_OF_RANGE", f"composite must be in [0, 100], got {composite}"
             )
+        if not isinstance(weights, WeightProfile):
+            raise ValidationError(
+                "VALUE_WRONG_TYPE", f"weights must be a WeightProfile, got {weights!r}"
+            )
+        tool_weights = weights.tool_weights
+        for tool in TOOL_KINDS:
+            product = tool_weights[tool] * scores[tool].value
+            if not abs(contributions[tool] - product) <= COMPOSITE_TOLERANCE:
+                raise ValidationError(
+                    "COMPOSITE_MISMATCH",
+                    f"contributions[{tool.value}] {contributions[tool]!r} != "
+                    f"weight * score {product!r}",
+                )
         self._init(label, timestamp, scores, weights, composite, contributions)
 
 

@@ -9,7 +9,7 @@ precision.
 from __future__ import annotations
 
 import json
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .analysis import TrendTable, decompose_delta, rank_contributions, trend_series
 from .model import (
@@ -116,13 +116,27 @@ def _score_matrix(records: Sequence[HistoryRecord]) -> list[list[str]]:
     return rows
 
 
-# In a GFM table cell a "|" would split the cell, and "\r\n", "\r" or "\n" the row.
+# "\r\n", "\r" or "\n" in a label or host would split a line of output: a
+# Markdown heading, bullet or table row, or a line-per-record text line. In
+# a GFM table cell a "|" would also split the cell.
+_MARKDOWN_LINE = str.maketrans({"\r": "<br>", "\n": "<br>"})
 _MARKDOWN_CELL = str.maketrans({"|": "\\|", "\r": "<br>", "\n": "<br>"})
+_TEXT_LINE = str.maketrans({"\r": "\\r", "\n": "\\n"})
+
+
+def _markdown_line(text: str, escapes: dict = _MARKDOWN_LINE) -> str:
+    """``text`` on one Markdown line, each line break written ``<br>``."""
+    return text.replace("\r\n", "\n").translate(escapes)
+
+
+def text_line(text: str) -> str:
+    """``text`` on one line of text output, each line break backslash-escaped."""
+    return text.translate(_TEXT_LINE)
 
 
 def _markdown_table(rows: list[list[str]]) -> str:
     """A GFM table; no ``|`` or line break in a cell splits a cell or a row."""
-    cells = [[cell.replace("\r\n", "\n").translate(_MARKDOWN_CELL) for cell in row] for row in rows]
+    cells = [[_markdown_line(cell, _MARKDOWN_CELL) for cell in row] for row in rows]
     header, *body = cells
     lines = ["| " + " | ".join(header) + " |"]
     lines.append("| " + " | ".join([":--"] + ["--:"] * (len(header) - 1)) + " |")
@@ -152,11 +166,14 @@ def _analysis(
     return trend_series(assessments), decompose_delta(assessments[0], assessments[-1])
 
 
-def _timestamp_lines(records: Sequence[HistoryRecord], bullet: str) -> list[str]:
-    """One line per record with its timestamp and host, then a blank line."""
+def _timestamp_lines(
+    records: Sequence[HistoryRecord], bullet: str, escape: Callable[[str], str]
+) -> list[str]:
+    """One line per record with its timestamp and host, then a blank line;
+    ``escape`` keeps a label or host on its line."""
     return [
-        f"{bullet}{record.assessment.label}: {record.assessment.timestamp.isoformat()} "
-        f"(host {record.host_label})"
+        f"{bullet}{escape(record.assessment.label)}: {record.assessment.timestamp.isoformat()} "
+        f"(host {escape(record.host_label)})"
         for record in records
     ] + [""]
 
@@ -165,7 +182,7 @@ def render_report_markdown(records: Sequence[HistoryRecord], with_timestamps: bo
     trends, decomposition = _analysis(records)
     sections = ["# Security posture report", ""]
     if with_timestamps:
-        sections.extend(_timestamp_lines(records, "- "))
+        sections.extend(_timestamp_lines(records, "- ", _markdown_line))
     *rows, composite_row = _score_matrix(records)
     scores_table = _markdown_table([*rows, [f"**{cell}**" for cell in composite_row]])
     sections += ["## Scores", "", scores_table, ""]
@@ -180,7 +197,10 @@ def render_report_markdown(records: Sequence[HistoryRecord], with_timestamps: bo
         for position, (tool, delta, share) in enumerate(rank_contributions(decomposition), start=1):
             name = TOOLS[tool].display_name
             driver_rows.append([str(position), name, f"{delta:+.2f}", _share_text(share)])
-        heading = f"## Change drivers: {decomposition.from_label} to {decomposition.to_label}"
+        heading = (
+            f"## Change drivers: {_markdown_line(decomposition.from_label)} "
+            f"to {_markdown_line(decomposition.to_label)}"
+        )
         sections += [heading, "", _markdown_table(driver_rows), ""]
         if decomposition.dominant_share is None:
             sections.append("No dominant driver: the composite did not change.")
@@ -199,7 +219,7 @@ def render_report_text(records: Sequence[HistoryRecord], with_timestamps: bool =
     trends, decomposition = _analysis(records)
     sections = ["security posture report", ""]
     if with_timestamps:
-        sections.extend(_timestamp_lines(records, ""))
+        sections.extend(_timestamp_lines(records, "", text_line))
     sections.append(_text_table(_score_matrix(records)))
     if trends is not None:
         sections.append("")

@@ -279,8 +279,8 @@ def _scan(
     index: dict,
     host_filter: str | None,
     newest_of: Collection[str] | None,
-) -> tuple[HistoryLoad, dict]:
-    """The records a :func:`load_history` query keeps, and the index of the file.
+) -> HistoryLoad:
+    """The records a :func:`load_history` query keeps, extending ``index`` in place.
 
     ``data`` is the whole file, or empty when a trusted index lets the read
     skip it; only its bytes after the prefix that ``index`` covers are
@@ -296,8 +296,7 @@ def _scan(
     """
     covered = index["covered"]
     result = HistoryLoad(skipped=index["skipped"])
-    grown = dict(index, lines=list(index["lines"]))
-    grown["covered"] = data.rfind(b"\n", covered) + 1 or covered  # just past the last b"\n"
+    index["covered"] = data.rfind(b"\n", covered) + 1 or covered  # just past the last b"\n"
 
     def wanted(host_label: str, label: str) -> bool:
         return (host_filter is None or host_label == host_filter) and (
@@ -313,7 +312,7 @@ def _scan(
         stop = covered
         while stop < len(data):
             start, stop = stop, data.find(b"\n", stop) + 1 or len(data)
-            complete = stop <= grown["covered"]  # a final line with no b"\n" may grow
+            complete = stop <= index["covered"]  # a final line with no b"\n" may grow
             try:
                 parsed = _parse_line(data[start:stop])
                 if parsed is None:
@@ -321,10 +320,10 @@ def _scan(
                 keys = _line_keys(parsed)
             except _CORRUPT:
                 result.skipped += 1
-                grown["skipped"] += complete
+                index["skipped"] += complete
                 continue
             if complete:
-                grown["lines"].append([start, *keys])
+                index["lines"].append([start, *keys])
             if wanted(*keys):
                 yield start, stop, keys, parsed
 
@@ -368,7 +367,7 @@ def _scan(
             if keys[1] not in done and decode(start, stop, keys, newest.pop(keys[1], None)):
                 done.add(keys[1])
         result.records.reverse()
-    return result, grown
+    return result
 
 
 def load_history(
@@ -393,10 +392,10 @@ def load_history(
 
     A filtered read of a regular file takes the checked lines of an
     unchanged prefix from the ``<history>.idx`` index, scans only the rest
-    and extends the index; of a settled file whose identity the index
-    records, it reads only the lines it decodes, and any other read reads
-    the file once. An unfiltered read scans the whole file and leaves the
-    index alone. An index entry that does not match its line, found when
+    and extends the index in place; of a settled file whose identity the
+    index records, it reads only the lines it decodes, and any other read
+    reads the file once. An unfiltered read scans the whole file and leaves
+    the index alone. An index entry that does not match its line, found when
     the line is decoded, drops the index for a full scan.
     """
     path = Path(path)
@@ -423,33 +422,33 @@ def load_history(
                 "lines": [],
             }
             index = (index_path and _read_index(index_path, info)) or unindexed
+            covered = index["covered"]  # the prefix the index held before the scan
             # An index of this very file, unchanged since it settled, is
             # trusted: the history is neither read whole nor hashed.
-            trusted = index["identity"] == _identity(info) and index["covered"] == info.st_size
+            trusted = index["identity"] == _identity(info) and covered == info.st_size
             data = b"" if trusted else handle.read()
             digest = None
-            if index["covered"] and not trusted:
+            if covered and not trusted:
                 digest = _new_digest()
-                digest.update(memoryview(data)[: index["covered"]])
+                digest.update(memoryview(data)[:covered])
                 if digest.hexdigest() != index["sha256"]:
-                    index, digest = unindexed, None
+                    index, digest, covered = unindexed, None, 0
             try:
-                result, grown = _scan(data, fd, index, host_filter, newest_of)
+                result = _scan(data, fd, index, host_filter, newest_of)
             except _StaleIndex:
                 if trusted:
                     data = handle.read()
-                index, digest, trusted = unindexed, None, False
-                result, grown = _scan(data, fd, index, host_filter, newest_of)
+                index, digest, trusted, covered = unindexed, None, False, 0
+                result = _scan(data, fd, index, host_filter, newest_of)
     except OSError as exc:
         raise StoreError("IO_FAILURE", f"cannot read {path}: {exc}") from exc
 
     # Only a file that the scan covers to its end, last changed more than
     # _SETTLE_NS before the read began, gets its identity recorded; a read
     # that finds the file so settled since the index was written rewrites it.
-    covered = index["covered"]
-    settled = 0 < grown["covered"] == info.st_size and began - info.st_ctime_ns > _SETTLE_NS
-    if index_path and (grown["covered"] > covered or (settled and not trusted)):
-        grown["identity"] = _identity(info) if settled else None
-        added = memoryview(data)[covered : grown["covered"]]
-        _write_index(index_path, grown, digest, added, stat.S_IMODE(info.st_mode) & 0o666)
+    settled = 0 < index["covered"] == info.st_size and began - info.st_ctime_ns > _SETTLE_NS
+    if index_path and (index["covered"] > covered or (settled and not trusted)):
+        index["identity"] = _identity(info) if settled else None
+        added = memoryview(data)[covered : index["covered"]]
+        _write_index(index_path, index, digest, added, stat.S_IMODE(info.st_mode) & 0o666)
     return result

@@ -1522,6 +1522,40 @@ def test_report_markdown_writes_a_line_break_in_a_label_as_br(capsys, data_dir, 
     assert all(row.startswith("| ") and row.endswith(" |") for row in rows)
 
 
+def test_a_line_break_in_a_label_or_host_splits_no_line_of_output(capsys, data_dir, tmp_path):
+    history = tmp_path / "history.jsonl"
+    for name, label, host in (
+        ("manifest-baseline-literal.yaml", "two\nlines", "x\r\ny"),
+        ("manifest-full.yaml", "c", "e\rf"),
+    ):
+        argv = ["score", "--manifest", str(data_dir / name), "--label", label, "--host", host]
+        assert main([*argv, "--history", str(history)]) == 0
+    capsys.readouterr()
+    # One history row per record, each line break backslash-escaped.
+    code, out, _ = run_cli(capsys, "history", "--history", str(history))
+    assert code == 0
+    first, second = out.split("\n")[:-1]
+    assert first.startswith("two\\nlines ") and first.endswith(" host=x\\r\\ny")
+    assert second.startswith("c ") and second.endswith(" host=e\\rf")
+    # Markdown writes each line break as <br>: the heading and each bullet
+    # stay one line.
+    argv = ["report", "two\nlines", "c", "--history", str(history), "--timestamps"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert "\r" not in out
+    lines = out.split("\n")
+    assert "## Change drivers: two<br>lines to c" in lines
+    first, second = [line for line in lines if line.startswith("- ")]
+    assert first.startswith("- two<br>lines: ") and first.endswith(" (host x<br>y)")
+    assert second.startswith("- c: ") and second.endswith(" (host e<br>f)")
+    # The text report's timestamp lines, like history rows, escape them.
+    code, out, _ = run_cli(capsys, *argv, "--format", "text")
+    assert code == 0
+    _, _, first, second, *_ = out.split("\n")
+    assert first.startswith("two\\nlines: ") and first.endswith(" (host x\\r\\ny)")
+    assert second.startswith("c: ") and second.endswith(" (host e\\rf)")
+
+
 # ---------------------------------------------------------------------------
 # config plumbing
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ never prints a traceback, and never prints a non-finite number.
 
 from __future__ import annotations
 
+import json
 import re
 import stat
 import tempfile
@@ -20,6 +21,7 @@ from hypothesis import HealthCheck, example, given, settings
 from auditscore.cli import main
 from auditscore.errors import ParseError
 from auditscore.model import (
+    COMPOSITE_TOLERANCE,
     AideReport,
     LynisReport,
     ScapProfile,
@@ -245,9 +247,24 @@ _JSON_TOKENS = ["NaN", "Infinity", "-Infinity", "1e999", "-1e999", "9" * 5000, "
 @st.composite
 def _history_line(draw) -> bytes:
     line = draw(st.sampled_from(_RECORD_LINES))
-    kinds = ["valid", "valid", "spoiled", "spoiled", "deep", "junk", "surrogate"]
+    kinds = ["valid", "valid", "spoiled", "spoiled", "deep", "junk", "surrogate", "true", "raised"]
     kind = draw(st.sampled_from(kinds))
-    if kind == "surrogate":
+    if kind in ("true", "raised"):
+        # Lines that JSON and the sum check take, but that must be skipped:
+        # true sums as 1, and a composite raised with one contribution still
+        # matches their sum but no longer follows from weights and scores.
+        payload = json.loads(line)
+        assessment, contributions = payload["assessment"], payload["assessment"]["contributions"]
+        tool = draw(st.sampled_from(sorted(contributions)))
+        if kind == "true":
+            assessment["composite"] = True
+            assessment["contributions"] = {name: name == tool for name in contributions}
+        else:
+            raised = draw(st.sampled_from([1e-6, 0.5, 5.0]))
+            assessment["composite"] += raised
+            contributions[tool] += raised
+        line = json.dumps(payload, separators=(",", ":"))
+    elif kind == "surrogate":
         # A label or host that JSON takes but a strict UTF-8 stdout cannot write.
         key = draw(st.sampled_from(['"label":"', '"host_label":"']))
         start = line.index(key) + len(key)
@@ -301,7 +318,8 @@ def workdir(tmp_path, monkeypatch):
     return new
 
 
-def _check(capsys, argv: list[str]) -> None:
+def _check(capsys, argv: list[str]) -> str:
+    """Run ``argv`` and check the contract; returns what it printed on stdout."""
     code = main(argv)
     out, err = capsys.readouterr()
     assert code in (0, 2, 3), (code, err)
@@ -310,6 +328,7 @@ def _check(capsys, argv: list[str]) -> None:
     # The one line that prints a number on stderr.
     gate = [line for line in err.splitlines() if line.startswith("composite ")]
     assert not _NON_FINITE.search("\n".join(gate)), gate
+    return out
 
 
 @st.composite
@@ -405,7 +424,18 @@ def test_history_contract(capsys, workdir, data):
     argv = ["history", *_history_args(data, workdir())]
     argv += data.draw(st.sampled_from([[], ["--json"]]))
     argv += data.draw(st.sampled_from([[], ["--host", "a"], ["--host", "z"]]))
-    _check(capsys, argv)
+    out = _check(capsys, argv)
+    if "--json" in argv:
+        # Every record printed holds numbers, and each contribution is its
+        # tool's weight times its score.
+        for line in out.splitlines():
+            assessment = json.loads(line)["assessment"]
+            weights = assessment["weights"]["tool_weights"]
+            for value in [assessment["composite"], *assessment["contributions"].values()]:
+                assert type(value) in (int, float), line
+            for tool, contribution in assessment["contributions"].items():
+                product = weights[tool] * assessment["scores"][tool]["value"]
+                assert abs(contribution - product) <= COMPOSITE_TOLERANCE, line
 
 
 @given(data=st.data())

@@ -1,6 +1,7 @@
 import copy
 import inspect
 import pickle
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -352,8 +353,52 @@ def _lynis_only(value):
             "VALUE_OUT_OF_RANGE",
             "composite must be in [0, 100], got -1.0",
         ),
+        # Stored numbers are checked, never coerced: true sums as 1.
+        (
+            lambda f: dict(
+                composite=True, contributions={**_lynis_only(False), ToolKind.LYNIS: True}
+            ),
+            "VALUE_WRONG_TYPE",
+            "composite must be a number, got True",
+        ),
+        (
+            lambda f: dict(composite=Decimal("50"), contributions=_lynis_only(Decimal("50"))),
+            "VALUE_WRONG_TYPE",
+            "composite must be a number, got Decimal('50')",
+        ),
+        (
+            lambda f: dict(contributions={**f["contributions"], ToolKind.AIDE: "7.5"}),
+            "VALUE_WRONG_TYPE",
+            "contributions[aide] must be a number, got '7.5'",
+        ),
+        (
+            lambda f: dict(weights={"a": 1}),
+            "VALUE_WRONG_TYPE",
+            "weights must be a WeightProfile, got {'a': 1}",
+        ),
+        # The sum still matches, but the Lynis contribution is not 0.20 * 50.
+        (
+            lambda f: dict(
+                composite=f["composite"] + 5,
+                contributions={**f["contributions"], ToolKind.LYNIS: 15.0},
+            ),
+            "COMPOSITE_MISMATCH",
+            "contributions[lynis] 15.0 != weight * score 10.0",
+        ),
+        # Two contributions moved apart by the same amount: the sum still matches.
+        (
+            lambda f: dict(
+                contributions={
+                    **f["contributions"], ToolKind.AIDE: 8.5, ToolKind.TRIPWIRE: 6.5
+                },
+            ),
+            "COMPOSITE_MISMATCH",
+            "contributions[aide] 8.5 != weight * score 7.5",
+        ),
     ],
-    ids=["score-missing", "score-of-another-tool", "contribution-missing", "above-100", "below-0"],
+    ids=["score-missing", "score-of-another-tool", "contribution-missing", "above-100", "below-0",
+         "bool-composite", "decimal-composite", "string-contribution", "weights-not-a-profile",
+         "contribution-not-weight-times-score", "contributions-moved-apart"],
 )
 def test_composite_assessment_rejects_an_incomplete_or_impossible_record(change, code, message):
     assessment = aggregate(six_scores([50.0] * 6), WeightProfile(), "x", FIXED_TIMESTAMP)

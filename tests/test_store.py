@@ -254,6 +254,33 @@ def test_wrong_shape_records_are_skipped(tmp_path, data_dir, path, value):
     assert loaded.skipped == 1
 
 
+def _boolean_composite(assessment: dict) -> None:
+    # true sums as 1: a composite of true and one contribution of true agree.
+    assessment["composite"] = True
+    assessment["contributions"] = {tool: tool == "lynis" for tool in assessment["contributions"]}
+
+
+def _composite_and_lynis_raised(assessment: dict) -> None:
+    # The sum still matches the composite, but Lynis no longer gives weight * score.
+    assessment["composite"] += 5
+    assessment["contributions"]["lynis"] += 5
+
+
+@pytest.mark.parametrize("spoil", [_boolean_composite, _composite_and_lynis_raised])
+@pytest.mark.parametrize("filtered", [False, True], ids=["unfiltered", "newest_of"])
+def test_composite_that_does_not_follow_from_its_scores_is_skipped(
+    tmp_path, data_dir, spoil, filtered
+):
+    valid, *_ = (data_dir / "history-v1.jsonl").read_text().splitlines()
+    payload = json.loads(valid)
+    spoil(payload["assessment"])
+    history = tmp_path / "history.jsonl"
+    history.write_text(valid + "\n" + json.dumps(payload) + "\n")
+    loaded = load_history(history, newest_of={"baseline"} if filtered else None)
+    assert [record_to_json(record) for record in loaded.records] == [valid]
+    assert loaded.skipped == 1
+
+
 @pytest.mark.parametrize(
     "tool, key",
     [("aide", "added"), ("tripwire", "objects_scanned"), ("openscap_cis", "pass_count"),
@@ -897,6 +924,41 @@ def test_format_3_index_in_the_earlier_key_order_is_trusted_and_written_alike(
     load_history(path, host_filter="alpha")
     assert index.read_bytes() == _checksum(body) + b"\n" + body
     assert store._read_index(index, path.stat()) == json.loads(body)
+
+
+def test_unterminated_last_line_is_skipped_and_indexed_once_it_ends(tmp_path, monkeypatch):
+    # A writer may still be appending the last line when a filtered read
+    # meets it. The read counts it as skipped, but neither indexes it nor
+    # records the history's identity, so the read after the line ends
+    # loads its record and counts nothing for it.
+    path = tmp_path / "history.jsonl"
+    append_record(path, _record("baseline"))
+    append_record(path, _record("partial", values=(61, 69.8, 77.7, 78.0, 58.6, 47)))
+    line = record_to_json(_record("full", values=(70, 75, 80, 85, 60, 50))) + "\n"
+    complete = path.stat().st_size
+    with open(path, "a") as handle:
+        handle.write(line[: len(line) // 2])
+    _settle(path, monkeypatch)  # settled enough to record, were its last line whole
+    index = tmp_path / "history.jsonl.idx"
+
+    def stored():
+        return json.loads(index.read_bytes().partition(b"\n")[2])
+
+    loaded = load_history(path, newest_of={"baseline", "full"})
+    assert ([r.assessment.label for r in loaded.records], loaded.skipped) == (["baseline"], 1)
+    first = stored()
+    assert (first["covered"], first["skipped"], first["identity"]) == (complete, 0, None)
+    assert [entry[2] for entry in first["lines"]] == ["baseline", "partial"]
+    with open(path, "a") as handle:
+        handle.write(line[len(line) // 2 :])
+    loaded = load_history(path, newest_of={"baseline", "full"})
+    assert ([r.assessment.label for r in loaded.records], loaded.skipped) == (
+        ["baseline", "full"],
+        0,
+    )
+    second = stored()
+    assert (second["covered"], second["skipped"]) == (path.stat().st_size, 0)
+    assert second["lines"] == [*first["lines"], [complete, "node-1", "full"]]
 
 
 @contextlib.contextmanager
