@@ -102,9 +102,9 @@ def _score_report(
     source = str(path)
     report, diagnostics = TOOLS[tool].parse(_read_text(path), source, firewall, verbose)
     for warning in diagnostics.warnings:
-        print(f"warning: {source}: {warning}", file=sys.stderr)
+        print(text_line(f"warning: {source}: {warning}"), file=sys.stderr)
     for note in diagnostics.trace:
-        print(f"debug: {source}: {note}", file=sys.stderr)
+        print(text_line(f"debug: {source}: {note}"), file=sys.stderr)
     return normalize_report(report, profile), diagnostics.warnings
 
 

@@ -9,7 +9,7 @@ precision.
 from __future__ import annotations
 
 import json
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .analysis import TrendTable, decompose_delta, rank_contributions, trend_series
 from .model import (
@@ -23,6 +23,23 @@ from .scoring import TOOLS
 from .store import HistoryRecord, record_to_json
 
 
+# "\r\n", "\r" or "\n" in a label, host or report field would split a line
+# of output. Each format has one rule, applied to each whole line or table
+# cell that its writers build.
+_MARKDOWN_LINE = str.maketrans({"\r": "<br>", "\n": "<br>"})
+_TEXT_LINE = str.maketrans({"\r": "\\r", "\n": "\\n"})
+
+
+def _markdown_line(text: str) -> str:
+    """``text`` on one Markdown line, each line break written ``<br>``."""
+    return text.replace("\r\n", "\n").translate(_MARKDOWN_LINE)
+
+
+def text_line(text: str) -> str:
+    """``text`` on one line of text output, each line break backslash-escaped."""
+    return text.translate(_TEXT_LINE)
+
+
 def raw_summary(raw: RawToolReport | None) -> str:
     if raw is None:
         return "(score supplied directly)"
@@ -30,17 +47,17 @@ def raw_summary(raw: RawToolReport | None) -> str:
 
 
 def change_cell(first: float, last: float) -> str:
-    """Relative percent for upward moves from a nonzero base, else points."""
+    """Relative percent for upward moves from a base that shows as nonzero, else points."""
     delta = last - first
-    if first > 0 and delta > 0:
+    if round(first, 2) > 0 and delta > 0:
         return f"+{delta / first * 100.0:.1f}%"
     return f"{delta:+.1f} pts"
 
 
 def format_assessment_text(assessment: CompositeAssessment, host_label: str | None = None) -> str:
-    lines = [f"label: {assessment.label}"]
+    lines = [text_line(f"label: {assessment.label}")]
     if host_label:
-        lines.append(f"host: {host_label}")
+        lines.append(text_line(f"host: {host_label}"))
     lines.append(
         f"{'tool':<20} {'score':>8} {'weight':>7} {'contribution':>13}  raw"
     )
@@ -66,8 +83,8 @@ def _share_text(share: float | None) -> str:
 
 
 def format_compare_text(decomposition: DeltaDecomposition) -> str:
-    lines = [f"delta decomposition: {decomposition.from_label} -> {decomposition.to_label}"]
-    lines.append(f"{'rank':<5} {'tool':<20} {'weighted delta':>14} {'share':>8}")
+    heading = f"delta decomposition: {decomposition.from_label} -> {decomposition.to_label}"
+    lines = [text_line(heading), f"{'rank':<5} {'tool':<20} {'weighted delta':>14} {'share':>8}"]
     for position, (tool, delta, share) in enumerate(rank_contributions(decomposition), start=1):
         lines.append(f"{position:<5} {tool.value:<20} {delta:>+14.2f} {_share_text(share):>8}")
     lines.append(f"total delta: {decomposition.total_delta:+.2f}")
@@ -116,27 +133,9 @@ def _score_matrix(records: Sequence[HistoryRecord]) -> list[list[str]]:
     return rows
 
 
-# "\r\n", "\r" or "\n" in a label or host would split a line of output: a
-# Markdown heading, bullet or table row, or a line-per-record text line. In
-# a GFM table cell a "|" would also split the cell.
-_MARKDOWN_LINE = str.maketrans({"\r": "<br>", "\n": "<br>"})
-_MARKDOWN_CELL = str.maketrans({"|": "\\|", "\r": "<br>", "\n": "<br>"})
-_TEXT_LINE = str.maketrans({"\r": "\\r", "\n": "\\n"})
-
-
-def _markdown_line(text: str, escapes: dict = _MARKDOWN_LINE) -> str:
-    """``text`` on one Markdown line, each line break written ``<br>``."""
-    return text.replace("\r\n", "\n").translate(escapes)
-
-
-def text_line(text: str) -> str:
-    """``text`` on one line of text output, each line break backslash-escaped."""
-    return text.translate(_TEXT_LINE)
-
-
 def _markdown_table(rows: list[list[str]]) -> str:
     """A GFM table; no ``|`` or line break in a cell splits a cell or a row."""
-    cells = [[_markdown_line(cell, _MARKDOWN_CELL) for cell in row] for row in rows]
+    cells = [[_markdown_line(cell).replace("|", "\\|") for cell in row] for row in rows]
     header, *body = cells
     lines = ["| " + " | ".join(header) + " |"]
     lines.append("| " + " | ".join([":--"] + ["--:"] * (len(header) - 1)) + " |")
@@ -146,6 +145,7 @@ def _markdown_table(rows: list[list[str]]) -> str:
 
 
 def _text_table(rows: list[list[str]]) -> str:
+    rows = [[text_line(cell) for cell in row] for row in rows]
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     lines = []
     for row in rows:
@@ -166,14 +166,11 @@ def _analysis(
     return trend_series(assessments), decompose_delta(assessments[0], assessments[-1])
 
 
-def _timestamp_lines(
-    records: Sequence[HistoryRecord], bullet: str, escape: Callable[[str], str]
-) -> list[str]:
-    """One line per record with its timestamp and host, then a blank line;
-    ``escape`` keeps a label or host on its line."""
+def _timestamp_lines(records: Sequence[HistoryRecord], bullet: str) -> list[str]:
+    """One raw line per record with its timestamp and host, then a blank line."""
     return [
-        f"{bullet}{escape(record.assessment.label)}: {record.assessment.timestamp.isoformat()} "
-        f"(host {escape(record.host_label)})"
+        f"{bullet}{record.assessment.label}: {record.assessment.timestamp.isoformat()} "
+        f"(host {record.host_label})"
         for record in records
     ] + [""]
 
@@ -182,7 +179,7 @@ def render_report_markdown(records: Sequence[HistoryRecord], with_timestamps: bo
     trends, decomposition = _analysis(records)
     sections = ["# Security posture report", ""]
     if with_timestamps:
-        sections.extend(_timestamp_lines(records, "- ", _markdown_line))
+        sections.extend(map(_markdown_line, _timestamp_lines(records, "- ")))
     *rows, composite_row = _score_matrix(records)
     scores_table = _markdown_table([*rows, [f"**{cell}**" for cell in composite_row]])
     sections += ["## Scores", "", scores_table, ""]
@@ -197,11 +194,8 @@ def render_report_markdown(records: Sequence[HistoryRecord], with_timestamps: bo
         for position, (tool, delta, share) in enumerate(rank_contributions(decomposition), start=1):
             name = TOOLS[tool].display_name
             driver_rows.append([str(position), name, f"{delta:+.2f}", _share_text(share)])
-        heading = (
-            f"## Change drivers: {_markdown_line(decomposition.from_label)} "
-            f"to {_markdown_line(decomposition.to_label)}"
-        )
-        sections += [heading, "", _markdown_table(driver_rows), ""]
+        heading = f"## Change drivers: {decomposition.from_label} to {decomposition.to_label}"
+        sections += [_markdown_line(heading), "", _markdown_table(driver_rows), ""]
         if decomposition.dominant_share is None:
             sections.append("No dominant driver: the composite did not change.")
         else:
@@ -219,7 +213,7 @@ def render_report_text(records: Sequence[HistoryRecord], with_timestamps: bool =
     trends, decomposition = _analysis(records)
     sections = ["security posture report", ""]
     if with_timestamps:
-        sections.extend(_timestamp_lines(records, "", text_line))
+        sections.extend(map(text_line, _timestamp_lines(records, "")))
     sections.append(_text_table(_score_matrix(records)))
     if trends is not None:
         sections.append("")

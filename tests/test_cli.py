@@ -7,6 +7,7 @@ import re
 import stat
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 from unittest import mock
@@ -14,7 +15,7 @@ from unittest import mock
 import hypothesis.strategies as st
 import pytest
 import yaml
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 
 import auditscore
 from auditscore import cli, parsers, store
@@ -22,6 +23,7 @@ from auditscore.cli import build_parser, load_manifest, main
 from auditscore.errors import ParseError, ValidationError
 from auditscore.model import ScapProfile, ScapReport, ToolKind, raw_report_to_dict
 from auditscore.parsers import ParseDiagnostics, parse_aide, parse_lynis
+from auditscore.render import change_cell
 from auditscore.reportgen import render_xccdf
 from auditscore.store import load_history
 
@@ -99,6 +101,44 @@ def test_score_stderr_matches_golden(capsys, monkeypatch, data_dir, manifest, ve
     code, _, err = run_cli(capsys, "score", "--manifest", manifest, *(["--verbose"] * verbose))
     assert code == 0
     assert err == "".join(_golden_stderr(report, verbose) for report in reports)
+
+
+@pytest.mark.parametrize(
+    "tool, text, warnings",
+    [
+        (
+            "openscap-cis",
+            '<Benchmark xmlns="http://checklists.nist.gov/xccdf/1.2"><TestResult>'
+            '<rule-result idref="a&#10;b"><result>bogus</result></rule-result>'
+            '<rule-result idref="c&#13;d"><result>pass</result></rule-result>'
+            "</TestResult></Benchmark>",
+            ["rule-result a\nb has unknown result 'bogus'; excluded"],
+        ),
+        (
+            "vuln-scan",
+            '<nmaprun><host><address addr="10.0.0.1" addrtype="ipv4"/><ports>'
+            '<port protocol="t&#10;cp" portid="22"><state state="open"/>'
+            '<script id="vu&#13;lners" output="CVE-2023-38408  9.8"/></port>'
+            '<port protocol="tcp" portid="23"><state state="clo&#13;&#10;sed"/></port>'
+            "</ports></host></nmaprun>",
+            [],
+        ),
+    ],
+    ids=["xccdf", "nmap"],
+)
+def test_a_line_break_in_a_report_field_splits_no_diagnostic_line(
+    capsys, tmp_path, tool, text, warnings
+):
+    report = tmp_path / "f.xml"
+    report.write_text(text)
+    code, _, err = run_cli(capsys, "parse", "--tool", tool, str(report), "--verbose")
+    assert code == 0
+    lines = err.splitlines()
+    assert lines and all(line.startswith(("warning: ", "debug: ")) for line in lines)
+    # ``--json`` keeps each warning as the parser wrote it.
+    code, out, _ = run_cli(capsys, "parse", "--tool", tool, str(report), "--json")
+    assert code == 0
+    assert json.loads(out)["warnings"] == warnings
 
 
 def test_parse_lynis_key_missing_exits_2(capsys, tmp_path):
@@ -1271,6 +1311,26 @@ def test_compare_accepts_record_files(capsys, data_dir, tmp_path):
     assert "+9.83" in out
 
 
+@pytest.mark.parametrize(
+    "content, skipped",
+    [("", ""), ("{torn\n", "warning: skipped 1 corrupt line(s)\n")],
+    ids=["empty", "corrupt"],
+)
+def test_compare_record_file_with_no_loadable_record_exits_2(
+    capsys, populated_history, tmp_path, content, skipped
+):
+    reference = tmp_path / "empty.json"
+    reference.write_text(content)
+    code, out, err = run_cli(
+        capsys, "compare", str(reference), "full", "--history", str(populated_history)
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"{skipped}error[UNKNOWN_LABEL]: {reference}: file contains no parseable records\n"
+    )
+
+
 def test_compare_mismatched_weights_exits_2(capsys, data_dir, tmp_path):
     history = tmp_path / "history.jsonl"
     weights = tmp_path / "uniform.yaml"
@@ -1487,6 +1547,50 @@ def test_report_keeps_emphasis_marks_in_labels(
     assert composite_row in lines
 
 
+@pytest.mark.parametrize(
+    "first, last, cell",
+    [
+        (0.004, 1.0, "+1.0 pts"),  # shows as 0.00
+        (0.005, 1.0, "+19900.0%"),  # shows as 0.01
+        (0.0, 5.0, "+5.0 pts"),
+        (10.0, 5.0, "-5.0 pts"),
+    ],
+)
+def test_change_is_a_percent_only_from_a_base_that_shows_as_nonzero(first, last, cell):
+    assert change_cell(first, last) == cell
+
+
+@pytest.mark.parametrize(
+    "report_format, row",
+    [
+        ("markdown", "| Lynis | 0.00 | 60.00 | +60.0 pts |"),
+        ("text", "Lynis               0.00  60.00  +60.0 pts"),
+    ],
+    ids=["markdown", "text"],
+)
+def test_report_change_from_a_base_that_shows_as_zero_is_in_points(
+    capsys, tmp_path, report_format, row
+):
+    history = tmp_path / "history.jsonl"
+    for label, lynis in (("tiny", "5e-324"), ("up", "60")):
+        manifest = tmp_path / f"{label}.yaml"
+        manifest.write_text(
+            "reports:\n"
+            + "".join(
+                f"  {tool.value}: {{score: {lynis if tool is ToolKind.LYNIS else 50}}}\n"
+                for tool in ToolKind
+            )
+        )
+        argv = ["score", "--manifest", str(manifest), "--label", label]
+        assert main([*argv, "--history", str(history)]) == 0
+    capsys.readouterr()
+    code, out, _ = run_cli(
+        capsys, "report", "tiny", "up", "--history", str(history), "--format", report_format
+    )
+    assert code == 0
+    assert row in out.splitlines()
+
+
 def test_report_markdown_keeps_a_pipe_in_a_label_inside_its_cell(capsys, data_dir, tmp_path):
     history = tmp_path / "history.jsonl"
     for name, label in (("manifest-baseline-literal.yaml", "a|b"), ("manifest-full.yaml", "c")):
@@ -1551,9 +1655,63 @@ def test_a_line_break_in_a_label_or_host_splits_no_line_of_output(capsys, data_d
     # The text report's timestamp lines, like history rows, escape them.
     code, out, _ = run_cli(capsys, *argv, "--format", "text")
     assert code == 0
-    _, _, first, second, *_ = out.split("\n")
+    _, _, first, second, _, header, *rest = out.split("\n")
     assert first.startswith("two\\nlines: ") and first.endswith(" (host x\\r\\ny)")
     assert second.startswith("c: ") and second.endswith(" (host e\\rf)")
+    # So do the text report's header row and every line of ``compare`` and
+    # ``score``.
+    assert header.split() == ["Tool", "two\\nlines", "c", "Change"]
+    assert "delta decomposition: two\\nlines -> c" in rest
+    code, out, _ = run_cli(capsys, "compare", "two\nlines", "c", "--history", str(history))
+    assert code == 0
+    assert out.split("\n")[0] == "delta decomposition: two\\nlines -> c"
+    argv = ["score", "--manifest", str(data_dir / "manifest-baseline-literal.yaml")]
+    code, out, _ = run_cli(capsys, *argv, "--label", "two\nlines", "--host", "x\r\ny")
+    assert code == 0
+    assert out.split("\n")[:2] == ["label: two\\nlines", "host: x\\r\\ny"]
+
+
+def _line_counts(capsys, first, second, host):
+    """Lines of each human-readable output over a record labelled ``first``
+    and one labelled ``second``, both of ``host``."""
+    manifests = ("manifest-baseline-literal.yaml", "manifest-full.yaml")
+    commands = [
+        ["score", "--manifest", str(DATA_DIR / name), "--label", label, "--host", host]
+        for name, label in zip(manifests, (first, second))
+    ] + [
+        ["history"],
+        ["compare", first, second],
+        ["report", first, second],
+        ["report", first, second, "--timestamps"],
+        ["report", first, second, "--format", "text", "--timestamps"],
+    ]
+    with tempfile.TemporaryDirectory() as directory:
+        history = ["--history", str(Path(directory) / "history.jsonl")]
+        counts = []
+        for argv in commands:
+            code, out, _ = run_cli(capsys, *argv, *history)
+            assert code == 0
+            counts.append(len(out.splitlines()))
+    return counts
+
+
+_LINE_BREAKING_TEXT = st.lists(
+    st.sampled_from(["a", "b", " ", "|", "\r", "\n", "\r\n"]), min_size=1, max_size=6
+).map("".join)
+
+
+@given(first=_LINE_BREAKING_TEXT, second=_LINE_BREAKING_TEXT, host=_LINE_BREAKING_TEXT)
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_labels_and_host_never_change_the_line_count_of_an_output(
+    capsys, monkeypatch, tmp_path, first, second, host
+):
+    assume(first != second)
+    monkeypatch.chdir(tmp_path)  # so that no label names a record file
+    assert _line_counts(capsys, first, second, host) == _line_counts(capsys, "a", "b", "plain")
 
 
 # ---------------------------------------------------------------------------
