@@ -39,7 +39,7 @@ def main() -> int:
         assessments.append(aggregate(scores, profile, label, TIMESTAMP))
 
     records = [HistoryRecord(a, host_label="study-node") for a in assessments]
-    print(render_report_markdown(records))
+    print("\n".join(render_report_markdown(records)))
 
     decomposition = decompose_delta(assessments[0], assessments[-1])
 

@@ -57,34 +57,36 @@ from .store import HistoryLoad, HistoryRecord, append_record, load_history, reco
 _CLI_TOOL_NAMES = {tool.value.replace("_", "-"): tool for tool in ToolKind}
 
 
-def _out(text: str) -> None:
-    """Print one line to stdout, each character it cannot encode backslash-escaped;
-    output to a reader that has gone is dropped."""
+def _write(stream, lines: tuple[str, ...]) -> None:
+    """Write each of ``lines`` to ``stream`` on one line, under the text line rule,
+    and backslash-escape what it cannot encode; a reader that has gone is dropped."""
+    encoding = stream.encoding or "utf-8"
+    text = "".join(f"{text_line(line)}\n" for line in lines)
     try:
-        print(text)
-    except UnicodeEncodeError:  # a lone surrogate, from a history line's JSON or from argv
-        _out(text.encode(sys.stdout.encoding, "backslashreplace").decode(sys.stdout.encoding))
+        print(text.encode(encoding, "backslashreplace").decode(encoding), end="", file=stream)
     except BrokenPipeError:
-        _drop_stdout()
+        _drop(stream)
 
 
-def _drop_stdout() -> None:
-    """Send the rest of stdout to the null device.
+def _out(*lines: str) -> None:
+    """Write ``lines`` to stdout, each as one line."""
+    _write(sys.stdout, lines)
+
+
+def _err(*lines: str) -> None:
+    """Write ``lines`` to stderr, each as one line."""
+    _write(sys.stderr, lines)
+
+
+def _drop(stream) -> None:
+    """Send the rest of ``stream`` to the null device.
 
     The command carries on, and the interpreter's flush at exit cannot fail
     on the closed pipe (the "Note on SIGPIPE" in the ``signal`` docs).
     """
     devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, sys.stdout.fileno())
+    os.dup2(devnull, stream.fileno())
     os.close(devnull)
-
-
-def _flush_stdout() -> None:
-    """Flush stdout; a reader that has gone is not an error."""
-    try:
-        sys.stdout.flush()
-    except BrokenPipeError:
-        _drop_stdout()
 
 
 def _read_text(path: Path) -> str:
@@ -101,10 +103,8 @@ def _score_report(
     score (``raw`` is the parsed report) and the warnings."""
     source = str(path)
     report, diagnostics = TOOLS[tool].parse(_read_text(path), source, firewall, verbose)
-    for warning in diagnostics.warnings:
-        print(text_line(f"warning: {source}: {warning}"), file=sys.stderr)
-    for note in diagnostics.trace:
-        print(text_line(f"debug: {source}: {note}"), file=sys.stderr)
+    _err(*(f"warning: {source}: {warning}" for warning in diagnostics.warnings))
+    _err(*(f"debug: {source}: {note}" for note in diagnostics.trace))
     return normalize_report(report, profile), diagnostics.warnings
 
 
@@ -119,20 +119,16 @@ def cmd_parse(args: argparse.Namespace, config: AppConfig) -> int:
         _CLI_TOOL_NAMES[args.tool], args.file, override, config.weights, args.verbose
     )
     if args.json:
-        _out(
-            json.dumps(
-                {
-                    "tool": score.tool.value,
-                    "source": str(args.file),
-                    "raw": raw_report_to_dict(score.raw),
-                    "score": score.value,
-                    "warnings": warnings,
-                },
-                indent=2,
-            )
-        )
+        document = {
+            "tool": score.tool.value,
+            "source": str(args.file),
+            "raw": raw_report_to_dict(score.raw),
+            "score": score.value,
+            "warnings": warnings,
+        }
+        _out(*json.dumps(document, indent=2).splitlines())
     else:
-        _out(format_parse_text(score, str(args.file)))
+        _out(*format_parse_text(score, str(args.file)))
     return 0
 
 
@@ -158,17 +154,13 @@ def cmd_score(args: argparse.Namespace, config: AppConfig) -> int:
     if args.json:
         _out(record_to_json(record))
     else:
-        _out(format_assessment_text(assessment, host))
+        _out(*format_assessment_text(assessment, host))
     if args.save or args.history:
         append_record(config.history_path, record)
         if not args.json:
             _out(f"appended to {config.history_path}")
     if args.min_score is not None and assessment.composite < args.min_score:
-        print(
-            f"composite {assessment.composite:.2f} below required minimum "
-            f"{args.min_score:.2f}",
-            file=sys.stderr,
-        )
+        _err(f"composite {assessment.composite:.2f} below required minimum {args.min_score:.2f}")
         return 3
     return 0
 
@@ -177,7 +169,7 @@ def _load_history(path: Path, **options) -> HistoryLoad:
     """``load_history(path, **options)``, warning of any skipped line."""
     loaded = load_history(path, **options)
     if loaded.skipped:
-        print(f"warning: skipped {loaded.skipped} corrupt line(s)", file=sys.stderr)
+        _err(f"warning: skipped {loaded.skipped} corrupt line(s)")
     return loaded
 
 
@@ -215,9 +207,9 @@ def cmd_compare(args: argparse.Namespace, config: AppConfig) -> int:
     ]
     decomposition = decompose_delta(from_assessment, to_assessment)
     if args.json:
-        _out(json.dumps(compare_to_dict(decomposition), indent=2))
+        _out(*json.dumps(compare_to_dict(decomposition), indent=2).splitlines())
     else:
-        _out(format_compare_text(decomposition))
+        _out(*format_compare_text(decomposition))
     return 0
 
 
@@ -229,9 +221,10 @@ def cmd_history(args: argparse.Namespace, config: AppConfig) -> int:
     else:
         for record in loaded.records:
             assessment = record.assessment
+            # Escaped before it is padded, so that the column counts printed characters.
             _out(
                 f"{text_line(assessment.label):<16} {assessment.timestamp.isoformat()} "
-                f"composite={assessment.composite:.2f} host={text_line(record.host_label)}"
+                f"composite={assessment.composite:.2f} host={record.host_label}"
             )
     return 0
 
@@ -239,11 +232,11 @@ def cmd_history(args: argparse.Namespace, config: AppConfig) -> int:
 def cmd_report(args: argparse.Namespace, config: AppConfig) -> int:
     records = _latest_by_label(config.history_path, args.labels)
     if args.format == "json":
-        _out(render_report_json(records))
+        _out(*render_report_json(records).splitlines())
     elif args.format == "text":
-        _out(render_report_text(records, args.timestamps))
+        _out(*render_report_text(records, args.timestamps))
     else:
-        _out(render_report_markdown(records, args.timestamps))
+        _out(*render_report_markdown(records, args.timestamps))
     return 0
 
 
@@ -259,7 +252,7 @@ def cmd_run(args: argparse.Namespace, config: AppConfig) -> int:
             _out(f"{tool.value}: {outcome.reports[tool]}")
         elif tool in outcome.failures:
             error = outcome.failures[tool]
-            print(f"{tool.value}: FAILED [{error.code}] {error}", file=sys.stderr)
+            _err(f"{tool.value}: FAILED [{error.code}] {error}")
     return 2 if outcome.failures else 0
 
 
@@ -399,17 +392,21 @@ def main(argv: list[str] | None = None) -> int:
                 config = config.replace(weights=load_weight_profile(args.weights))
             code = args.func(args, config)
         # Flush here, not at interpreter exit, so that a stdout that cannot
-        # be written is reported like any other I/O failure.
-        _flush_stdout()
+        # be written is reported like any other I/O failure; a reader that
+        # has gone is not one.
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            _drop(sys.stdout)
         return code
     except ParseError as exc:
-        print(f"error[{exc.code}] {exc.location()}: {exc}", file=sys.stderr)
+        _err(f"error[{exc.code}] {exc.location()}: {exc}")
         return 2
     except AuditError as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
+        _err(f"error[{exc.code}]: {exc}")
         return 2
     except OSError as exc:
-        print(f"error[IO_FAILURE]: {exc}", file=sys.stderr)
+        _err(f"error[IO_FAILURE]: {exc}")
         return 2
     finally:
         if collecting:
@@ -419,7 +416,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             sys.stdout.flush()
         except OSError:
-            _drop_stdout()
+            _drop(sys.stdout)
 
 
 def run() -> None:

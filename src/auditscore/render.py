@@ -23,11 +23,13 @@ from .scoring import TOOLS
 from .store import HistoryRecord, record_to_json
 
 
-# "\r\n", "\r" or "\n" in a label, host or report field would split a line
-# of output. Each format has one rule, applied to each whole line or table
-# cell that its writers build.
-_MARKDOWN_LINE = str.maketrans({"\r": "<br>", "\n": "<br>"})
-_TEXT_LINE = str.maketrans({"\r": "\\r", "\n": "\\n"})
+# The characters at which ``str.splitlines`` ends a line. One in a label,
+# host, path or report field would split a line of output, so the writers
+# here return raw lines and each format has one rule, applied to each whole
+# line: the CLI applies the text rule, the Markdown report the Markdown rule.
+_LINE_BREAKS = "\r\n\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_MARKDOWN_LINE = str.maketrans(dict.fromkeys(_LINE_BREAKS, "<br>"))
+_TEXT_LINE = str.maketrans({c: repr(c)[1:-1] for c in _LINE_BREAKS})  # as \n, \x0b, \u2028
 
 
 def _markdown_line(text: str) -> str:
@@ -54,10 +56,12 @@ def change_cell(first: float, last: float) -> str:
     return f"{delta:+.1f} pts"
 
 
-def format_assessment_text(assessment: CompositeAssessment, host_label: str | None = None) -> str:
-    lines = [text_line(f"label: {assessment.label}")]
+def format_assessment_text(
+    assessment: CompositeAssessment, host_label: str | None = None
+) -> list[str]:
+    lines = [f"label: {assessment.label}"]
     if host_label:
-        lines.append(text_line(f"host: {host_label}"))
+        lines.append(f"host: {host_label}")
     lines.append(
         f"{'tool':<20} {'score':>8} {'weight':>7} {'contribution':>13}  raw"
     )
@@ -69,22 +73,21 @@ def format_assessment_text(assessment: CompositeAssessment, host_label: str | No
             f"{assessment.contributions[tool]:>13.2f}  {raw_summary(score.raw)}"
         )
     lines.append(f"composite: {assessment.composite:.2f}")
-    return "\n".join(lines)
+    return lines
 
 
-def format_parse_text(score: NormalizedScore, source: str) -> str:
+def format_parse_text(score: NormalizedScore, source: str) -> list[str]:
     lines = [f"tool: {score.tool.value}", f"source: {source}"]
-    lines += [*TOOLS[score.tool].details(score.raw), f"score: {score.value:.2f}"]
-    return "\n".join(lines)
+    return lines + [*TOOLS[score.tool].details(score.raw), f"score: {score.value:.2f}"]
 
 
 def _share_text(share: float | None) -> str:
     return "-" if share is None else f"{share * 100.0:.1f}%"
 
 
-def format_compare_text(decomposition: DeltaDecomposition) -> str:
+def format_compare_text(decomposition: DeltaDecomposition) -> list[str]:
     heading = f"delta decomposition: {decomposition.from_label} -> {decomposition.to_label}"
-    lines = [text_line(heading), f"{'rank':<5} {'tool':<20} {'weighted delta':>14} {'share':>8}"]
+    lines = [heading, f"{'rank':<5} {'tool':<20} {'weighted delta':>14} {'share':>8}"]
     for position, (tool, delta, share) in enumerate(rank_contributions(decomposition), start=1):
         lines.append(f"{position:<5} {tool.value:<20} {delta:>+14.2f} {_share_text(share):>8}")
     lines.append(f"total delta: {decomposition.total_delta:+.2f}")
@@ -96,7 +99,7 @@ def format_compare_text(decomposition: DeltaDecomposition) -> str:
             f"{decomposition.per_tool_delta[decomposition.dominant_tool]:+.2f} "
             f"({decomposition.dominant_share * 100.0:.1f}%)"
         )
-    return "\n".join(lines)
+    return lines
 
 
 def compare_to_dict(decomposition: DeltaDecomposition) -> dict:
@@ -133,18 +136,19 @@ def _score_matrix(records: Sequence[HistoryRecord]) -> list[list[str]]:
     return rows
 
 
-def _markdown_table(rows: list[list[str]]) -> str:
-    """A GFM table; no ``|`` or line break in a cell splits a cell or a row."""
-    cells = [[_markdown_line(cell).replace("|", "\\|") for cell in row] for row in rows]
+def _markdown_table(rows: list[list[str]]) -> list[str]:
+    """A GFM table; no ``|`` in a cell splits a cell."""
+    cells = [[cell.replace("|", "\\|") for cell in row] for row in rows]
     header, *body = cells
     lines = ["| " + " | ".join(header) + " |"]
     lines.append("| " + " | ".join([":--"] + ["--:"] * (len(header) - 1)) + " |")
     for row in body:
         lines.append("| " + " | ".join(row) + " |")
-    return "\n".join(lines)
+    return lines
 
 
-def _text_table(rows: list[list[str]]) -> str:
+def _text_table(rows: list[list[str]]) -> list[str]:
+    # Escaped before the widths are taken, so that they count the printed characters.
     rows = [[text_line(cell) for cell in row] for row in rows]
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     lines = []
@@ -153,7 +157,7 @@ def _text_table(rows: list[list[str]]) -> str:
             cell.rjust(widths[i]) for i, cell in enumerate(row[1:], start=1)
         ]
         lines.append("  ".join(cells).rstrip())
-    return "\n".join(lines)
+    return lines
 
 
 def _analysis(
@@ -175,27 +179,29 @@ def _timestamp_lines(records: Sequence[HistoryRecord], bullet: str) -> list[str]
     ] + [""]
 
 
-def render_report_markdown(records: Sequence[HistoryRecord], with_timestamps: bool = False) -> str:
+def render_report_markdown(
+    records: Sequence[HistoryRecord], with_timestamps: bool = False
+) -> list[str]:
     trends, decomposition = _analysis(records)
     sections = ["# Security posture report", ""]
     if with_timestamps:
-        sections.extend(map(_markdown_line, _timestamp_lines(records, "- ")))
+        sections += _timestamp_lines(records, "- ")
     *rows, composite_row = _score_matrix(records)
     scores_table = _markdown_table([*rows, [f"**{cell}**" for cell in composite_row]])
-    sections += ["## Scores", "", scores_table, ""]
+    sections += ["## Scores", "", *scores_table, ""]
     if trends is not None:
         trend_rows = [["Tool", "Direction"]]
         for tool in TOOL_KINDS:
             trend_rows.append([TOOLS[tool].display_name, trends.directions[tool].value])
         trend_rows.append(["**Composite**", trends.composite_direction.value])
-        sections += ["## Trends", "", _markdown_table(trend_rows), ""]
+        sections += ["## Trends", "", *_markdown_table(trend_rows), ""]
     if decomposition is not None:
         driver_rows = [["Rank", "Tool", "Weighted delta", "Share"]]
         for position, (tool, delta, share) in enumerate(rank_contributions(decomposition), start=1):
             name = TOOLS[tool].display_name
             driver_rows.append([str(position), name, f"{delta:+.2f}", _share_text(share)])
         heading = f"## Change drivers: {decomposition.from_label} to {decomposition.to_label}"
-        sections += [_markdown_line(heading), "", _markdown_table(driver_rows), ""]
+        sections += [heading, "", *_markdown_table(driver_rows), ""]
         if decomposition.dominant_share is None:
             sections.append("No dominant driver: the composite did not change.")
         else:
@@ -206,15 +212,17 @@ def render_report_markdown(records: Sequence[HistoryRecord], with_timestamps: bo
                 f"{decomposition.dominant_share * 100.0:.1f}% of total)."
             )
         sections.append("")
-    return "\n".join(sections)
+    return [_markdown_line(line) for line in sections]
 
 
-def render_report_text(records: Sequence[HistoryRecord], with_timestamps: bool = False) -> str:
+def render_report_text(
+    records: Sequence[HistoryRecord], with_timestamps: bool = False
+) -> list[str]:
     trends, decomposition = _analysis(records)
     sections = ["security posture report", ""]
     if with_timestamps:
-        sections.extend(map(text_line, _timestamp_lines(records, "")))
-    sections.append(_text_table(_score_matrix(records)))
+        sections += _timestamp_lines(records, "")
+    sections += _text_table(_score_matrix(records))
     if trends is not None:
         sections.append("")
         sections.append("trends:")
@@ -223,9 +231,9 @@ def render_report_text(records: Sequence[HistoryRecord], with_timestamps: bool =
         sections.append(f"  {'composite':<20} {trends.composite_direction.value}")
     if decomposition is not None:
         sections.append("")
-        sections.append(format_compare_text(decomposition))
+        sections += format_compare_text(decomposition)
     sections.append("")
-    return "\n".join(sections)
+    return sections
 
 
 def render_report_json(records: Sequence[HistoryRecord]) -> str:

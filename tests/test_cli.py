@@ -104,7 +104,7 @@ def test_score_stderr_matches_golden(capsys, monkeypatch, data_dir, manifest, ve
 
 
 @pytest.mark.parametrize(
-    "tool, text, warnings",
+    "tool, text, warnings, escaped",
     [
         (
             "openscap-cis",
@@ -113,6 +113,7 @@ def test_score_stderr_matches_golden(capsys, monkeypatch, data_dir, manifest, ve
             '<rule-result idref="c&#13;d"><result>pass</result></rule-result>'
             "</TestResult></Benchmark>",
             ["rule-result a\nb has unknown result 'bogus'; excluded"],
+            "rule-result a\\nb has",
         ),
         (
             "vuln-scan",
@@ -122,12 +123,13 @@ def test_score_stderr_matches_golden(capsys, monkeypatch, data_dir, manifest, ve
             '<port protocol="tcp" portid="23"><state state="clo&#13;&#10;sed"/></port>'
             "</ports></host></nmaprun>",
             [],
+            "open port 22/t\\ncp",
         ),
     ],
     ids=["xccdf", "nmap"],
 )
 def test_a_line_break_in_a_report_field_splits_no_diagnostic_line(
-    capsys, tmp_path, tool, text, warnings
+    capsys, tmp_path, tool, text, warnings, escaped
 ):
     report = tmp_path / "f.xml"
     report.write_text(text)
@@ -135,6 +137,8 @@ def test_a_line_break_in_a_report_field_splits_no_diagnostic_line(
     assert code == 0
     lines = err.splitlines()
     assert lines and all(line.startswith(("warning: ", "debug: ")) for line in lines)
+    # The break is written backslash-escaped, not dropped.
+    assert escaped in err
     # ``--json`` keeps each warning as the parser wrote it.
     code, out, _ = run_cli(capsys, "parse", "--tool", tool, str(report), "--json")
     assert code == 0
@@ -1178,27 +1182,48 @@ def test_parse_builds_an_xccdf_tree_only_to_trace_or_warn(
     assert (code, built.call_count) == (0, trees)
 
 
-def _run_with_stdout(stdout, *argv):
+def _run_child(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
     env = dict(os.environ, PYTHONPATH=str(Path(auditscore.__file__).parents[1]))
     env.pop("PYTHONUNBUFFERED", None)  # block-buffered, as a pipe or file normally is
-    completed = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "auditscore.cli", *argv],
         stdout=stdout,
-        stderr=subprocess.PIPE,
+        stderr=stderr,
         env=env,
         timeout=60,
     )
+
+
+def _run_with_stdout(stdout, *argv):
+    completed = _run_child(argv, stdout=stdout)
     return completed.returncode, completed.stderr.decode()
+
+
+def _closed_pipe():
+    """The write end of a pipe whose read end is closed already."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
 
 
 def _run_with_closed_stdout(*argv):
     """Run the CLI in a child whose stdout is a pipe nobody reads any more."""
-    read_end, write_end = os.pipe()
-    os.close(read_end)
+    write_end = _closed_pipe()
     try:
         return _run_with_stdout(write_end, *argv)
     finally:
         os.close(write_end)
+
+
+def _run_with_closed_stderr(*argv):
+    """Run the CLI in a child whose stderr is a pipe nobody reads any more:
+    its exit code and stdout."""
+    write_end = _closed_pipe()
+    try:
+        completed = _run_child(argv, stderr=write_end)
+    finally:
+        os.close(write_end)
+    return completed.returncode, completed.stdout.decode()
 
 
 @pytest.mark.parametrize(
@@ -1237,6 +1262,17 @@ def test_closed_stdout_keeps_score_append_and_gate(populated_history, data_dir):
     assert code == 3
     assert err == "composite 58.34 below required minimum 101.00\n"
     assert populated_history.read_text().count("\n") == before + 1
+
+
+def test_closed_stderr_keeps_the_exit_code(data_dir, tmp_path):
+    # A reader of stderr that has gone is not an error either: an input error
+    # still exits 2, and the gate, after warnings and notes, 3.
+    code, out = _run_with_closed_stderr("parse", "--tool", "lynis", str(tmp_path / "absent.dat"))
+    assert (code, out) == (2, "")
+    argv = ["score", "--manifest", str(data_dir / "manifest-warnings.yaml"), "--verbose"]
+    code, out = _run_with_closed_stderr(*argv, "--min-score", "99")
+    assert code == 3
+    assert out.splitlines()[-1].startswith("composite: ")
 
 
 def test_compare_baseline_to_full(capsys, populated_history):
@@ -1621,6 +1657,7 @@ def test_report_markdown_writes_a_line_break_in_a_label_as_br(capsys, data_dir, 
     code, out, _ = run_cli(capsys, "report", *labels, "--history", str(history))
     assert code == 0
     assert "| Tool | two<br>lines | c<br>d | e<br>f | Change |" in out.splitlines()
+    assert "## Change drivers: two<br>lines to e<br>f" in out.split("\n")
     # Every line of a table is a whole row.
     rows = [line for line in out.splitlines() if "|" in line]
     assert all(row.startswith("| ") and row.endswith(" |") for row in rows)
@@ -1655,6 +1692,7 @@ def test_a_line_break_in_a_label_or_host_splits_no_line_of_output(capsys, data_d
     # The text report's timestamp lines, like history rows, escape them.
     code, out, _ = run_cli(capsys, *argv, "--format", "text")
     assert code == 0
+    assert not [line for line in out.split("\n") if line.startswith("lines")]
     _, _, first, second, _, header, *rest = out.split("\n")
     assert first.startswith("two\\nlines: ") and first.endswith(" (host x\\r\\ny)")
     assert second.startswith("c: ") and second.endswith(" (host e\\rf)")
@@ -1671,47 +1709,74 @@ def test_a_line_break_in_a_label_or_host_splits_no_line_of_output(capsys, data_d
     assert out.split("\n")[:2] == ["label: two\\nlines", "host: x\\r\\ny"]
 
 
-def _line_counts(capsys, first, second, host):
-    """Lines of each human-readable output over a record labelled ``first``
-    and one labelled ``second``, both of ``host``."""
-    manifests = ("manifest-baseline-literal.yaml", "manifest-full.yaml")
-    commands = [
-        ["score", "--manifest", str(DATA_DIR / name), "--label", label, "--host", host]
-        for name, label in zip(manifests, (first, second))
-    ] + [
-        ["history"],
-        ["compare", first, second],
-        ["report", first, second],
-        ["report", first, second, "--timestamps"],
-        ["report", first, second, "--format", "text", "--timestamps"],
-    ]
+def _line_counts(capsys, first, second, host, name):
+    """Exit code, stdout lines and stderr lines of each command over a record
+    labelled ``first`` and one labelled ``second``, both of ``host``, in a
+    history file, beside report files, whose names start with ``name``."""
     with tempfile.TemporaryDirectory() as directory:
-        history = ["--history", str(Path(directory) / "history.jsonl")]
+        files = Path(directory)
+        report = files / f"{name}.dat"  # warns, and under --verbose notes
+        report.write_bytes((DATA_DIR / "lynis-warnings.dat").read_bytes())
+        broken = files / f"{name}-missing.dat"
+        broken.write_text("os=Linux\n")  # no hardening_index: KEY_MISSING
+        manifests = []
+        for lynis in (report, broken):
+            manifests.append(files / f"{lynis.stem}.yaml")
+            reports = {tool.value: {"score": 50} for tool in ToolKind}
+            reports["lynis"] = str(lynis)
+            manifests[-1].write_text(yaml.safe_dump({"reports": reports}))
+        history = ["--history", str(files / f"{name}.jsonl")]
+        commands = [
+            ["parse", "--tool", "lynis", str(report), "--verbose"],
+            ["parse", "--tool", "lynis", str(broken)],
+            ["score", "--manifest", str(manifests[0]), "--label", first, "--host", host,
+             "--verbose", *history],
+            ["score", "--manifest", str(DATA_DIR / "manifest-full.yaml"), "--label", second,
+             "--host", host, *history],
+            ["score", "--manifest", str(manifests[1]), *history],
+            ["history", *history],
+            ["compare", first, second, *history],
+            ["report", first, second, *history],
+            ["report", first, second, "--timestamps", *history],
+            ["report", first, second, "--format", "text", "--timestamps", *history],
+        ]
         counts = []
         for argv in commands:
-            code, out, _ = run_cli(capsys, *argv, *history)
-            assert code == 0
-            counts.append(len(out.splitlines()))
+            code, out, err = run_cli(capsys, *argv)
+            counts.append((code, len(out.splitlines()), len(err.splitlines())))
     return counts
 
 
+# Every character at which ``str.splitlines`` ends a line, among others.
 _LINE_BREAKING_TEXT = st.lists(
-    st.sampled_from(["a", "b", " ", "|", "\r", "\n", "\r\n"]), min_size=1, max_size=6
+    st.sampled_from(
+        ["a", "b", " ", "|", "\r", "\n", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+         "\u2028", "\u2029"]
+    ),
+    min_size=1,
+    max_size=6,
 ).map("".join)
 
 
-@given(first=_LINE_BREAKING_TEXT, second=_LINE_BREAKING_TEXT, host=_LINE_BREAKING_TEXT)
+@given(
+    first=_LINE_BREAKING_TEXT,
+    second=_LINE_BREAKING_TEXT,
+    host=_LINE_BREAKING_TEXT,
+    name=_LINE_BREAKING_TEXT,
+)
 @settings(
     max_examples=40,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 def test_labels_and_host_never_change_the_line_count_of_an_output(
-    capsys, monkeypatch, tmp_path, first, second, host
+    capsys, monkeypatch, tmp_path, first, second, host, name
 ):
+    # Nor does a file name, on stdout or on stderr, and on an error path too.
     assume(first != second)
     monkeypatch.chdir(tmp_path)  # so that no label names a record file
-    assert _line_counts(capsys, first, second, host) == _line_counts(capsys, "a", "b", "plain")
+    plain = _line_counts(capsys, "a", "b", "plain", "plain")
+    assert _line_counts(capsys, first, second, host, name) == plain
 
 
 # ---------------------------------------------------------------------------

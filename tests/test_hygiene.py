@@ -166,3 +166,33 @@ def test_parsers_have_one_line_rule_and_one_digit_rule():
     source = (SRC / "parsers.py").read_text(encoding="utf-8")
     assert "splitlines" not in source
     assert "\\d" not in source
+
+
+def test_only_the_stream_writer_prints():
+    """Each line of output goes through ``cli._out`` or ``cli._err``, and so
+    through ``cli._write``, which applies the text line rule to it: a
+    ``print`` or a write to ``sys.stdout`` or ``sys.stderr`` anywhere else
+    could split a line at a line break in a name, a path or a report field."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (path.stem, node.name) == ("cli", "_write"):
+                allowed = {id(inner) for inner in ast.walk(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in allowed:
+                continue
+            function = node.func
+            prints = isinstance(function, ast.Name) and function.id == "print"
+            writes = (
+                isinstance(function, ast.Attribute)
+                and function.attr in ("write", "writelines")
+                and isinstance(function.value, ast.Attribute)
+                and function.value.attr in ("stdout", "stderr")
+                and isinstance(function.value.value, ast.Name)
+                and function.value.value.id == "sys"
+            )
+            if prints or writes:
+                found.append(f"{path.stem}:{node.lineno}")
+    assert found == []
