@@ -5,8 +5,6 @@ import json
 import os
 import re
 import stat
-import subprocess
-import sys
 import tempfile
 import time
 from pathlib import Path
@@ -17,7 +15,6 @@ import pytest
 import yaml
 from hypothesis import HealthCheck, assume, given, settings
 
-import auditscore
 from auditscore import cli, parsers, store
 from auditscore.cli import build_parser, load_manifest, main
 from auditscore.errors import ParseError, ValidationError
@@ -27,7 +24,7 @@ from auditscore.render import change_cell
 from auditscore.reportgen import render_xccdf
 from auditscore.store import load_history
 
-from .conftest import DATA_DIR
+from .conftest import DATA_DIR, ROOT, run_child
 
 
 def run_cli(capsys, *argv):
@@ -994,12 +991,8 @@ def test_compare_child_on_a_settled_history_never_imports_hashlib(
         "import sys; from auditscore.cli import main; code = main(sys.argv[1:]); "
         "print(code, 'hashlib' in sys.modules, file=sys.stderr)"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(auditscore.__file__).parents[1]))
-    env.pop("AUDITSCORE_CONFIG", None)
     argv = ["compare", "a", "b", "--history", str(two_host_history)]
-    completed = subprocess.run(
-        [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, timeout=60
-    )
+    completed = run_child("-c", probe, *argv, text=True)
     assert completed.stderr.splitlines() == ["0 False"]
     assert completed.stdout == run_cli(capsys, *argv)[1]
 
@@ -1020,19 +1013,15 @@ _UNUSED_BY_HISTORY_QUERIES = (
 
 
 def _child(*argv):
-    """Run ``main(argv)`` in a fresh interpreter without ``AUDITSCORE_CONFIG``:
-    its exit code, the modules it loaded and its stdout."""
+    """Run ``main(argv)`` in a fresh interpreter: its exit code, the modules
+    it loaded and its stdout."""
     # The snapshot is the probe's own: site may load some of these first.
     probe = (
         "import sys; before = set(sys.modules); from auditscore.cli import main; "
         "code = main(sys.argv[1:]); "
         "print(code, *sorted(set(sys.modules) - before), file=sys.stderr)"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(auditscore.__file__).parents[1]))
-    env.pop("AUDITSCORE_CONFIG", None)
-    completed = subprocess.run(
-        [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, timeout=60
-    )
+    completed = run_child("-c", probe, *argv, text=True)
     code, *loaded = completed.stderr.splitlines()[-1].split()
     return code, loaded, completed.stdout
 
@@ -1182,20 +1171,8 @@ def test_parse_builds_an_xccdf_tree_only_to_trace_or_warn(
     assert (code, built.call_count) == (0, trees)
 
 
-def _run_child(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
-    env = dict(os.environ, PYTHONPATH=str(Path(auditscore.__file__).parents[1]))
-    env.pop("PYTHONUNBUFFERED", None)  # block-buffered, as a pipe or file normally is
-    return subprocess.run(
-        [sys.executable, "-m", "auditscore.cli", *argv],
-        stdout=stdout,
-        stderr=stderr,
-        env=env,
-        timeout=60,
-    )
-
-
 def _run_with_stdout(stdout, *argv):
-    completed = _run_child(argv, stdout=stdout)
+    completed = run_child("-m", "auditscore.cli", *argv, stdout=stdout)
     return completed.returncode, completed.stderr.decode()
 
 
@@ -1220,7 +1197,7 @@ def _run_with_closed_stderr(*argv):
     its exit code and stdout."""
     write_end = _closed_pipe()
     try:
-        completed = _run_child(argv, stderr=write_end)
+        completed = run_child("-m", "auditscore.cli", *argv, stderr=write_end)
     finally:
         os.close(write_end)
     return completed.returncode, completed.stdout.decode()
@@ -1913,12 +1890,7 @@ def test_manifest_nested_50000_deep_exits_2_in_a_real_process(tmp_path):
     # of SIGSEGV at this depth) shows as a signal, not as a test error.
     deep = tmp_path / "deep.yaml"
     deep.write_text("label: " + "[" * 50_000 + "]" * 50_000 + "\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(auditscore.__file__).parents[1]))
-    env.pop("AUDITSCORE_CONFIG", None)
-    completed = subprocess.run(
-        [sys.executable, "-m", "auditscore.cli", "score", "--manifest", str(deep)],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+    completed = run_child("-m", "auditscore.cli", "score", "--manifest", str(deep), text=True)
     assert (completed.returncode, completed.stdout) == (2, "")
     assert completed.stderr == f"error[MANIFEST_INVALID]: {deep}: nested too deeply\n"
 
@@ -2172,6 +2144,26 @@ def test_subcommand_takes_only_the_options_it_reads(capsys, command, option, kep
     assert "Traceback" not in err
 
 
+def test_readme_lists_the_shared_options_of_each_subcommand(monkeypatch):
+    declared = {}
+    add = cli._add_shared_options
+
+    def recording(parser, *options):
+        declared[parser.prog.split()[-1]] = set(options)
+        add(parser, *options)
+
+    monkeypatch.setattr(cli, "_add_shared_options", recording)
+    build_parser()
+    readme = (ROOT / "README.md").read_text()
+    table = re.search(r"\| subcommand \| flags \|\n\| --- \| --- \|\n((?:\|.*\n)+)", readme)
+    listed = {}
+    for row in table.group(1).splitlines():
+        commands, options = row.strip("|").split("|")
+        for command in re.findall(r"`(.+?)`", commands):
+            listed[command] = set(re.findall(r"`(.+?)`", options))
+    assert listed == declared
+
+
 # ---------------------------------------------------------------------------
 # cold start: what importing the CLI loads
 # ---------------------------------------------------------------------------
@@ -2206,10 +2198,7 @@ def test_package_import_loads_no_module_of_the_package():
         "import sys; before = set(sys.modules); import auditscore; "
         "print(*sorted(set(sys.modules) - before))"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(auditscore.__file__).parents[1]))
-    completed = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
-    )
+    completed = run_child("-c", probe, text=True)
     assert (completed.returncode, completed.stderr) == (0, "")
     loaded = completed.stdout.split()
     assert "auditscore" in loaded
@@ -2222,10 +2211,7 @@ def test_cli_import_loads_the_layers_and_defers_what_few_commands_use():
         "import sys; before = set(sys.modules); import auditscore.cli; "
         "print(*sorted(set(sys.modules) - before))"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(auditscore.__file__).parents[1]))
-    completed = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
-    )
+    completed = run_child("-c", probe, text=True)
     assert (completed.returncode, completed.stderr) == (0, "")
     loaded = set(completed.stdout.split())
     assert [name for name in _DEFERRED_MODULES if name in loaded] == []

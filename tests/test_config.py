@@ -133,10 +133,7 @@ def built(monkeypatch):
     ],
     ids=["defaults", "one-tool-and-one-init", "every-runner-key", "weights"],
 )
-def test_load_config_builds_each_invocation_and_the_profile_once(
-    tmp_path, monkeypatch, built, text
-):
-    monkeypatch.delenv("AUDITSCORE_CONFIG", raising=False)
+def test_load_config_builds_each_invocation_and_the_profile_once(tmp_path, built, text):
     load_config(None if text is None else _config_file(tmp_path, text))
     # Six checks, two inits and one weight profile.
     assert built == {"ToolInvocation": 8, "WeightProfile": 1}

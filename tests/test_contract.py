@@ -303,11 +303,9 @@ def workdir(tmp_path, monkeypatch):
     """A new directory per example, and the command runs in it.
 
     Configs name paths relative to it, so mangled bytes cannot point a
-    write outside it. No config comes from the environment and no scanner
-    is on ``PATH``: a config that loses its fake command must not run a
-    real scan or initialize a real database.
+    write outside it. No scanner is on ``PATH``: a config that loses its
+    fake command must not run a real scan or initialize a real database.
     """
-    monkeypatch.delenv("AUDITSCORE_CONFIG", raising=False)
     monkeypatch.setenv("PATH", str(tmp_path))
 
     def new() -> Path:

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from .conftest import ROOT
+
 SRC = ROOT / "src" / "auditscore"
 
 
