@@ -10,9 +10,10 @@ The types are plain classes over ``__slots__`` (:class:`Frozen`): each
 constructor checks its arguments and hands the field values, in slot
 order, to :meth:`Frozen._init`, the one place a field is set. An instance
 is read-only, so it is safe to share across threads, and it pickles and
-copies by calling its constructor again. Serialization helpers at the
-bottom of the module round-trip every type through plain JSON-compatible
-dicts at full float precision.
+copies by calling its constructor again. At the bottom of the module, one
+table of stored forms, read and written by one encode/decode pair,
+round-trips every stored type through plain JSON-compatible dicts at full
+float precision.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from __future__ import annotations
 import math
 from datetime import datetime
 from enum import Enum
+from functools import partial
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Mapping, Union
 
@@ -75,10 +78,6 @@ _SCAP_TOOLS = {
 # record.
 TOOL_KINDS = tuple(ToolKind)
 SEVERITIES = tuple(Severity)
-# Stored names to members: a dict lookup decodes them, not an ``Enum`` call.
-_TOOLS_BY_VALUE = {tool.value: tool for tool in TOOL_KINDS}
-_SEVERITIES_BY_VALUE = {severity.value: severity for severity in SEVERITIES}
-_PROFILES_BY_VALUE = {profile.value: profile for profile in ScapProfile}
 
 
 class Value:
@@ -532,130 +531,43 @@ class DeltaDecomposition(Frozen):
 
 
 # ---------------------------------------------------------------------------
-# Serialization (plain dicts, JSON-compatible, full float precision)
+# Stored forms (plain dicts, JSON-compatible, full float precision)
 # ---------------------------------------------------------------------------
 
 
-def finding_to_dict(finding: VulnFinding) -> dict:
-    return {
-        "identifier": finding.identifier,
-        "severity": finding.severity.value,
-        "confirmed": finding.confirmed,
-        "cvss": finding.cvss,
-        "port": finding.port,
-        "description": finding.description,
-    }
-
-
-def finding_from_dict(data: Mapping) -> VulnFinding:
-    return VulnFinding(
-        identifier=data["identifier"],
-        severity=_SEVERITIES_BY_VALUE[data["severity"]],
-        confirmed=data["confirmed"],
-        cvss=data.get("cvss"),
-        port=data.get("port"),
-        description=data.get("description", ""),
-    )
-
-
-# (encode, decode) of a stored field that is not a plain JSON value.
-_PROFILE_CODEC = (lambda profile: profile.value, _PROFILES_BY_VALUE.__getitem__)
-_FINDINGS_CODEC = (
-    lambda findings: [finding_to_dict(f) for f in findings],
-    lambda findings: tuple([finding_from_dict(f) for f in findings]),
-)
-# How each raw report type is stored: its ``kind`` tag, then its field
-# table, one ``(key, codec)`` per field in stored order (for a vuln record
-# not the constructor's order); a field is stored under its own name, and
-# ``codec`` is None for a plain JSON value. Keyed by type, since one type
-# can serve several tools (``ScapReport``).
-_RAW_FORMS = {
-    LynisReport: ("lynis", (("hardening_index", None),)),
-    ScapReport: ("scap", (("profile", _PROFILE_CODEC), ("pass_count", None), ("fail_count", None))),
-    AideReport: ("aide", (("added", None), ("removed", None), ("changed", None))),
-    TripwireReport: ("tripwire", (("objects_scanned", None), ("violations", None))),
-    VulnReport: (
-        "vuln",
-        (
-            ("open_ports", None),
-            ("filtered_ports", None),
-            ("firewall_active", None),
-            ("confirmed_count", None),
-            ("findings", _FINDINGS_CODEC),
-        ),
-    ),
-}
-_RAW_TYPES = {kind: (cls, fields) for cls, (kind, fields) in _RAW_FORMS.items()}
-
-
-def raw_report_to_dict(report: RawToolReport) -> dict:
-    kind, fields = _RAW_FORMS[type(report)]
-    data = {"kind": kind}
+def _to_dict(value) -> dict:
+    """The stored form of ``value``, a value of any type in ``_FORMS``."""
+    kind, fields = _FORMS[type(value)]
+    data = {} if kind is None else {"kind": kind}
     for key, codec in fields:
-        value = getattr(report, key)
-        data[key] = value if codec is None else codec[0](value)
+        if codec is None:
+            data[key] = getattr(value, key)
+        else:
+            data[key] = codec[0](getattr(value, key))
     return data
+
+
+def _from_dict(cls: type, data: Mapping):
+    """The ``cls`` stored as ``data``: a key that the form of ``cls`` writes
+    and ``data`` lacks raises ``KeyError``, and the constructor checks the rest."""
+    fields = {}
+    for key, codec in _FORMS[cls][1]:
+        fields[key] = data[key] if codec is None else codec[1](data[key])
+    return cls(**fields)
+
+
+raw_report_to_dict = assessment_to_dict = _to_dict
 
 
 def raw_report_from_dict(data: Mapping) -> RawToolReport:
     kind = data["kind"]
     if not isinstance(kind, str) or kind not in _RAW_TYPES:
         raise ValidationError("UNKNOWN_REPORT_KIND", f"unknown raw report kind {kind!r}")
-    cls, fields = _RAW_TYPES[kind]
-    return cls(
-        **{key: data[key] if codec is None else codec[1](data[key]) for key, codec in fields}
-    )
+    return _from_dict(_RAW_TYPES[kind], data)
 
 
-def score_to_dict(score: NormalizedScore) -> dict:
-    return {
-        "tool": score.tool.value,
-        "value": score.value,
-        "raw": None if score.raw is None else raw_report_to_dict(score.raw),
-    }
-
-
-def score_from_dict(data: Mapping) -> NormalizedScore:
-    raw = data.get("raw")
-    return NormalizedScore(
-        tool=_TOOLS_BY_VALUE[data["tool"]],
-        value=data["value"],
-        raw=None if raw is None else raw_report_from_dict(raw),
-    )
-
-
-def profile_to_dict(profile: WeightProfile) -> dict:
-    return {
-        "tool_weights": {tool.value: profile.tool_weights[tool] for tool in TOOL_KINDS},
-        "severity_weights": {
-            sev.value: profile.severity_weights[sev] for sev in SEVERITIES
-        },
-        **{name: getattr(profile, name) for name in PENALTY_FIELDS},
-    }
-
-
-def profile_from_dict(data: Mapping) -> WeightProfile:
-    """Decode a stored profile; one that :class:`WeightProfile` rejects raises."""
-    return WeightProfile(
-        {_TOOLS_BY_VALUE[name]: value for name, value in data["tool_weights"].items()},
-        {_SEVERITIES_BY_VALUE[name]: value for name, value in data["severity_weights"].items()},
-        *(data[name] for name in PENALTY_FIELDS),
-    )
-
-
-def assessment_to_dict(assessment: CompositeAssessment) -> dict:
-    return {
-        "label": assessment.label,
-        "timestamp": assessment.timestamp.isoformat(),
-        "composite": assessment.composite,
-        "scores": {
-            tool.value: score_to_dict(assessment.scores[tool]) for tool in TOOL_KINDS
-        },
-        "contributions": {
-            tool.value: assessment.contributions[tool] for tool in TOOL_KINDS
-        },
-        "weights": profile_to_dict(assessment.weights),
-    }
+def assessment_from_dict(data: Mapping) -> CompositeAssessment:
+    return _from_dict(CompositeAssessment, data)
 
 
 def assessment_label(data: Mapping) -> str:
@@ -663,16 +575,59 @@ def assessment_label(data: Mapping) -> str:
     return _require_label(data["label"])
 
 
-def assessment_from_dict(data: Mapping) -> CompositeAssessment:
-    return CompositeAssessment(
-        label=data["label"],
-        timestamp=datetime.fromisoformat(data["timestamp"]),
-        scores={
-            _TOOLS_BY_VALUE[name]: score_from_dict(entry) for name, entry in data["scores"].items()
-        },
-        weights=profile_from_dict(data["weights"]),
-        composite=data["composite"],
-        contributions={
-            _TOOLS_BY_VALUE[name]: value for name, value in data["contributions"].items()
-        },
-    )
+def _enum_codec(members) -> tuple:
+    """The ``(encode, decode)`` pair of an enum member, stored as its value."""
+    return attrgetter("value"), {member.value: member for member in members}.__getitem__
+
+
+def _map_codec(members, codec: tuple | None = None) -> tuple:
+    """The pair of a map keyed by ``members``, stored under their values in
+    ``members`` order; ``codec`` is that of each value, None for a plain one."""
+    by_value = {member.value: member for member in members}
+    if codec is None:
+        return (lambda mapping: {key.value: mapping[key] for key in members},
+                lambda data: {by_value[name]: value for name, value in data.items()})
+    encode, decode = codec
+    return (lambda mapping: {key.value: encode(mapping[key]) for key in members},
+            lambda data: {by_value[name]: decode(value) for name, value in data.items()})
+
+
+_FINDINGS_CODEC = (lambda findings: [_to_dict(finding) for finding in findings],
+                   lambda data: tuple([_from_dict(VulnFinding, entry) for entry in data]))
+_RAW_CODEC = (lambda raw: None if raw is None else _to_dict(raw),
+              lambda data: None if data is None else raw_report_from_dict(data))
+
+# How each stored type is stored: its ``kind`` tag (a raw report's, which
+# tells the raw report types apart, else None), then its field table, one
+# ``(key, codec)`` per field in stored order (for a vuln record and an
+# assessment not the constructor's). A field is stored under its own name;
+# ``codec`` is the ``(encode, decode)`` pair of a value that is not a plain
+# JSON value, else None. A read requires every key its form writes. Keyed
+# by type, since one type can serve several tools (``ScapReport``).
+_FORMS = {
+    VulnFinding: (None, (("identifier", None), ("severity", _enum_codec(SEVERITIES)),
+                         ("confirmed", None), ("cvss", None), ("port", None),
+                         ("description", None))),
+    LynisReport: ("lynis", (("hardening_index", None),)),
+    ScapReport: ("scap", (("profile", _enum_codec(ScapProfile)), ("pass_count", None),
+                          ("fail_count", None))),
+    AideReport: ("aide", (("added", None), ("removed", None), ("changed", None))),
+    TripwireReport: ("tripwire", (("objects_scanned", None), ("violations", None))),
+    VulnReport: ("vuln", (("open_ports", None), ("filtered_ports", None),
+                          ("firewall_active", None), ("confirmed_count", None),
+                          ("findings", _FINDINGS_CODEC))),
+    NormalizedScore: (None, (("tool", _enum_codec(TOOL_KINDS)), ("value", None),
+                             ("raw", _RAW_CODEC))),
+    WeightProfile: (None, (("tool_weights", _map_codec(TOOL_KINDS)),
+                           ("severity_weights", _map_codec(SEVERITIES)),
+                           *[(name, None) for name in PENALTY_FIELDS])),
+    CompositeAssessment: (None, (
+        ("label", None),
+        ("timestamp", (datetime.isoformat, datetime.fromisoformat)),
+        ("composite", None),
+        ("scores", _map_codec(TOOL_KINDS, (_to_dict, partial(_from_dict, NormalizedScore)))),
+        ("contributions", _map_codec(TOOL_KINDS)),
+        ("weights", (_to_dict, partial(_from_dict, WeightProfile))),
+    )),
+}
+_RAW_TYPES = {kind: cls for cls, (kind, _) in _FORMS.items() if kind is not None}

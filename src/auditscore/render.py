@@ -103,6 +103,8 @@ def format_compare_text(decomposition: DeltaDecomposition) -> list[str]:
 
 
 def compare_to_dict(decomposition: DeltaDecomposition) -> dict:
+    """The decomposition as JSON; with a zero total no tool dominates, as in text."""
+    dominant_share = decomposition.dominant_share
     return {
         "from": decomposition.from_label,
         "to": decomposition.to_label,
@@ -110,8 +112,8 @@ def compare_to_dict(decomposition: DeltaDecomposition) -> dict:
             tool.value: decomposition.per_tool_delta[tool] for tool in TOOL_KINDS
         },
         "total_delta": decomposition.total_delta,
-        "dominant_tool": decomposition.dominant_tool.value,
-        "dominant_share": decomposition.dominant_share,
+        "dominant_tool": None if dominant_share is None else decomposition.dominant_tool.value,
+        "dominant_share": dominant_share,
         "ranked": [
             {"tool": tool.value, "delta": delta, "share": share}
             for tool, delta, share in rank_contributions(decomposition)

@@ -18,7 +18,7 @@ precision; rounding for display happens only in the reporting layer.
 
 :data:`TOOLS` holds every per-tool fact: a seventh scanner is one new
 ``TOOLS`` entry plus its parser and normalizer and, for a new raw report
-type, its stored form in ``model``.
+type, one row of ``model``'s stored-form table.
 """
 
 from __future__ import annotations

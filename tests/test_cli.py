@@ -1295,6 +1295,28 @@ def test_compare_near_zero_total_prints_no_share(capsys, tmp_path):
     assert [entry["share"] for entry in document["ranked"]] == [None] * 6
 
 
+def test_zero_total_names_no_dominant_tool_in_any_format(capsys, data_dir, tmp_path):
+    """One manifest scored twice: text, markdown and both JSON documents
+    agree that no tool dominates an unchanged composite."""
+    history = tmp_path / "history.jsonl"
+    manifest = str(data_dir / "manifest-baseline.yaml")
+    for label in ("a", "b"):
+        argv = ["score", "--manifest", manifest, "--label", label, "--history", str(history)]
+        assert main(argv) == 0
+    capsys.readouterr()
+    query = ("--history", str(history))
+    code, out, _ = run_cli(capsys, "compare", "a", "b", *query)
+    assert (code, out.splitlines()[-1]) == (0, "dominant: none (total delta is zero)")
+    code, out, _ = run_cli(capsys, "report", "a", "b", *query)
+    assert code == 0 and "No dominant driver: the composite did not change." in out
+    code, out, _ = run_cli(capsys, "compare", "a", "b", "--json", *query)
+    document = json.loads(out)
+    assert (code, document["dominant_tool"], document["dominant_share"]) == (0, None, None)
+    code, out, _ = run_cli(capsys, "report", "a", "b", "--format", "json", *query)
+    document = json.loads(out)["decomposition"]
+    assert (code, document["dominant_tool"], document["dominant_share"]) == (0, None, None)
+
+
 def test_compare_unknown_label_exits_2(capsys, populated_history):
     code, _, err = run_cli(
         capsys, "compare", "baseline", "ultimate", "--history", str(populated_history)

@@ -254,6 +254,34 @@ def test_wrong_shape_records_are_skipped(tmp_path, data_dir, path, value):
     assert loaded.skipped == 1
 
 
+def _without_each_key(node):
+    """A copy of ``node`` for each mapping key in it, at any depth, that lacks it."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(node, dict):
+            yield {name: node[name] for name in node if name != key}
+        if isinstance(value, (dict, list)):
+            for spoiled in _without_each_key(value):
+                copy = node.copy()
+                copy[key] = spoiled
+                yield copy
+
+
+@given(assessment=full_assessments(), host=st.sampled_from(["node-1", ""]))
+@settings(deadline=None)
+def test_a_record_that_lacks_any_key_it_is_written_with_is_skipped(
+    tmp_path_factory, assessment, host
+):
+    """Every key of a written record is required: one line per key, each
+    lacking that key, are all skipped and counted, read whole or by host."""
+    valid = record_to_json(HistoryRecord(assessment, host))
+    spoiled = list(_without_each_key(json.loads(valid)))
+    history = tmp_path_factory.mktemp("store") / "history.jsonl"
+    history.write_text("".join(json.dumps(payload) + "\n" for payload in spoiled))
+    for loaded in (load_history(history), load_history(history, host_filter=host)):
+        assert (loaded.records, loaded.skipped) == ([], len(spoiled))
+
+
 def _boolean_composite(assessment: dict) -> None:
     # true sums as 1: a composite of true and one contribution of true agree.
     assessment["composite"] = True
