@@ -277,7 +277,7 @@ _SHARED_OPTIONS = {
     "--weights": dict(type=Path, help="weight profile file overriding the config"),
     "--json": dict(action="store_true", help="machine-readable output"),
     "--verbose": dict(action="store_true", help="print parser trace diagnostics to stderr"),
-    "--history": dict(type=Path),
+    "--history": dict(type=Path, help="history file overriding the config"),
 }
 
 
@@ -299,21 +299,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("parse", help="parse one report file and print its normalized score")
     _add_shared_options(p, "--config", "--weights", "--json", "--verbose")
-    p.add_argument("--tool", required=True, choices=sorted(_CLI_TOOL_NAMES))
+    p.add_argument("--tool", required=True, choices=sorted(_CLI_TOOL_NAMES), help="report type")
     p.add_argument(
         "--firewall",
         choices=["auto", "active", "inactive"],
         default="auto",
         help="override firewall detection for vuln-scan reports",
     )
-    p.add_argument("file", type=Path)
+    p.add_argument("file", type=Path, help="report file to parse")
     p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser(
         "score", help="parse a manifest of six reports, aggregate, and print the composite"
     )
     _add_shared_options(p, "--config", "--weights", "--json", "--verbose")
-    p.add_argument("--manifest", required=True, type=Path)
+    p.add_argument("--manifest", required=True, type=Path, help="YAML file naming the six reports")
     p.add_argument("--label", default=None, help="assessment label (overrides manifest)")
     p.add_argument("--host", default=None, help="host label for history records")
     p.add_argument(
@@ -323,9 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit with status 3 when the composite is below this threshold",
     )
     p.add_argument("--save", action="store_true", help="append the assessment to history")
-    p.add_argument(
-        "--history", type=Path, default=None, help="history file (implies --save here)"
-    )
+    p.add_argument("--history", type=Path, help="history file (implies --save here)")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("compare", help="decompose the composite delta between two assessments")
@@ -341,8 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="render a score table with trends and change drivers")
     _add_shared_options(p, "--config", "--history")
-    p.add_argument("labels", nargs="+", metavar="LABEL")
-    p.add_argument("--format", choices=["markdown", "json", "text"], default="markdown")
+    p.add_argument("labels", nargs="+", metavar="LABEL", help="stored labels, first to last")
+    p.add_argument(
+        "--format", choices=["markdown", "json", "text"], default="markdown", help="output format"
+    )
     p.add_argument(
         "--timestamps", action="store_true", help="include record timestamps in the body"
     )
@@ -366,8 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_shared_options(p, "--config")
     p.add_argument(
-        "--tool",
-        required=True,
+        "--tool", required=True, help="file integrity checker to initialize",
         choices=sorted(name for name, tool in _CLI_TOOL_NAMES.items() if TOOLS[tool].init_command),
     )
     p.add_argument("--force", action="store_true", help="reinitialize even if a database exists")

@@ -45,7 +45,7 @@ def text_line(text: str) -> str:
 def raw_summary(raw: RawToolReport | None) -> str:
     if raw is None:
         return "(score supplied directly)"
-    return TOOLS[raw.tool].summary(raw)
+    return " ".join(f"{name}={value}" for name, value in TOOLS[raw.tool].fields(raw))
 
 
 def change_cell(first: float, last: float) -> str:
@@ -77,8 +77,8 @@ def format_assessment_text(
 
 
 def format_parse_text(score: NormalizedScore, source: str) -> list[str]:
-    lines = [f"tool: {score.tool.value}", f"source: {source}"]
-    return lines + [*TOOLS[score.tool].details(score.raw), f"score: {score.value:.2f}"]
+    fields = [f"{name}: {value}" for name, value in TOOLS[score.tool].fields(score.raw)]
+    return [f"tool: {score.tool.value}", f"source: {source}", *fields, f"score: {score.value:.2f}"]
 
 
 def _share_text(share: float | None) -> str:

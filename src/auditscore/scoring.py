@@ -141,8 +141,7 @@ class ToolSpec(Frozen):
         "command",
         "output_name",
         "normalize",
-        "summary",
-        "details",
+        "fields",
         "exit_codes",
         "init_command",
         "database",
@@ -157,16 +156,16 @@ class ToolSpec(Frozen):
         command: str,
         output_name: str,
         normalize: Callable[[Any, WeightProfile], NormalizedScore],
-        summary: Callable[[Any], str],  # one line of a score table
-        details: Callable[[Any], list[str]],  # the body of ``parse`` text output
+        # Raw metrics as (name, value): ``parse``'s body, a score table's ``raw`` column.
+        fields: Callable[[Any], list[tuple[str, object]]],
         exit_codes: frozenset[int],
         init_command: str | None = None,
         # Integrity database path; ``{hostname}`` is substituted.
         database: str | None = None,
     ):
         self._init(
-            display_name, parse, command, output_name, normalize, summary, details, exit_codes,
-            init_command, database
+            display_name, parse, command, output_name, normalize, fields, exit_codes, init_command,
+            database
         )
 
 
@@ -177,11 +176,8 @@ class ToolSpec(Frozen):
 # shown and judged.
 _SCAP = dict(
     normalize=lambda raw, profile: normalize_scap(raw),
-    summary=lambda raw: f"pass={raw.pass_count} fail={raw.fail_count}",
-    details=lambda raw: [
-        f"profile: {raw.profile.value}",
-        f"pass: {raw.pass_count}",
-        f"fail: {raw.fail_count}",
+    fields=lambda raw: [
+        ("profile", raw.profile.value), ("pass", raw.pass_count), ("fail", raw.fail_count)
     ],
     exit_codes=frozenset({0, 2}),
 )
@@ -192,8 +188,7 @@ TOOLS: Mapping[ToolKind, ToolSpec] = {
         "lynis audit system --quiet --report-file {output}",
         "lynis-report.dat",
         lambda raw, profile: normalize_lynis(raw),
-        lambda raw: f"hardening_index={raw.hardening_index}",
-        lambda raw: [f"hardening_index: {raw.hardening_index}"],
+        lambda raw: [("hardening_index", raw.hardening_index)],
         frozenset({0, 78}),
     ),
     ToolKind.OPENSCAP_STANDARD: ToolSpec(
@@ -212,15 +207,11 @@ TOOLS: Mapping[ToolKind, ToolSpec] = {
         "aide --check",
         "aide-check.txt",
         lambda raw, profile: normalize_aide(raw),
-        lambda raw: (
-            f"added={raw.added} removed={raw.removed} changed={raw.changed} "
-            f"total={raw.total_changes}"
-        ),
         lambda raw: [
-            f"added: {raw.added}",
-            f"removed: {raw.removed}",
-            f"changed: {raw.changed}",
-            f"total_changes: {raw.total_changes}",
+            ("added", raw.added),
+            ("removed", raw.removed),
+            ("changed", raw.changed),
+            ("total_changes", raw.total_changes),
         ],
         frozenset(range(8)),
         init_command="aide --init",
@@ -232,8 +223,7 @@ TOOLS: Mapping[ToolKind, ToolSpec] = {
         "tripwire --check",
         "tripwire-check.txt",
         lambda raw, profile: normalize_tripwire(raw),
-        lambda raw: f"objects={raw.objects_scanned} violations={raw.violations}",
-        lambda raw: [f"objects_scanned: {raw.objects_scanned}", f"violations: {raw.violations}"],
+        lambda raw: [("objects_scanned", raw.objects_scanned), ("violations", raw.violations)],
         frozenset(range(8)),
         init_command="tripwire --init",
         database="/var/lib/tripwire/{hostname}.twd",
@@ -254,17 +244,12 @@ TOOLS: Mapping[ToolKind, ToolSpec] = {
         "nmap -sV --script vuln -oX {output} {target}",
         "nmap-scan.xml",
         lambda raw, profile: normalize_vuln(raw, profile),
-        lambda raw: (
-            f"open={raw.open_ports} filtered={raw.filtered_ports} "
-            f"confirmed={raw.confirmed_count} findings={len(raw.findings)} "
-            f"firewall={'yes' if raw.firewall_active else 'no'}"
-        ),
         lambda raw: [
-            f"open_ports: {raw.open_ports}",
-            f"filtered_ports: {raw.filtered_ports}",
-            f"firewall_active: {'yes' if raw.firewall_active else 'no'}",
-            f"findings: {len(raw.findings)}",
-            f"confirmed: {raw.confirmed_count}",
+            ("open_ports", raw.open_ports),
+            ("filtered_ports", raw.filtered_ports),
+            ("firewall_active", "yes" if raw.firewall_active else "no"),
+            ("findings", len(raw.findings)),
+            ("confirmed", raw.confirmed_count),
         ],
         frozenset({0}),
     ),

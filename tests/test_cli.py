@@ -1,5 +1,5 @@
+import argparse
 import gc
-import io
 import itertools
 import json
 import os
@@ -24,7 +24,7 @@ from auditscore.render import change_cell
 from auditscore.reportgen import render_xccdf
 from auditscore.store import load_history
 
-from .conftest import DATA_DIR, ROOT, run_child
+from .conftest import DATA_DIR, ROOT, history_reads, run_child, settle
 
 
 def run_cli(capsys, *argv):
@@ -67,6 +67,15 @@ def test_parse_output_matches_golden(capsys, monkeypatch, data_dir, fixture):
         code, out, _ = run_cli(capsys, "parse", "--tool", expected["tool"], fixture, *extra)
         assert code == 0
         assert out == expected[key]
+
+
+@pytest.mark.parametrize("name", ["baseline", "baseline-literal"])
+def test_score_output_matches_golden(capsys, data_dir, name):
+    """Byte-exact ``score`` text: the ``raw`` column lists ``parse``'s fields."""
+    manifest = str(data_dir / f"manifest-{name}.yaml")
+    code, out, _ = run_cli(capsys, "score", "--manifest", manifest, "--host", "ci")
+    assert code == 0
+    assert out == (data_dir / f"expected-score-{name}.txt").read_text()
 
 
 # Per fixture, the stderr of ``parse --verbose``, one line per entry.
@@ -923,40 +932,10 @@ def test_history_host_filter_decodes_only_that_hosts_lines(capsys, two_host_hist
 def _settle(history, monkeypatch, capsys):
     """Record ``history``'s identity in its index, by a read that begins more
     than a lowered settle constant after the history's last change."""
-    monkeypatch.setattr(store, "_SETTLE_NS", 20_000_000)
-    while time.time_ns() - history.stat().st_ctime_ns <= store._SETTLE_NS:
-        time.sleep(0.005)
+    settle(history, monkeypatch)
     assert run_cli(capsys, "history", "--history", str(history), "--host", "h1")[0] == 0
     body = (history.parent / (history.name + ".idx")).read_bytes().partition(b"\n")[2]
     assert json.loads(body)["identity"] == store._identity(history.stat())
-
-
-@pytest.fixture
-def history_reads(monkeypatch):
-    """The bytes the store reads from any file it opens without an opener
-    (the history, not its index): whole, or with ``os.pread``."""
-    counted = []
-
-    class Counted(io.FileIO):
-        def read(self, size=-1):
-            data = super().read(size)
-            counted.append(len(data))
-            return data
-
-    pread = os.pread
-
-    def counting_pread(fd, size, offset):
-        data = pread(fd, size, offset)
-        counted.append(len(data))
-        return data
-
-    def history_open(file, mode="r", *args, opener=None, **kwargs):
-        assert mode == "rb"
-        return open(file, mode, *args, opener=opener, **kwargs) if opener else Counted(file)
-
-    monkeypatch.setattr(store, "open", history_open, raising=False)
-    monkeypatch.setattr(store.os, "pread", counting_pread)
-    return counted
 
 
 @pytest.mark.parametrize(
@@ -965,22 +944,24 @@ def history_reads(monkeypatch):
     ids=["compare", "history-host"],
 )
 def test_warm_read_of_a_settled_history_reads_only_its_lines_and_hashes_nothing(
-    capsys, monkeypatch, two_host_history, decoded, history_reads, argv, records
+    capsys, monkeypatch, two_host_history, decoded, argv, records
 ):
     _settle(two_host_history, monkeypatch, capsys)
     data = two_host_history.read_bytes()
     argv = [*argv, "--history", str(two_host_history)]
     expected = run_cli(capsys, *argv)
     decoded.clear()
-    history_reads.clear()
-    with mock.patch.object(store, "_new_digest", side_effect=AssertionError("hashed")):
+    hashing = mock.patch.object(store, "_new_digest", side_effect=AssertionError("hashed"))
+    with history_reads() as reads, hashing:
         assert run_cli(capsys, *argv) == expected
     assert len(decoded) == records
     # Each decoded line is read with the \n that ends it and the one before
     # it, which the first line of the file has not.
     lines = [json.dumps(payload, separators=(",", ":")).encode() + b"\n" for payload, _ in decoded]
     assert all(line in data for line in lines)
-    assert sum(history_reads) == sum(len(line) + (not data.startswith(line)) for line in lines)
+    assert sum(size for _, size in reads) == sum(
+        len(line) + (not data.startswith(line)) for line in lines
+    )
 
 
 def test_compare_child_on_a_settled_history_never_imports_hashlib(
@@ -2184,6 +2165,27 @@ def test_readme_lists_the_shared_options_of_each_subcommand(monkeypatch):
         for command in re.findall(r"`(.+?)`", commands):
             listed[command] = set(re.findall(r"`(.+?)`", options))
     assert listed == declared
+
+
+def _arguments(parser):
+    """``(prog, action)`` for each argument of ``parser`` and its subcommands;
+    a subcommand's own line in ``--help`` counts as an argument."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            yield from ((parser.prog, choice) for choice in action._choices_actions)
+            for subparser in action.choices.values():
+                yield from _arguments(subparser)
+        else:
+            yield parser.prog, action
+
+
+def test_every_argument_has_a_help_string():
+    undescribed = [
+        (prog, action.metavar or action.dest)
+        for prog, action in _arguments(build_parser())
+        if action.help is None
+    ]
+    assert undescribed == []
 
 
 # ---------------------------------------------------------------------------

@@ -252,8 +252,8 @@ def _contract_cases():
         (InvocationResult, (Path("o.txt"), 0), ["report_path", "exit_code"], True, True),
         (ScanOutcome, ({ToolKind.AIDE: Path("o.txt")}, {}),
          [("reports", {}), ("failures", {})], False, False),
-        (ToolSpec, ("X", len, "x {output}", "x.txt", len, str, list, frozenset({0}), "x", "db"),
-         ["display_name", "parse", "command", "output_name", "normalize", "summary", "details",
+        (ToolSpec, ("X", len, "x {output}", "x.txt", len, list, frozenset({0}), "x", "db"),
+         ["display_name", "parse", "command", "output_name", "normalize", "fields",
           "exit_codes", ("init_command", None), ("database", None)], True, True),
         (TrendTable, ({}, {}, (1.0, 2.0), Trend.UP),
          ["per_tool", "directions", "composite", "composite_direction"], True, False),

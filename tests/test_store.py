@@ -1,7 +1,6 @@
 import contextlib
 import fcntl
 import hashlib
-import io
 import json
 import multiprocessing
 import os
@@ -28,6 +27,7 @@ from auditscore.store import (
     record_to_json,
 )
 
+from .conftest import SETTLE_NS, history_reads, settle
 from .strategies import FIXED_TIMESTAMP, full_assessments, six_scores
 
 
@@ -662,12 +662,6 @@ _STEPS = st.one_of(
     st.tuples(st.just("damage"), st.sampled_from(_DAMAGE)),
     st.just(("settle",)),
 )
-# The settle constant of the reads of a "settle" step, which sleeps past it
-# first, so that they record the history's identity. It stays above the
-# kernel's timestamp tick, which is sound on a file system that keeps finer
-# timestamps than that (ext4, tmpfs); every other read keeps the store's own
-# constant, so a history written during the test is never settled for it.
-_SETTLE_NS = 20_000_000
 
 
 def _drop_index(index):
@@ -781,8 +775,8 @@ def test_indexed_reads_equal_a_plain_reader(tmp_path_factory, steps):
             if step[2]:
                 os.utime(path, ns=(times.st_atime_ns, times.st_mtime_ns))
         elif step[0] == "settle":
-            while time.time_ns() - path.stat().st_ctime_ns <= _SETTLE_NS:
-                time.sleep(_SETTLE_NS / 4e9)
+            while time.time_ns() - path.stat().st_ctime_ns <= SETTLE_NS:
+                time.sleep(SETTLE_NS / 4e9)
         elif step[0] == "truncate":
             data = path.read_bytes()
             path.write_bytes(data[: len(data) * step[1] // 100])
@@ -826,13 +820,14 @@ def test_indexed_reads_equal_a_plain_reader(tmp_path_factory, steps):
             index.symlink_to(target)
         before = _index_state(index)
         edited = step[0] == "edit"
-        settle = (
-            mock.patch.object(store, "_SETTLE_NS", _SETTLE_NS)
+        settling = (
+            mock.patch.object(store, "_SETTLE_NS", SETTLE_NS)
             if step[0] == "settle"
             else contextlib.nullcontext()
         )
         for host_filter, newest_of in _READS:
-            with settle, mock.patch.object(store, "_new_digest", wraps=store._new_digest) as hashed:
+            hashing = mock.patch.object(store, "_new_digest", wraps=store._new_digest)
+            with settling, hashing as hashed:
                 loaded = load_history(path, host_filter=host_filter, newest_of=newest_of)
             expected = _plain_load(path, host_filter, newest_of)
             assert (loaded.records, loaded.skipped) == (expected.records, expected.skipped)
@@ -906,18 +901,11 @@ def _labelled_history(tmp_path):
     return path
 
 
-def _settle(path, monkeypatch):
-    """Lower the settle constant, then wait until ``path`` has settled for it."""
-    monkeypatch.setattr(store, "_SETTLE_NS", _SETTLE_NS)
-    while time.time_ns() - path.stat().st_ctime_ns <= _SETTLE_NS:
-        time.sleep(_SETTLE_NS / 4e9)
-
-
 def test_format_3_index_in_the_earlier_key_order_is_trusted_and_written_alike(
     tmp_path, monkeypatch
 ):
     path = _labelled_history(tmp_path)
-    _settle(path, monkeypatch)
+    settle(path, monkeypatch)
     data = path.read_bytes()
     lines, skipped, offset = [], 0, 0
     for line in data.split(b"\n")[:-1]:
@@ -966,7 +954,7 @@ def test_unterminated_last_line_is_skipped_and_indexed_once_it_ends(tmp_path, mo
     complete = path.stat().st_size
     with open(path, "a") as handle:
         handle.write(line[: len(line) // 2])
-    _settle(path, monkeypatch)  # settled enough to record, were its last line whole
+    settle(path, monkeypatch)  # settled enough to record, were its last line whole
     index = tmp_path / "history.jsonl.idx"
 
     def stored():
@@ -989,33 +977,6 @@ def test_unterminated_last_line_is_skipped_and_indexed_once_it_ends(tmp_path, mo
     assert second["lines"] == [*first["lines"], [complete, "node-1", "full"]]
 
 
-@contextlib.contextmanager
-def _history_reads():
-    """Record ``(kind, bytes)`` for each ``read`` and ``pread`` of a history
-    that ``store`` opens; its index is opened with an opener, and not counted."""
-    reads = []
-    pread = os.pread
-
-    class Counted(io.FileIO):
-        def read(self, size=-1):
-            chunk = super().read(size)
-            reads.append(("read", len(chunk)))
-            return chunk
-
-    def history_open(file, mode="r", *args, opener=None, **kwargs):
-        return open(file, mode, *args, opener=opener, **kwargs) if opener else Counted(file)
-
-    def counted_pread(fd, size, offset):
-        chunk = pread(fd, size, offset)
-        reads.append(("pread", len(chunk)))
-        return chunk
-
-    with mock.patch.object(store, "open", history_open, create=True), mock.patch.object(
-        store.os, "pread", counted_pread
-    ):
-        yield reads
-
-
 @pytest.mark.parametrize(
     "host_filter, newest_of, parses",
     [("alpha", None, 4), (None, {"baseline", "full"}, 2), ("beta", {"partial", "full"}, 3)],
@@ -1025,7 +986,7 @@ def test_filtered_read_after_an_append_parses_only_the_new_line_and_the_kept_one
     tmp_path, monkeypatch, host_filter, newest_of, parses
 ):
     path = _labelled_history(tmp_path)
-    _settle(path, monkeypatch)
+    settle(path, monkeypatch)
     load_history(path, host_filter="alpha")  # an index that records the identity
     append_record(path, _record(label="full", host="alpha", values=(60, 70, 80, 80, 60, 10)))
     data = path.read_bytes()
@@ -1039,7 +1000,7 @@ def test_filtered_read_after_an_append_parses_only_the_new_line_and_the_kept_one
         return parse(line)
 
     monkeypatch.setattr(store, "_parse_line", counting)
-    with _history_reads() as reads:
+    with history_reads() as reads:
         loaded = load_history(path, host_filter=host_filter, newest_of=newest_of)
     assert loaded == expected
     # Besides the new line, which is scanned, only the lines of the records
@@ -1140,7 +1101,7 @@ def test_each_read_reads_the_history_whole_at_most_once(tmp_path, monkeypatch):
     preads = []
 
     def reads_whole(times):
-        with _history_reads() as reads:
+        with history_reads() as reads:
             loaded = load_history(path, host_filter="alpha")
         assert loaded == _plain_load(path, "alpha")
         assert [size for kind, size in reads if kind == "read"] == [path.stat().st_size] * times
@@ -1155,7 +1116,7 @@ def test_each_read_reads_the_history_whole_at_most_once(tmp_path, monkeypatch):
     load_history(path, host_filter="alpha")
     _edit_index(path, index, _reverse_keys, True)
     reads_whole(1)  # hashed, then a full scan of the same bytes: the entries are stale
-    _settle(path, monkeypatch)
+    settle(path, monkeypatch)
     load_history(path, host_filter="alpha")  # records the identity
     reads_whole(0)  # trusted
     _edit_index(path, index, _reverse_keys, True)
